@@ -3,17 +3,9 @@ a remote-sharing-biased replacement policy."""
 
 from .adaptive import AdaptiveConfig, AdaptiveState
 from .address_map import ConfigError, TopologyConfig
-from .coherence import CoherenceSystem, FillOutcome, ServiceSource, Writeback
+from .coherence import CoherenceSystem, FillOutcome, ServiceSource
 from .engine import InvariantError, LatencyModel, SimStats, SocketStats, compare, run
-from .replacement import (
-    CacheSet,
-    CounterEvent,
-    LlcLine,
-    MoesiState,
-    PolicyConfig,
-    PolicyKind,
-    VictimDecision,
-)
+from .replacement import CacheSet, MoesiState, PolicyConfig, PolicyKind
 from .workload import (
     AccessRecord,
     GeneratorKind,
@@ -32,13 +24,11 @@ __all__ = [
     "CacheSet",
     "CoherenceSystem",
     "ConfigError",
-    "CounterEvent",
     "FillOutcome",
     "GeneratorKind",
     "GeneratorSpec",
     "InvariantError",
     "LatencyModel",
-    "LlcLine",
     "MoesiState",
     "Op",
     "PolicyConfig",
@@ -48,8 +38,6 @@ __all__ = [
     "SocketStats",
     "TopologyConfig",
     "TraceError",
-    "VictimDecision",
-    "Writeback",
     "compare",
     "format_trace",
     "generate",

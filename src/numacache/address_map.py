@@ -1,6 +1,7 @@
 """Physical address decomposition: home node, set index, tag."""
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class ConfigError(ValueError):
@@ -35,51 +36,35 @@ class TopologyConfig:
                 "socket, set, and line-offset bits exceed the address width"
             )
 
-    @property
+    @cached_property
     def socket_bits(self) -> int:
         return self.num_sockets.bit_length() - 1
 
-    @property
+    @cached_property
     def set_bits(self) -> int:
         return self.llc_sets.bit_length() - 1
 
-    @property
+    @cached_property
     def offset_bits(self) -> int:
         return self.line_size_bytes.bit_length() - 1
 
 
-def check_address(addr: int, topo: TopologyConfig) -> None:
+def decode(addr: int, topo: TopologyConfig) -> tuple[int, int, int, int]:
+    """(line address, set index, tag, home socket) of an address.
+
+    The line address has the low line-offset bits masked off. The tag is
+    every bit above the set index, so the home bits are part of it. The
+    home socket, whose DRAM backs the line, is named by the topmost
+    address bits (always 0 with a single socket).
+    """
     if addr < 0 or addr >> topo.address_width:
         raise ConfigError(
             f"address {addr:#x} does not fit in {topo.address_width} bits"
         )
-
-
-def line_address(addr: int, topo: TopologyConfig) -> int:
-    """Address with the low line-offset bits masked off."""
-    check_address(addr, topo)
-    return addr & ~(topo.line_size_bytes - 1)
-
-
-def home_node(addr: int, topo: TopologyConfig) -> int:
-    """Socket whose DRAM backs this line: the topmost address bits."""
-    check_address(addr, topo)
-    if topo.num_sockets == 1:
-        return 0
-    return addr >> (topo.address_width - topo.socket_bits)
-
-
-def set_index(addr: int, topo: TopologyConfig) -> int:
-    check_address(addr, topo)
-    return (addr >> topo.offset_bits) & (topo.llc_sets - 1)
-
-
-def line_tag(addr: int, topo: TopologyConfig) -> int:
-    """Bits above the set index; together with the set index it rebuilds
-    the line address (home bits are part of the tag)."""
-    check_address(addr, topo)
-    return addr >> (topo.offset_bits + topo.set_bits)
-
-
-def rebuild_line_address(tag: int, set_id: int, topo: TopologyConfig) -> int:
-    return (tag << (topo.offset_bits + topo.set_bits)) | (set_id << topo.offset_bits)
+    offset_bits = topo.offset_bits
+    return (
+        addr & -topo.line_size_bytes,
+        (addr >> offset_bits) & (topo.llc_sets - 1),
+        addr >> (offset_bits + topo.set_bits),
+        addr >> (topo.address_width - topo.socket_bits),
+    )

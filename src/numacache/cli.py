@@ -3,6 +3,7 @@
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from typing import Optional
 
 from .adaptive import AdaptiveConfig
@@ -90,6 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="numacache",
         description="Trace-driven multi-socket LLC simulator with "
                     "remote-sharing-biased replacement",
+        # `--conf file` would reach the parser, not _apply_config_file
+        allow_abbrev=False,
     )
     parser.add_argument("--config", help="key=value defaults file", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -112,18 +115,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate-trace", help="parse-check a trace file")
     _add_topology_flags(p_val)
-    p_val.add_argument("--trace", required=True)
+    p_val.add_argument("--trace", required=True,
+                       help="trace file to check ('-' for stdin)")
 
     return parser
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list) -> list:
-    """Turn `--config file` key=value pairs into parser defaults."""
-    if "--config" not in argv:
+    """Turn `--config file` (or `--config=file`) key=value pairs into
+    parser defaults."""
+    for i, arg in enumerate(argv):
+        if arg == "--config":
+            if i + 1 == len(argv):
+                raise ConfigError("--config needs a file path")
+            path, argv = argv[i + 1], argv[:i] + argv[i + 2:]
+            break
+        if arg.startswith("--config="):
+            path, argv = arg.partition("=")[2], argv[:i] + argv[i + 1:]
+            break
+    else:
         return argv
-    i = argv.index("--config")
-    path = argv[i + 1]
-    argv = argv[:i] + argv[i + 2:]
     defaults = {}
     with open(path) as fh:
         for raw in fh:
@@ -181,13 +192,16 @@ def _generator_spec(args) -> GeneratorSpec:
     )
 
 
+def _open_trace(path: str):
+    """The trace file at `path`, or stdin (left open) for '-'."""
+    return nullcontext(sys.stdin) if path == "-" else open(path)
+
+
 def _load_trace(args, topo: TopologyConfig) -> list:
     if (args.trace is None) == (args.gen_kind is None):
         raise ConfigError("give exactly one trace source: --trace or --gen-kind")
     if args.trace is not None:
-        if args.trace == "-":
-            return list(parse_trace(sys.stdin, topo))
-        with open(args.trace) as fh:
+        with _open_trace(args.trace) as fh:
             return list(parse_trace(fh, topo))
     return generate(_generator_spec(args), topo)
 
@@ -347,7 +361,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_validate_trace(args) -> int:
     topo = _topology(args)
-    with open(args.trace) as fh:
+    with _open_trace(args.trace) as fh:
         count = sum(1 for _ in parse_trace(fh, topo))
     print(f"ok: {count} records")
     return 0

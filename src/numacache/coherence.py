@@ -8,45 +8,29 @@ store; only coherence state is tracked, not data.
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .address_map import (
-    TopologyConfig,
-    home_node,
-    line_address,
-    line_tag,
-    rebuild_line_address,
-    set_index,
-)
-from .replacement import (
-    CacheSet,
-    MoesiState,
-    PolicyConfig,
-    VictimDecision,
-    select_victim,
-)
+from .address_map import TopologyConfig, decode
+from .replacement import CacheSet, MoesiState, PolicyConfig, PolicyKind, select_victim
 
 
-class ServiceSource(enum.Enum):
-    LOCAL_HIT = "local_hit"
-    REMOTE_C2C = "remote_c2c"
-    LOCAL_DRAM = "local_dram"
-    REMOTE_DRAM = "remote_dram"
+class ServiceSource(enum.IntEnum):
+    """Where an access was served from; indexes `LatencyModel.costs`."""
+
+    LOCAL_HIT = 0
+    REMOTE_C2C = 1
+    LOCAL_DRAM = 2
+    REMOTE_DRAM = 3
 
 
-@dataclass
-class Writeback:
-    home: int       # socket whose DRAM receives the dirty line
-    line_addr: int
-
-
-@dataclass
-class FillOutcome:
+class FillOutcome(NamedTuple):
     service_source: ServiceSource
-    installed_state: MoesiState
-    set_remote_shared: bool
-    evictions: list[Writeback] = field(default_factory=list)
-    victim: Optional[VictimDecision] = None
+    writeback: bool = False      # the evicted victim was dirty (M/O)
+    biased: bool = False         # a non-shared victim replaced the LRU shared line
+    counter_reset: bool = False  # a bias counter reached its threshold
+
+
+_HIT = FillOutcome(ServiceSource.LOCAL_HIT)
 
 
 @dataclass
@@ -61,81 +45,73 @@ class CoherenceSystem:
     def __init__(self, topo: TopologyConfig, policy: Optional[PolicyConfig] = None):
         self.topo = topo
         self.policy = policy if policy is not None else PolicyConfig()
+        self.thresholds = self.policy.thresholds(topo.llc_assoc)
         self.llcs = [
-            [CacheSet(topo.llc_assoc) for _ in range(topo.llc_sets)]
+            [CacheSet() for _ in range(topo.llc_sets)]
             for _ in range(topo.num_sockets)
         ]
         self.directory: dict[int, DirectoryEntry] = {}
+        self._tag_shift = topo.offset_bits + topo.set_bits
+        home_shift = topo.address_width - topo.socket_bits - self._tag_shift
+        self._home_of = lambda tag: tag >> home_shift
 
     # -- accesses ---------------------------------------------------------
 
     def handle_read(
         self, requestor: int, addr: int, bias_enabled: bool = True
     ) -> FillOutcome:
-        line = line_address(addr, self.topo)
-        si = set_index(addr, self.topo)
-        tag = line_tag(addr, self.topo)
-        cset = self.llcs[requestor][si]
+        line, set_id, tag, home = decode(addr, self.topo)
+        lines = self.llcs[requestor][set_id].lines
+        if tag in lines:
+            lines[tag] = lines.pop(tag)
+            return _HIT
 
-        way = cset.find(tag)
-        if way is not None:
-            cset.touch(way)
-            return FillOutcome(ServiceSource.LOCAL_HIT, cset.ways[way].state, False)
-
-        home = home_node(addr, self.topo)
         entry = self.directory.get(line)
         if entry is None or not entry.sharers:
             # cold fill from the home DRAM
             source = self._dram_source(requestor, home)
             state, bit = MoesiState.EXCLUSIVE, False
         elif entry.owner is not None:
-            supplier = entry.owner
-            sline = self._line_of(supplier, si, tag)
-            if sline.state is MoesiState.MODIFIED:
-                sline.state = MoesiState.OWNER
-                state, bit = MoesiState.SHARED, True
-            elif sline.state is MoesiState.OWNER:
-                state, bit = MoesiState.SHARED, True
-            else:  # Exclusive supplier degrades; nobody owns the clean line
-                sline.state = MoesiState.SHARED
+            supplier = self.llcs[entry.owner][set_id].lines
+            if supplier[tag][0] is MoesiState.EXCLUSIVE:
+                # the clean supplier degrades; nobody owns the line
+                supplier[tag] = (MoesiState.SHARED, False)
                 entry.owner = None
-                state, bit = MoesiState.SHARED, False
-            source = ServiceSource.REMOTE_C2C
+                bit = False
+            else:  # a Modified supplier becomes Owner; an Owner stays
+                supplier[tag] = (MoesiState.OWNER, False)
+                bit = True
+            source, state = ServiceSource.REMOTE_C2C, MoesiState.SHARED
         else:
             # only Shared copies exist; memory owns the line
             source = self._dram_source(requestor, home)
             state, bit = MoesiState.SHARED, False
 
-        evictions, victim = self._install(requestor, si, tag, state, bit, bias_enabled)
+        outcome = self._install(
+            requestor, set_id, tag, state, bit, bias_enabled, source
+        )
         entry = self.directory.setdefault(line, DirectoryEntry())
         entry.sharers.add(requestor)
         if state is MoesiState.EXCLUSIVE:
             entry.owner = requestor
-        return FillOutcome(source, state, bit, evictions, victim)
+        return outcome
 
     def handle_write(
         self, requestor: int, addr: int, bias_enabled: bool = True
     ) -> FillOutcome:
-        line = line_address(addr, self.topo)
-        si = set_index(addr, self.topo)
-        tag = line_tag(addr, self.topo)
-        cset = self.llcs[requestor][si]
-
-        way = cset.find(tag)
-        if way is not None:
-            lline = cset.ways[way]
-            if lline.state in (MoesiState.SHARED, MoesiState.OWNER):
+        line, set_id, tag, home = decode(addr, self.topo)
+        lines = self.llcs[requestor][set_id].lines
+        held = lines.pop(tag, None)
+        if held is not None:
+            if held[0] in (MoesiState.SHARED, MoesiState.OWNER):
                 # upgrade: invalidate every other copy
-                self._invalidate_others(line, si, tag, keep=requestor)
-            lline.state = MoesiState.MODIFIED
-            lline.remote_shared = False
-            cset.touch(way)
+                self._invalidate_others(line, set_id, tag, keep=requestor)
+            lines[tag] = (MoesiState.MODIFIED, False)
             entry = self.directory[line]
             entry.owner = requestor
             entry.sharers = {requestor}
-            return FillOutcome(ServiceSource.LOCAL_HIT, MoesiState.MODIFIED, False)
+            return _HIT
 
-        home = home_node(addr, self.topo)
         entry = self.directory.get(line)
         if entry is not None and entry.owner is not None:
             # dirty or exclusive holder ships the line and invalidates
@@ -143,86 +119,72 @@ class CoherenceSystem:
         else:
             source = self._dram_source(requestor, home)
         if entry is not None:
-            self._invalidate_others(line, si, tag, keep=requestor)
+            self._invalidate_others(line, set_id, tag, keep=requestor)
 
-        evictions, victim = self._install(
-            requestor, si, tag, MoesiState.MODIFIED, False, bias_enabled
+        outcome = self._install(
+            requestor, set_id, tag, MoesiState.MODIFIED, False, bias_enabled, source
         )
-        entry = self.directory.setdefault(line, DirectoryEntry())
-        entry.owner = requestor
-        entry.sharers = {requestor}
-        return FillOutcome(source, MoesiState.MODIFIED, False, evictions, victim)
+        self.directory[line] = DirectoryEntry(requestor, {requestor})
+        return outcome
 
-    def evict_line(self, socket: int, set_id: int, way: int) -> Optional[Writeback]:
-        """Drop a line from an LLC; dirty (M/O) lines write back home.
+    def evict_line(self, socket: int, set_id: int, tag: int) -> bool:
+        """Drop a line from an LLC; True when it was dirty (M/O) and so
+        wrote back to its home DRAM.
 
         Remaining Shared copies of an evicted Owner line keep their
         remote-shared bits, which go stale by design (silent write-back).
         """
-        cset = self.llcs[socket][set_id]
-        lline = cset.ways[way]
-        if not lline.valid:
-            raise RuntimeError(f"evict of invalid way {way} in set {set_id}")
-        line = rebuild_line_address(lline.tag, set_id, self.topo)
-        writeback = None
-        if lline.state in (MoesiState.MODIFIED, MoesiState.OWNER):
-            writeback = Writeback(home_node(line, self.topo), line)
+        held = self.llcs[socket][set_id].lines.pop(tag, None)
+        if held is None:
+            raise RuntimeError(f"evict of tag {tag:#x} not held in set {set_id}")
+        line = self._line_address(set_id, tag)
         entry = self.directory[line]
         entry.sharers.discard(socket)
         if entry.owner == socket:
             entry.owner = None
         if not entry.sharers:
             del self.directory[line]
-        cset.drop(way)
-        return writeback
+        return held[0] in (MoesiState.MODIFIED, MoesiState.OWNER)
 
     # -- invariant checking -----------------------------------------------
 
     def check_global_invariants(self) -> list[str]:
         """Empty list iff the global MOESI and directory invariants hold."""
         violations = []
-        holders: dict[int, list[tuple[int, MoesiState, bool]]] = {}
-        t_local, t_remote = self.policy.thresholds(self.topo.llc_assoc)
+        holders: dict[int, list[tuple[int, MoesiState]]] = {}
+        assoc = self.topo.llc_assoc
+        t_local, t_remote = self.thresholds
 
         for socket, llc in enumerate(self.llcs):
             for set_id, cset in enumerate(llc):
-                ranks = sorted(l.recency for l in cset.ways if l.valid)
-                if ranks != list(range(len(ranks))):
+                if len(cset.lines) > assoc:
                     violations.append(
-                        f"socket {socket} set {set_id}: recency ranks {ranks} "
-                        "are not a prefix permutation"
+                        f"socket {socket} set {set_id}: {len(cset.lines)} lines "
+                        f"exceed associativity {assoc}"
                     )
-                if not 0 <= cset.local_home_counter <= t_local:
+                local_count, remote_count = cset.counters
+                if not 0 <= local_count <= t_local:
                     violations.append(
                         f"socket {socket} set {set_id}: local-home counter "
-                        f"{cset.local_home_counter} out of [0, {t_local}]"
+                        f"{local_count} out of [0, {t_local}]"
                     )
-                if not 0 <= cset.remote_home_counter <= t_remote:
+                if not 0 <= remote_count <= t_remote:
                     violations.append(
                         f"socket {socket} set {set_id}: remote-home counter "
-                        f"{cset.remote_home_counter} out of [0, {t_remote}]"
+                        f"{remote_count} out of [0, {t_remote}]"
                     )
-                for line in cset.ways:
-                    if not line.valid:
-                        if line.remote_shared:
-                            violations.append(
-                                f"socket {socket} set {set_id}: invalid line "
-                                "with remote_shared set"
-                            )
-                        continue
-                    if line.remote_shared and line.state is not MoesiState.SHARED:
+                for tag, (state, remote_shared) in cset.lines.items():
+                    if remote_shared and state is not MoesiState.SHARED:
                         violations.append(
                             f"socket {socket} set {set_id}: remote_shared on "
-                            f"{line.state.value} line"
+                            f"{state.value} line"
                         )
-                    addr = rebuild_line_address(line.tag, set_id, self.topo)
-                    holders.setdefault(addr, []).append(
-                        (socket, line.state, line.remote_shared)
-                    )
+                    addr = self._line_address(set_id, tag)
+                    holders.setdefault(addr, []).append((socket, state))
 
         for addr, held in holders.items():
-            exclusive = [s for s, st, _ in held if st in (MoesiState.MODIFIED, MoesiState.EXCLUSIVE)]
-            owners = [s for s, st, _ in held if st is MoesiState.OWNER]
+            exclusive = [s for s, st in held if st in (MoesiState.MODIFIED, MoesiState.EXCLUSIVE)]
+            owners = [s for s, st in held if st is MoesiState.OWNER]
             if exclusive and len(held) > 1:
                 violations.append(
                     f"line {addr:#x}: M/E at socket {exclusive[0]} coexists "
@@ -233,7 +195,7 @@ class CoherenceSystem:
             if len(owners) > 1:
                 violations.append(f"line {addr:#x}: multiple Owner holders")
             if owners and any(
-                st not in (MoesiState.OWNER, MoesiState.SHARED) for _, st, _ in held
+                st not in (MoesiState.OWNER, MoesiState.SHARED) for _, st in held
             ):
                 violations.append(
                     f"line {addr:#x}: Owner coexists with a non-Shared copy"
@@ -242,7 +204,7 @@ class CoherenceSystem:
             if entry is None:
                 violations.append(f"line {addr:#x}: cached but absent from directory")
                 continue
-            actual = {s for s, _, _ in held}
+            actual = {s for s, _ in held}
             if entry.sharers != actual:
                 violations.append(
                     f"line {addr:#x}: directory sharers {sorted(entry.sharers)} "
@@ -266,27 +228,14 @@ class CoherenceSystem:
     def _dram_source(requestor: int, home: int) -> ServiceSource:
         return ServiceSource.LOCAL_DRAM if home == requestor else ServiceSource.REMOTE_DRAM
 
-    def _line_of(self, socket: int, set_id: int, tag: int):
-        cset = self.llcs[socket][set_id]
-        way = cset.find(tag)
-        if way is None:
-            raise RuntimeError(
-                f"directory names socket {socket} for a line it does not hold"
-            )
-        return cset.ways[way]
+    def _line_address(self, set_id: int, tag: int) -> int:
+        return (tag << self._tag_shift) | (set_id << self.topo.offset_bits)
 
     def _invalidate_others(self, line: int, set_id: int, tag: int, keep: int) -> None:
         entry = self.directory[line]
-        for socket in sorted(entry.sharers):
-            if socket == keep:
-                continue
-            cset = self.llcs[socket][set_id]
-            way = cset.find(tag)
-            if way is None:
-                raise RuntimeError(
-                    f"directory names socket {socket} for a line it does not hold"
-                )
-            cset.drop(way)
+        for socket in entry.sharers:
+            if socket != keep:
+                del self.llcs[socket][set_id].lines[tag]
         entry.sharers &= {keep}
         if entry.owner is not None and entry.owner != keep:
             entry.owner = None
@@ -301,20 +250,17 @@ class CoherenceSystem:
         state: MoesiState,
         remote_shared: bool,
         bias_enabled: bool,
-    ) -> tuple[list[Writeback], Optional[VictimDecision]]:
+        source: ServiceSource,
+    ) -> FillOutcome:
+        """Install a line at MRU, first evicting a victim if the set is full."""
         cset = self.llcs[socket][set_id]
-        evictions: list[Writeback] = []
-        victim = None
-        way = cset.first_invalid()
-        if way is None:
-            def home_of(w: int) -> int:
-                addr = rebuild_line_address(cset.ways[w].tag, set_id, self.topo)
-                return home_node(addr, self.topo)
-
-            victim = select_victim(cset, socket, home_of, self.policy, bias_enabled)
-            way = victim.way
-            writeback = self.evict_line(socket, set_id, way)
-            if writeback is not None:
-                evictions.append(writeback)
-        cset.fill(way, tag, state, remote_shared)
-        return evictions, victim
+        outcome = FillOutcome(source)
+        if len(cset.lines) >= self.topo.llc_assoc:
+            bias = bias_enabled and self.policy.kind is not PolicyKind.LRU_ONLY
+            victim, biased, reset = select_victim(
+                cset, socket, self._home_of, self.thresholds, bias
+            )
+            writeback = self.evict_line(socket, set_id, victim)
+            outcome = FillOutcome(source, writeback, biased, reset)
+        cset.lines[tag] = (state, remote_shared)
+        return outcome

@@ -6,7 +6,7 @@ from typing import Iterable, Optional
 from .adaptive import AdaptiveConfig, AdaptiveState
 from .address_map import ConfigError, TopologyConfig
 from .coherence import CoherenceSystem, ServiceSource
-from .replacement import CounterEvent, PolicyConfig, PolicyKind
+from .replacement import PolicyConfig, PolicyKind
 from .workload import AccessRecord, Op
 
 
@@ -26,18 +26,20 @@ class LatencyModel:
     remote_dram: int = 350
 
     def __post_init__(self):
+        if min(self.costs) < 0:
+            raise ConfigError("latency costs must be >= 0")
         if not self.llc_hit < self.remote_c2c <= self.remote_dram:
             raise ConfigError("need llc_hit < remote_c2c <= remote_dram")
         if not self.local_dram < self.remote_dram:
             raise ConfigError("need local_dram < remote_dram")
 
+    @property
+    def costs(self) -> tuple[int, int, int, int]:
+        """Cycle cost of each service source, indexed by ServiceSource."""
+        return (self.llc_hit, self.remote_c2c, self.local_dram, self.remote_dram)
+
     def cost(self, source: ServiceSource) -> int:
-        return {
-            ServiceSource.LOCAL_HIT: self.llc_hit,
-            ServiceSource.REMOTE_C2C: self.remote_c2c,
-            ServiceSource.LOCAL_DRAM: self.local_dram,
-            ServiceSource.REMOTE_DRAM: self.remote_dram,
-        }[source]
+        return self.costs[source]
 
 
 @dataclass
@@ -134,17 +136,16 @@ def run(
     """
     adaptive = adaptive if adaptive is not None else AdaptiveConfig()
     lat = lat if lat is not None else LatencyModel()
-    policy.thresholds(topo.llc_assoc)  # fail fast on bad thresholds
 
-    system = CoherenceSystem(topo, policy)
+    system = CoherenceSystem(topo, policy)  # fails fast on bad thresholds
     controllers = [AdaptiveState(adaptive) for _ in range(topo.num_sockets)]
     per_socket = [SocketStats() for _ in range(topo.num_sockets)]
     toggles: list[tuple[int, int, bool]] = []
 
     for rec in trace:
-        if rec.socket >= topo.num_sockets:
+        if not 0 <= rec.socket < topo.num_sockets:
             raise ConfigError(f"record {rec.seq}: socket {rec.socket} out of range")
-        if rec.core >= topo.cores_per_socket:
+        if not 0 <= rec.core < topo.cores_per_socket:
             raise ConfigError(f"record {rec.seq}: core {rec.core} out of range")
 
         if policy.kind is PolicyKind.BIASED_ALWAYS:
@@ -159,32 +160,26 @@ def run(
         else:
             outcome = system.handle_write(rec.socket, rec.addr, bias)
 
+        source = outcome.service_source
         stats = per_socket[rec.socket]
         stats.accesses += 1
-        stats.total_cost += lat.cost(outcome.service_source)
-        if outcome.service_source is ServiceSource.LOCAL_HIT:
+        stats.total_cost += lat.cost(source)
+        if source is ServiceSource.LOCAL_HIT:
             stats.hits += 1
         else:
             stats.misses += 1
-            if outcome.service_source is ServiceSource.REMOTE_C2C:
+            if source is ServiceSource.REMOTE_C2C:
                 stats.remote_c2c += 1
-            elif outcome.service_source is ServiceSource.LOCAL_DRAM:
+            elif source is ServiceSource.LOCAL_DRAM:
                 stats.local_dram += 1
             else:
                 stats.remote_dram += 1
-            stats.writebacks += len(outcome.evictions)
-            if outcome.victim is not None:
-                if outcome.victim.biased:
-                    stats.bias_events += 1
-                if outcome.victim.counter_event in (
-                    CounterEvent.RESET_LOCAL,
-                    CounterEvent.RESET_REMOTE,
-                ):
-                    stats.counter_resets += 1
+            stats.writebacks += outcome.writeback
+            stats.bias_events += outcome.biased
+            stats.counter_resets += outcome.counter_reset
 
-            is_remote = outcome.service_source is ServiceSource.REMOTE_C2C or (
-                adaptive.count_remote_dram
-                and outcome.service_source is ServiceSource.REMOTE_DRAM
+            is_remote = source is ServiceSource.REMOTE_C2C or (
+                adaptive.count_remote_dram and source is ServiceSource.REMOTE_DRAM
             )
             controller = controllers[rec.socket]
             before = controller.is_bias_enabled()

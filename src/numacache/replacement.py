@@ -10,25 +10,18 @@ from typing import Callable, Optional
 
 
 class MoesiState(enum.Enum):
+    """States of a held line; a line that is not held is Invalid."""
+
     MODIFIED = "M"
     OWNER = "O"
     EXCLUSIVE = "E"
     SHARED = "S"
-    INVALID = "I"
 
 
 class PolicyKind(enum.Enum):
     LRU_ONLY = "lru"
     BIASED_ALWAYS = "biased"
     BIASED_ADAPTIVE = "adaptive"
-
-
-class CounterEvent(enum.Enum):
-    NONE = "none"
-    INCREMENT_LOCAL = "inc_local"
-    INCREMENT_REMOTE = "inc_remote"
-    RESET_LOCAL = "reset_local"
-    RESET_REMOTE = "reset_remote"
 
 
 @dataclass
@@ -46,148 +39,54 @@ class PolicyConfig:
         return t_local, t_remote
 
 
-@dataclass
-class LlcLine:
-    tag: int = 0
-    state: MoesiState = MoesiState.INVALID
-    remote_shared: bool = False  # installed Shared via remote cache-to-cache
-    recency: int = 0  # 0 = MRU; meaningful only while the line is valid
-
-    @property
-    def valid(self) -> bool:
-        return self.state is not MoesiState.INVALID
-
-
-@dataclass
-class VictimDecision:
-    way: int
-    biased: bool  # a non-shared line was chosen over the LRU shared line
-    counter_event: CounterEvent
-
-
 class CacheSet:
-    """One set of an LLC: A ways plus the two per-set bias counters."""
+    """One set of an LLC: its lines in recency order plus two bias counters.
 
-    def __init__(self, assoc: int):
-        if assoc < 2:
-            raise ValueError("associativity must be >= 2")
-        self.ways = [LlcLine() for _ in range(assoc)]
-        self.local_home_counter = 0   # biased replacements, home node local
-        self.remote_home_counter = 0  # biased replacements, home node remote
+    `lines` maps tag -> (state, remote_shared), least recently used first;
+    remote_shared marks a Shared line installed by a remote cache-to-cache
+    transfer. A hit pops the tag and re-inserts it at the MRU end, while
+    assigning a new value to a held tag keeps its position. `counters`
+    holds the biased replacements whose protected line's home was local
+    (index 0) or remote (index 1).
+    """
 
-    @property
-    def assoc(self) -> int:
-        return len(self.ways)
+    __slots__ = ("lines", "counters")
 
-    def find(self, tag: int) -> Optional[int]:
-        for i, line in enumerate(self.ways):
-            if line.valid and line.tag == tag:
-                return i
-        return None
-
-    def first_invalid(self) -> Optional[int]:
-        for i, line in enumerate(self.ways):
-            if not line.valid:
-                return i
-        return None
-
-    def touch(self, way: int) -> None:
-        """Move a valid way to MRU; ranks above it shift down by one."""
-        line = self.ways[way]
-        if not line.valid:
-            raise RuntimeError(f"touch on invalid way {way}")
-        old = line.recency
-        for other in self.ways:
-            if other.valid and other.recency < old:
-                other.recency += 1
-        line.recency = 0
-
-    def fill(self, way: int, tag: int, state: MoesiState, remote_shared: bool) -> None:
-        """Install a line at MRU. The remote_shared bit only sticks on
-        Shared installs."""
-        line = self.ways[way]
-        if line.valid:
-            raise RuntimeError(f"fill on occupied way {way}")
-        for other in self.ways:
-            if other.valid:
-                other.recency += 1
-        line.tag = tag
-        line.state = state
-        line.remote_shared = remote_shared and state is MoesiState.SHARED
-        line.recency = 0
-
-    def drop(self, way: int) -> None:
-        """Invalidate a way and close the recency gap it leaves."""
-        line = self.ways[way]
-        if not line.valid:
-            raise RuntimeError(f"drop on invalid way {way}")
-        old = line.recency
-        for other in self.ways:
-            if other.valid and other.recency > old:
-                other.recency -= 1
-        line.state = MoesiState.INVALID
-        line.remote_shared = False
-
-
-def lru_way(cset: CacheSet) -> int:
-    """Worst-recency valid way."""
-    way = None
-    worst = -1
-    for i, line in enumerate(cset.ways):
-        if line.valid and line.recency > worst:
-            worst = line.recency
-            way = i
-    if way is None:
-        raise RuntimeError("no valid way to evict")
-    return way
+    def __init__(self):
+        self.lines: dict[int, tuple[MoesiState, bool]] = {}
+        self.counters = [0, 0]
 
 
 def select_victim(
     cset: CacheSet,
     local_socket: int,
     home_of: Callable[[int], int],
-    cfg: PolicyConfig,
-    bias_enabled: bool,
-) -> VictimDecision:
-    """Pick a victim from a full set, updating the bias counters.
+    thresholds: tuple[int, int],
+    bias: bool,
+) -> tuple[int, bool, bool]:
+    """Pick the victim tag of a full set, updating the bias counters.
 
-    The LRU line is the default. When the bias is active and the LRU line
-    is a remote-shared line, the per-home-class counter decides: below its
-    threshold we protect the shared line and evict the deepest non-shared
-    way instead (counter increments); at the threshold the shared line goes
-    after all and the counter resets.
+    Returns (victim tag, biased, counter reset). The LRU line is the
+    default. When the bias is active and the LRU line is remote-shared,
+    the counter of its home class (local or remote to `local_socket`, via
+    `home_of(tag)`) decides: below its threshold we protect the shared line
+    and evict the least recent non-shared line instead (the counter
+    increments); at the threshold the shared line goes after all and the
+    counter resets.
     """
-    candidate = lru_way(cset)
-    if (
-        cfg.kind is PolicyKind.LRU_ONLY
-        or not bias_enabled
-        or not cset.ways[candidate].remote_shared
-    ):
-        return VictimDecision(candidate, False, CounterEvent.NONE)
+    lines = cset.lines
+    lru = next(iter(lines))
+    if not bias or not lines[lru][1]:
+        return lru, False, False
 
-    t_local, t_remote = cfg.thresholds(cset.assoc)
-    home_is_local = home_of(candidate) == local_socket
-    counter = cset.local_home_counter if home_is_local else cset.remote_home_counter
-    threshold = t_local if home_is_local else t_remote
-
-    if counter < threshold:
-        alt = None
-        worst = -1
-        for i, line in enumerate(cset.ways):
-            if line.valid and not line.remote_shared and line.recency > worst:
-                worst = line.recency
-                alt = i
-        if alt is None:
-            # every way is remote-shared: nothing to protect against
-            return VictimDecision(candidate, False, CounterEvent.NONE)
-        if home_is_local:
-            cset.local_home_counter += 1
-            return VictimDecision(alt, True, CounterEvent.INCREMENT_LOCAL)
-        cset.remote_home_counter += 1
-        return VictimDecision(alt, True, CounterEvent.INCREMENT_REMOTE)
-
-    if home_is_local:
-        cset.local_home_counter = 0
-        return VictimDecision(candidate, False, CounterEvent.RESET_LOCAL)
-    cset.remote_home_counter = 0
-    return VictimDecision(candidate, False, CounterEvent.RESET_REMOTE)
+    home_class = 0 if home_of(lru) == local_socket else 1
+    counters = cset.counters
+    if counters[home_class] >= thresholds[home_class]:
+        counters[home_class] = 0
+        return lru, False, True
+    for tag, (_, remote_shared) in lines.items():
+        if not remote_shared:
+            counters[home_class] += 1
+            return tag, True, False
+    # every line is remote-shared: nothing to protect against
+    return lru, False, False

@@ -4,6 +4,8 @@ Trace format, one record per line:
 
     <socket:uint> <core:uint> <R|W> <0x-hex-address>
 
+Fields are ASCII: decimal socket and core, hex digits after `0x`.
+
 `#` starts a comment line; blank lines are ignored.
 """
 
@@ -49,21 +51,21 @@ def parse_trace(
         parts = text.split()
         if len(parts) != 4:
             raise TraceError(lineno, f"expected 4 fields, got {len(parts)}")
-        try:
-            socket = int(parts[0])
-            core = int(parts[1])
-        except ValueError:
-            raise TraceError(lineno, f"bad socket/core in {text!r}") from None
+        if not text.isascii():
+            raise TraceError(lineno, f"non-ASCII character in {text!r}")
+        if not (parts[0].isdigit() and parts[1].isdigit()):
+            raise TraceError(lineno, f"bad socket/core in {text!r}")
+        socket = int(parts[0])
+        core = int(parts[1])
         if parts[2] not in ("R", "W"):
             raise TraceError(lineno, f"operation must be R or W, got {parts[2]!r}")
-        if not parts[3].lower().startswith("0x"):
+        # int() would also accept `_` digit separators
+        if not parts[3].lower().startswith("0x") or "_" in parts[3]:
             raise TraceError(lineno, f"address must be 0x-prefixed hex, got {parts[3]!r}")
         try:
             addr = int(parts[3], 16)
         except ValueError:
             raise TraceError(lineno, f"bad address {parts[3]!r}") from None
-        if socket < 0 or core < 0 or addr < 0:
-            raise TraceError(lineno, "negative field")
         if topo is not None:
             if socket >= topo.num_sockets:
                 raise TraceError(lineno, f"socket {socket} out of range")
@@ -116,10 +118,11 @@ def _line_addr(index: int, home: int, topo: TopologyConfig) -> int:
 
 def generate(spec: GeneratorSpec, topo: TopologyConfig) -> list[AccessRecord]:
     """Deterministic access sequence for (spec, topo)."""
-    if spec.home_socket is not None and spec.home_socket >= topo.num_sockets:
+    sockets = range(topo.num_sockets)
+    if spec.home_socket is not None and spec.home_socket not in sockets:
         raise ConfigError(f"home_socket {spec.home_socket} out of range")
     for a, b in spec.sharing_socket_pairs:
-        if a >= topo.num_sockets or b >= topo.num_sockets:
+        if a not in sockets or b not in sockets:
             raise ConfigError(f"socket pair ({a}, {b}) out of range")
 
     rng = random.Random(spec.rng_seed)

@@ -14,7 +14,7 @@ from numacache.address_map import TopologyConfig
 from numacache.cli import main
 from numacache.engine import run
 from numacache.replacement import (
-    CounterEvent,
+    CacheSet,
     MoesiState,
     PolicyConfig,
     PolicyKind,
@@ -171,31 +171,31 @@ def test_criterion_6_threshold_defaults_and_counter_bounds(capsys):
     assert config["t_local"] == 4
     assert config["t_remote"] == 8
 
-    from numacache.replacement import CacheSet
     rng = random.Random(99)
     cfg = PolicyConfig(PolicyKind.BIASED_ALWAYS)
     for trial in range(100):
         assoc = rng.choice([2, 4, 8, 16])
-        t_local, t_remote = cfg.thresholds(assoc)
-        cset = CacheSet(assoc)
-        for i, line in enumerate(cset.ways):
-            line.tag = i
-            line.state = MoesiState.EXCLUSIVE
-            line.recency = i
+        thresholds = cfg.thresholds(assoc)
+        cset = CacheSet()
+        for tag in range(assoc):  # tag 0 is the LRU line
+            cset.lines[tag] = (MoesiState.EXCLUSIVE, False)
         for _ in range(100):
-            for line in cset.ways:
+            for tag in cset.lines:
                 shared = rng.random() < 0.5
-                line.remote_shared = shared
-                line.state = MoesiState.SHARED if shared else MoesiState.EXCLUSIVE
+                state = MoesiState.SHARED if shared else MoesiState.EXCLUSIVE
+                cset.lines[tag] = (state, shared)
             homes = [rng.randrange(2) for _ in range(assoc)]
-            before = (cset.local_home_counter, cset.remote_home_counter)
-            d = select_victim(cset, 0, lambda w: homes[w], cfg, True)
-            assert 0 <= cset.local_home_counter <= t_local
-            assert 0 <= cset.remote_home_counter <= t_remote
-            if d.counter_event is CounterEvent.RESET_LOCAL:
-                assert before[0] == t_local
-            if d.counter_event is CounterEvent.RESET_REMOTE:
-                assert before[1] == t_remote
+            before = list(cset.counters)
+            victim, biased, reset = select_victim(
+                cset, 0, lambda tag: homes[tag], thresholds, True)
+            for count, limit in zip(cset.counters, thresholds):
+                assert 0 <= count <= limit
+            if reset:
+                # only the LRU line's home-class counter resets, and only
+                # from its threshold
+                home_class = homes[victim] != 0
+                assert before[home_class] == thresholds[home_class]
+                assert cset.counters[home_class] == 0
     print("ACCEPTANCE 6 (threshold defaults and counter bounds): PASS")
 
 

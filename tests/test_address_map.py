@@ -1,18 +1,23 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from numacache.address_map import (
-    ConfigError,
-    TopologyConfig,
-    home_node,
-    line_address,
-    line_tag,
-    rebuild_line_address,
-    set_index,
-)
+from numacache.address_map import ConfigError, TopologyConfig, decode
 
 TOPO8 = TopologyConfig(num_sockets=4, llc_sets=1, llc_assoc=2,
                        line_size_bytes=4, address_width=8)
+
+
+def home_node(addr, topo):
+    return decode(addr, topo)[3]
+
+
+def set_index(addr, topo):
+    return decode(addr, topo)[1]
+
+
+def rebuild_line_address(tag, set_id, topo):
+    """Line address from (tag, set index), as the tag definition implies."""
+    return (tag << (topo.offset_bits + topo.set_bits)) | (set_id << topo.offset_bits)
 
 
 def test_home_node_top_bits():
@@ -40,33 +45,32 @@ def test_set_index_examples():
     assert set_index(0x40, topo) == 1
     # hand oracle: (0x140 >> 6) mod 4 == 1
     assert set_index(0x140, topo) == 1
+    # the whole decode of 0x80001234: line, set 0x48 mod 4, tag, home
+    assert decode(0x80001234, topo) == (0x80001200, 0, 0x80001234 >> 8, 1)
 
 
 def test_tag_roundtrip_corners():
     topo = TopologyConfig()
     for addr in (0x00, (1 << topo.address_width) - 1):
-        rebuilt = rebuild_line_address(line_tag(addr, topo),
-                                       set_index(addr, topo), topo)
-        assert rebuilt == line_address(addr, topo)
+        line, set_id, tag, _ = decode(addr, topo)
+        assert rebuild_line_address(tag, set_id, topo) == line
 
 
 @given(st.integers(min_value=0, max_value=(1 << 32) - 1))
 def test_tag_roundtrip_random(addr):
     topo = TopologyConfig()
-    rebuilt = rebuild_line_address(line_tag(addr, topo),
-                                   set_index(addr, topo), topo)
-    assert rebuilt == line_address(addr, topo)
+    line, set_id, tag, _ = decode(addr, topo)
+    assert rebuild_line_address(tag, set_id, topo) == line
+    assert line == addr & ~(topo.line_size_bytes - 1)
 
 
 @given(st.integers(min_value=0, max_value=(1 << 32) - 1),
        st.integers(min_value=0, max_value=63))
 def test_same_line_same_decomposition(base, offset):
     topo = TopologyConfig()
-    a = line_address(base, topo)
+    a = decode(base, topo)[0]
     b = min(a + offset, (1 << 32) - 1)
-    assert home_node(a, topo) == home_node(b, topo)
-    assert set_index(a, topo) == set_index(b, topo)
-    assert line_tag(a, topo) == line_tag(b, topo)
+    assert decode(a, topo) == decode(b, topo)
 
 
 def test_home_node_surjective():
@@ -79,6 +83,8 @@ def test_home_node_surjective():
 def test_address_out_of_range():
     with pytest.raises(ConfigError):
         home_node(1 << 8, TOPO8)
+    with pytest.raises(ConfigError):
+        decode(-1, TOPO8)
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -23,6 +24,11 @@ class TestGen:
         code, _, err = run_cli(capsys, "gen")
         assert code != 0
         assert "gen-kind" in err
+
+    def test_negative_home_socket_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "gen", "--gen-kind", "migratory",
+                                 "--home-socket", "-1")
+        assert code == 1 and "config error" in err and out == ""
 
     def test_writes_file(self, capsys, tmp_path):
         out = tmp_path / "t.txt"
@@ -63,9 +69,21 @@ class TestRun:
 
     def test_malformed_trace_reports_line(self, capsys, tmp_path):
         trace = tmp_path / "t.txt"
-        trace.write_text("0 0 Q 0x40\n")
-        code, _, err = run_cli(capsys, "run", "--trace", str(trace))
-        assert code != 0 and "line 1" in err
+        for line in ("0 0 Q 0x40", "\u0661 0 R 0x40", "+0 0 R 0x40",
+                     "0 0 R 0x0_40"):
+            trace.write_text(line + "\n", encoding="utf-8")
+            code, _, err = run_cli(capsys, "run", "--trace", str(trace))
+            assert code == 1 and "line 1" in err, line
+
+    def test_negative_pair_rejected(self, capsys):
+        code, _, err = run_cli(capsys, "run", "--gen-kind", "producer-consumer",
+                               "--pairs=-1:0")
+        assert code == 1 and "config error" in err
+
+    def test_negative_latency_rejected(self, capsys):
+        code, _, err = run_cli(capsys, "run", "--gen-kind", "private",
+                               "--lat-llc", "-5")
+        assert code == 1 and "config error" in err
 
     def test_table_report(self, capsys):
         code, out, _ = run_cli(capsys, "run", "--gen-kind", "private",
@@ -111,6 +129,11 @@ class TestValidateTrace:
         code, out, _ = run_cli(capsys, "validate-trace", "--trace", str(trace))
         assert code == 0 and "2 records" in out
 
+    def test_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("0 0 R 0x40\n1 0 W 0x80\n"))
+        code, out, _ = run_cli(capsys, "validate-trace", "--trace", "-")
+        assert code == 0 and "2 records" in out
+
     def test_bad_trace(self, capsys, tmp_path):
         trace = tmp_path / "t.txt"
         trace.write_text("0 0 R zzz\n")
@@ -129,6 +152,28 @@ class TestConfigFile:
         assert config["topology"]["assoc"] == 16
         assert config["topology"]["sets"] == 8
         assert config["adaptive"]["window"] == 64
+
+    def test_equals_form_honoured(self, capsys, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("assoc=8\n")
+        for argv in ([f"--config={cfg}", "run", "--gen-kind", "private"],
+                     ["run", "--gen-kind", "private", f"--config={cfg}"]):
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            assert json.loads(out)["config"]["topology"]["assoc"] == 8
+
+    def test_abbreviated_flag_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("assoc=8\n")
+        for argv in (["--conf", str(cfg)], [f"--conf={cfg}"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["run", "--gen-kind", "private"])
+            assert exc.value.code != 0
+
+    def test_missing_path_is_config_error(self, capsys):
+        code, _, err = run_cli(capsys, "run", "--gen-kind", "private",
+                               "--config")
+        assert code == 1 and "config error" in err and "--config" in err
 
     def test_flags_override_file(self, capsys, tmp_path):
         cfg = tmp_path / "sim.cfg"

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from numacache.address_map import ConfigError, TopologyConfig
-from numacache.coherence import CoherenceSystem, ServiceSource
+from numacache.address_map import ConfigError, TopologyConfig, decode
+from numacache.coherence import CoherenceSystem, DirectoryEntry, ServiceSource
 from numacache.replacement import MoesiState, PolicyConfig, PolicyKind
 
 TOPO = TopologyConfig(num_sockets=2, llc_sets=4, llc_assoc=4,
@@ -18,9 +18,8 @@ def system(policy=None):
 
 
 def state_of(sys_, socket, addr):
-    si = (addr >> 6) & 3
-    way = sys_.llcs[socket][si].find(addr >> 8)
-    return None if way is None else sys_.llcs[socket][si].ways[way]
+    """(state, remote_shared) of a socket's copy of addr, or None."""
+    return sys_.llcs[socket][(addr >> 6) & 3].lines.get(addr >> 8)
 
 
 class TestRead:
@@ -28,24 +27,21 @@ class TestRead:
         sys_ = system()
         out = sys_.handle_read(0, 0x1000)
         assert out.service_source is ServiceSource.LOCAL_DRAM
-        assert out.installed_state is MoesiState.EXCLUSIVE
-        assert not out.set_remote_shared
+        assert state_of(sys_, 0, 0x1000) == (MoesiState.EXCLUSIVE, False)
 
     def test_cold_fill_remote_home(self):
         sys_ = system()
         out = sys_.handle_read(0, HOME1 | 0x1000)
         assert out.service_source is ServiceSource.REMOTE_DRAM
-        assert out.installed_state is MoesiState.EXCLUSIVE
+        assert state_of(sys_, 0, HOME1 | 0x1000)[0] is MoesiState.EXCLUSIVE
 
     def test_modified_supplier_becomes_owner(self):
         sys_ = system()
         sys_.handle_write(1, 0x1000)
         out = sys_.handle_read(0, 0x1000)
         assert out.service_source is ServiceSource.REMOTE_C2C
-        assert out.installed_state is MoesiState.SHARED
-        assert out.set_remote_shared
-        assert state_of(sys_, 1, 0x1000).state is MoesiState.OWNER
-        assert state_of(sys_, 0, 0x1000).remote_shared
+        assert state_of(sys_, 0, 0x1000) == (MoesiState.SHARED, True)
+        assert state_of(sys_, 1, 0x1000)[0] is MoesiState.OWNER
 
     def test_owner_supplier_stays_owner(self):
         sys_ = system()
@@ -57,17 +53,16 @@ class TestRead:
         assert state_of(sys_, 0, 0x1000) is None
         out = sys_.handle_read(0, 0x1000)
         assert out.service_source is ServiceSource.REMOTE_C2C
-        assert out.set_remote_shared
-        assert state_of(sys_, 1, 0x1000).state is MoesiState.OWNER
+        assert state_of(sys_, 0, 0x1000)[1]
+        assert state_of(sys_, 1, 0x1000)[0] is MoesiState.OWNER
 
     def test_exclusive_supplier_degrades_no_bit(self):
         sys_ = system()
         sys_.handle_read(1, 0x1000)  # Exclusive at socket 1
         out = sys_.handle_read(0, 0x1000)
         assert out.service_source is ServiceSource.REMOTE_C2C
-        assert out.installed_state is MoesiState.SHARED
-        assert not out.set_remote_shared
-        assert state_of(sys_, 1, 0x1000).state is MoesiState.SHARED
+        assert state_of(sys_, 0, 0x1000) == (MoesiState.SHARED, False)
+        assert state_of(sys_, 1, 0x1000)[0] is MoesiState.SHARED
 
     def test_only_shared_copies_memory_supplies(self):
         sys_ = system()
@@ -78,15 +73,14 @@ class TestRead:
             sys_.handle_read(0, 0x1000 + i * 0x100)
         out = sys_.handle_read(0, 0x1000)
         assert out.service_source is ServiceSource.LOCAL_DRAM
-        assert out.installed_state is MoesiState.SHARED
-        assert not out.set_remote_shared
+        assert state_of(sys_, 0, 0x1000) == (MoesiState.SHARED, False)
 
     def test_local_hit(self):
         sys_ = system()
         sys_.handle_read(0, 0x1000)
         out = sys_.handle_read(0, 0x1000)
         assert out.service_source is ServiceSource.LOCAL_HIT
-        assert not out.evictions
+        assert not out.writeback
 
 
 class TestWrite:
@@ -95,7 +89,7 @@ class TestWrite:
         sys_.handle_read(0, 0x1000)
         out = sys_.handle_write(0, 0x1000)
         assert out.service_source is ServiceSource.LOCAL_HIT
-        assert state_of(sys_, 0, 0x1000).state is MoesiState.MODIFIED
+        assert state_of(sys_, 0, 0x1000)[0] is MoesiState.MODIFIED
 
     def test_upgrade_invalidates_remote_owner(self):
         sys_ = system()
@@ -103,17 +97,14 @@ class TestWrite:
         sys_.handle_read(0, 0x1000)  # 0: S bit=1, 1: Owner
         out = sys_.handle_write(0, 0x1000)
         assert out.service_source is ServiceSource.LOCAL_HIT
-        line = state_of(sys_, 0, 0x1000)
-        assert line.state is MoesiState.MODIFIED
-        assert not line.remote_shared
+        assert state_of(sys_, 0, 0x1000) == (MoesiState.MODIFIED, False)
         assert state_of(sys_, 1, 0x1000) is None
 
     def test_cold_write_remote_home(self):
         sys_ = system()
         out = sys_.handle_write(0, HOME1 | 0x2000)
         assert out.service_source is ServiceSource.REMOTE_DRAM
-        assert out.installed_state is MoesiState.MODIFIED
-        assert not out.set_remote_shared
+        assert state_of(sys_, 0, HOME1 | 0x2000) == (MoesiState.MODIFIED, False)
 
     def test_write_miss_remote_modified_supplies(self):
         sys_ = system()
@@ -137,33 +128,29 @@ class TestEvict:
         sys_ = system()
         addr = HOME1 | 0x1000
         sys_.handle_write(0, addr)
-        si = (addr >> 6) & 3
-        way = sys_.llcs[0][si].find(addr >> 8)
-        wb = sys_.evict_line(0, si, way)
-        assert wb is not None and wb.home == 1
+        _, si, tag, home = decode(addr, TOPO)
+        assert sys_.evict_line(0, si, tag)  # dirty: writes back to its home
+        assert home == 1
+        assert state_of(sys_, 0, addr) is None
 
     def test_shared_drops_silently(self):
         sys_ = system()
         sys_.handle_read(1, 0x1000)
         sys_.handle_read(0, 0x1000)
-        way = sys_.llcs[0][0].find(0x10)
-        assert sys_.evict_line(0, 0, way) is None
+        assert sys_.evict_line(0, 0, 0x10) is False
 
     def test_owner_eviction_leaves_stale_bit(self):
         sys_ = system()
         sys_.handle_write(1, 0x1000)
         sys_.handle_read(0, 0x1000)  # 0: S bit=1, 1: O
-        way = sys_.llcs[1][0].find(0x10)
-        wb = sys_.evict_line(1, 0, way)
-        assert wb is not None
-        line = state_of(sys_, 0, 0x1000)
-        assert line.state is MoesiState.SHARED
-        assert line.remote_shared  # stale by design
+        assert sys_.evict_line(1, 0, 0x10) is True
+        # the bit is stale by design
+        assert state_of(sys_, 0, 0x1000) == (MoesiState.SHARED, True)
 
     def test_evict_invalid_way_is_caller_bug(self):
         sys_ = system()
         with pytest.raises(RuntimeError):
-            sys_.evict_line(0, 0, 0)
+            sys_.evict_line(0, 0, 0x10)
 
 
 class TestInvariants:
@@ -187,7 +174,8 @@ class TestInvariants:
         sys_.handle_write(0, 0x1000)
         # corrupt: a second Modified copy of the same line at socket 1
         sys_.handle_write(1, 0x2000)
-        sys_.llcs[1][0].ways[0].tag = 0x10
+        lines = sys_.llcs[1][0].lines
+        lines[0x10] = lines.pop(0x20)
         violations = sys_.check_global_invariants()
         assert violations
 
@@ -196,6 +184,25 @@ class TestInvariants:
         sys_.handle_read(0, 0x1000)
         sys_.directory[0x1000].sharers.add(1)
         assert sys_.check_global_invariants()
+
+    def test_overfull_set_detected(self):
+        sys_ = system()
+        for i in range(4):
+            sys_.handle_read(0, i * 0x100)
+        # corrupt: a fifth line in a 4-way set
+        sys_.llcs[0][0].lines[0x40] = (MoesiState.SHARED, False)
+        sys_.directory[0x4000] = DirectoryEntry(None, {0})
+        assert sys_.check_global_invariants() == [
+            "socket 0 set 0: 5 lines exceed associativity 4"
+        ]
+
+    def test_stray_remote_shared_detected(self):
+        sys_ = system()
+        sys_.handle_write(0, 0x1000)
+        sys_.llcs[0][0].lines[0x10] = (MoesiState.MODIFIED, True)
+        assert sys_.check_global_invariants() == [
+            "socket 0 set 0: remote_shared on M line"
+        ]
 
     def test_address_out_of_range(self):
         with pytest.raises(ConfigError):

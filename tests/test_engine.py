@@ -5,6 +5,7 @@ import pytest
 
 from numacache.adaptive import AdaptiveConfig
 from numacache.address_map import ConfigError, TopologyConfig
+from numacache.coherence import ServiceSource
 from numacache.engine import LatencyModel, SimStats, compare, run
 from numacache.replacement import PolicyConfig, PolicyKind
 from numacache.workload import AccessRecord, GeneratorKind, GeneratorSpec, Op, generate
@@ -35,6 +36,17 @@ class TestLatencyModel:
             LatencyModel(llc_hit=200, remote_c2c=150)
         with pytest.raises(ConfigError):
             LatencyModel(local_dram=400, remote_dram=350)
+
+    def test_negative_cost_rejected(self):
+        with pytest.raises(ConfigError):
+            LatencyModel(llc_hit=-5)
+        with pytest.raises(ConfigError):
+            LatencyModel(local_dram=-1)
+
+    def test_costs_indexed_by_source(self):
+        lat = LatencyModel(llc_hit=1, remote_c2c=2, local_dram=3, remote_dram=4)
+        assert [lat.costs[s] for s in ServiceSource] == [1, 2, 3, 4]
+        assert lat.costs[ServiceSource.REMOTE_C2C] == 2
 
 
 class TestRun:
@@ -82,6 +94,13 @@ class TestRun:
     def test_out_of_range_socket_rejected(self):
         with pytest.raises(ConfigError):
             run([AccessRecord(7, 0, Op.READ, 0x0, 0)], TOPO, PolicyConfig())
+
+    def test_negative_socket_or_core_rejected(self):
+        # a negative index would otherwise alias the last socket
+        for socket, core in ((-1, -1), (-1, 0), (0, -1)):
+            with pytest.raises(ConfigError):
+                run([AccessRecord(socket, core, Op.READ, 0x0, 0)], TOPO,
+                    PolicyConfig())
 
 
 class TestCompare:

@@ -3,125 +3,145 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from numacache.address_map import TopologyConfig
+from numacache.coherence import CoherenceSystem, ServiceSource
 from numacache.replacement import (
     CacheSet,
-    CounterEvent,
     MoesiState,
     PolicyConfig,
     PolicyKind,
     select_victim,
 )
 
+# one set per socket, so every line of a socket competes for the same ways
+ONE_SET = TopologyConfig(num_sockets=2, llc_sets=1, llc_assoc=4,
+                         line_size_bytes=64, address_width=32)
 
-def full_set(assoc, shared_ways=(), home_map=None):
-    """Set with ways 0..A-1 valid, way i at recency i (way 0 MRU)."""
-    cset = CacheSet(assoc)
-    for i, line in enumerate(cset.ways):
-        line.tag = i
-        line.state = MoesiState.SHARED if i in shared_ways else MoesiState.EXCLUSIVE
-        line.remote_shared = i in shared_ways
-        line.recency = i
+
+def full_set(assoc, shared_tags=()):
+    """Set holding tags 0..A-1 with tag 0 at MRU and tag A-1 at LRU."""
+    cset = CacheSet()
+    for tag in reversed(range(assoc)):
+        shared = tag in shared_tags
+        cset.lines[tag] = (MoesiState.SHARED if shared else MoesiState.EXCLUSIVE,
+                           shared)
     return cset
 
 
-def ranks(cset):
-    return [l.recency for l in cset.ways if l.valid]
+def filled_system(lines, assoc=4):
+    """Socket 0 has read lines 0..lines-1 in order, so line 0 is LRU."""
+    topo = TopologyConfig(num_sockets=2, llc_sets=1, llc_assoc=assoc,
+                          line_size_bytes=64, address_width=32)
+    sys_ = CoherenceSystem(topo)
+    for i in range(lines):
+        sys_.handle_read(0, i * 64)
+    return sys_
+
+
+def order(sys_, socket=0):
+    """Tags of a socket's only set, least recently used first."""
+    return list(sys_.llcs[socket][0].lines)
 
 
 class TestTouch:
     def test_lru_to_mru(self):
-        cset = full_set(4)
-        cset.touch(3)
-        assert [l.recency for l in cset.ways] == [1, 2, 3, 0]
+        sys_ = filled_system(4)
+        out = sys_.handle_read(0, 0)
+        assert out.service_source is ServiceSource.LOCAL_HIT
+        assert order(sys_) == [1, 2, 3, 0]
 
     def test_touch_mru_is_noop(self):
-        cset = full_set(4)
-        cset.touch(0)
-        assert [l.recency for l in cset.ways] == [0, 1, 2, 3]
+        sys_ = filled_system(4)
+        sys_.handle_read(0, 3 * 64)
+        assert order(sys_) == [0, 1, 2, 3]
 
     def test_random_touches_keep_permutation(self):
-        cset = full_set(8)
+        sys_ = filled_system(8, assoc=8)
         rng = random.Random(1)
         for _ in range(1000):
-            cset.touch(rng.randrange(8))
-            assert sorted(ranks(cset)) == list(range(8))
+            tag = rng.randrange(8)
+            if rng.random() < 0.5:
+                sys_.handle_read(0, tag * 64)
+            else:
+                sys_.handle_write(0, tag * 64)
+            assert sorted(order(sys_)) == list(range(8))
+            assert order(sys_)[-1] == tag
 
     def test_touch_invalid_raises(self):
-        cset = CacheSet(4)
+        sys_ = filled_system(4)
         with pytest.raises(RuntimeError):
-            cset.touch(0)
+            sys_.evict_line(0, 0, 9)  # tag 9 is not held
+        assert order(sys_) == [0, 1, 2, 3]
 
 
 class TestFill:
     def test_fill_shared_with_bit(self):
-        cset = CacheSet(4)
-        cset.fill(0, 7, MoesiState.SHARED, True)
-        assert cset.ways[0].remote_shared
-        assert cset.ways[0].recency == 0
+        sys_ = CoherenceSystem(ONE_SET)
+        sys_.handle_write(1, 0x1C0)
+        sys_.handle_read(0, 0x1C0)  # Modified at socket 1 supplies
+        lines = sys_.llcs[0][0].lines
+        assert lines[7] == (MoesiState.SHARED, True)
+        assert list(lines)[-1] == 7
 
     def test_fill_exclusive_forces_bit_clear(self):
-        cset = CacheSet(4)
-        cset.fill(0, 7, MoesiState.EXCLUSIVE, True)
-        assert not cset.ways[0].remote_shared
+        sys_ = CoherenceSystem(ONE_SET)
+        sys_.handle_read(1, 0x1C0)
+        assert sys_.llcs[1][0].lines[7] == (MoesiState.EXCLUSIVE, False)
 
     def test_filled_line_ages_to_lru(self):
-        cset = CacheSet(4)
-        for way in range(4):
-            cset.fill(way, way, MoesiState.EXCLUSIVE, False)
-        # ways 1..3 filled after way 0; touch them A-1 more times
-        for way in (1, 2, 3):
-            cset.touch(way)
-        assert cset.ways[0].recency == 3
+        sys_ = filled_system(4)
+        # lines 1..3 filled after line 0; touch them again
+        for tag in (1, 2, 3):
+            sys_.handle_read(0, tag * 64)
+        assert order(sys_)[0] == 0
 
 
 class TestSelectVictim:
     def test_reset_at_threshold(self):
         # A=16: defaults t_local=4, t_remote=8; remote-home counter at 8
-        cset = full_set(16, shared_ways={15})
-        cset.remote_home_counter = 8
+        cset = full_set(16, shared_tags={15})
+        cset.counters[1] = 8
         cfg = PolicyConfig(PolicyKind.BIASED_ALWAYS)
         assert cfg.thresholds(16) == (4, 8)
-        d = select_victim(cset, 0, lambda w: 1, cfg, True)
-        assert d.way == 15 and not d.biased
-        assert d.counter_event is CounterEvent.RESET_REMOTE
-        assert cset.remote_home_counter == 0
+        d = select_victim(cset, 0, lambda t: 1, cfg.thresholds(16), True)
+        assert d == (15, False, True)
+        assert cset.counters == [0, 0]
 
     def test_bias_disabled_is_pure_lru(self):
-        cset = full_set(4, shared_ways={3})
-        cfg = PolicyConfig(PolicyKind.BIASED_ADAPTIVE)
-        d = select_victim(cset, 0, lambda w: 0, cfg, False)
-        assert d.way == 3 and not d.biased
-        assert d.counter_event is CounterEvent.NONE
+        cset = full_set(4, shared_tags={3})
+        d = select_victim(cset, 0, lambda t: 0, (1, 2), False)
+        assert d == (3, False, False)
 
     def test_bias_protects_shared_local_home(self):
-        # A=4, t_local=1, counter 0: LRU way 3 shared, way 2 is the deepest
-        # non-shared way and gets evicted instead
-        cset = full_set(4, shared_ways={3})
-        cfg = PolicyConfig(PolicyKind.BIASED_ALWAYS)
-        d = select_victim(cset, 0, lambda w: 0, cfg, True)
-        assert d.way == 2 and d.biased
-        assert d.counter_event is CounterEvent.INCREMENT_LOCAL
-        assert cset.local_home_counter == 1
+        # A=4, t_local=1, counter 0: LRU tag 3 shared, tag 2 is the least
+        # recent non-shared line and gets evicted instead
+        cset = full_set(4, shared_tags={3})
+        d = select_victim(cset, 0, lambda t: 0, (1, 2), True)
+        assert d == (2, True, False)
+        assert cset.counters == [1, 0]
 
     def test_lru_only_ignores_bit(self):
-        cset = full_set(4, shared_ways={3})
-        d = select_victim(cset, 0, lambda w: 0, PolicyConfig(), True)
-        assert d.way == 3
-        assert d.counter_event is CounterEvent.NONE
+        # the LRU policy evicts the remote-shared LRU line even when the
+        # caller leaves the bias enabled
+        sys_ = CoherenceSystem(ONE_SET, PolicyConfig())
+        sys_.handle_write(1, 0)
+        sys_.handle_read(0, 0)  # tag 0 remote-shared at socket 0
+        for i in range(1, 4):
+            sys_.handle_read(0, i * 64)
+        out = sys_.handle_read(0, 4 * 64, bias_enabled=True)
+        assert not out.biased and not out.counter_reset
+        assert order(sys_) == [1, 2, 3, 4]
 
     def test_all_shared_fallback(self):
-        cset = full_set(4, shared_ways={0, 1, 2, 3})
-        cfg = PolicyConfig(PolicyKind.BIASED_ALWAYS)
-        d = select_victim(cset, 0, lambda w: 0, cfg, True)
-        assert d.way == 3 and not d.biased
-        assert d.counter_event is CounterEvent.NONE
-        assert cset.local_home_counter == 0
+        cset = full_set(4, shared_tags={0, 1, 2, 3})
+        d = select_victim(cset, 0, lambda t: 0, (1, 2), True)
+        assert d == (3, False, False)
+        assert cset.counters == [0, 0]
 
     def test_nonshared_victim_is_deepest(self):
-        cset = full_set(8, shared_ways={7, 6, 5})
-        cfg = PolicyConfig(PolicyKind.BIASED_ALWAYS)
-        d = select_victim(cset, 0, lambda w: 1, cfg, True)
-        assert d.way == 4  # worst recency among non-shared
+        cset = full_set(8, shared_tags={7, 6, 5})
+        d = select_victim(cset, 0, lambda t: 1, (2, 4), True)
+        assert d[0] == 4  # least recent among non-shared
 
     def test_threshold_bounds_validated(self):
         with pytest.raises(ValueError):
@@ -135,21 +155,21 @@ def test_counter_bounds_fuzz(seed):
     """Counters stay in [0, threshold]; resets fire only at the threshold."""
     rng = random.Random(seed)
     assoc = rng.choice([2, 4, 8, 16])
-    cfg = PolicyConfig(PolicyKind.BIASED_ALWAYS)
-    t_local, t_remote = cfg.thresholds(assoc)
+    thresholds = PolicyConfig(PolicyKind.BIASED_ALWAYS).thresholds(assoc)
     cset = full_set(assoc)
     for _ in range(50):
-        for i, line in enumerate(cset.ways):
-            line.remote_shared = rng.random() < 0.5
-            line.state = MoesiState.SHARED if line.remote_shared else MoesiState.EXCLUSIVE
+        for tag in cset.lines:
+            shared = rng.random() < 0.5
+            cset.lines[tag] = (MoesiState.SHARED if shared else MoesiState.EXCLUSIVE,
+                               shared)
         homes = [rng.randrange(2) for _ in range(assoc)]
-        before = (cset.local_home_counter, cset.remote_home_counter)
-        d = select_victim(cset, 0, lambda w: homes[w], cfg, True)
-        assert 0 <= cset.local_home_counter <= t_local
-        assert 0 <= cset.remote_home_counter <= t_remote
-        if d.counter_event is CounterEvent.RESET_LOCAL:
-            assert before[0] == t_local
-        if d.counter_event is CounterEvent.RESET_REMOTE:
-            assert before[1] == t_remote
-        if d.biased:
-            assert not cset.ways[d.way].remote_shared
+        before = list(cset.counters)
+        victim, biased, reset = select_victim(
+            cset, 0, lambda t: homes[t], thresholds, True)
+        for count, limit in zip(cset.counters, thresholds):
+            assert 0 <= count <= limit
+        if reset:
+            home_class = homes[victim] != 0
+            assert before[home_class] == thresholds[home_class]
+        if biased:
+            assert not cset.lines[victim][1]

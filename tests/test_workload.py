@@ -1,6 +1,6 @@
 import pytest
 
-from numacache.address_map import TopologyConfig
+from numacache.address_map import ConfigError, TopologyConfig, decode
 from numacache.coherence import CoherenceSystem
 from numacache.workload import (
     AccessRecord,
@@ -36,8 +36,18 @@ class TestParse:
             list(parse_trace(["0 R 0x10"]))
 
     def test_missing_hex_prefix(self):
-        with pytest.raises(TraceError):
-            list(parse_trace(["0 0 R 1040"]))
+        for line in ("0 0 R 1040", "0 0 R 0x0_40", "0 0 R 0x٤٠",
+                     "0 0 R 0x", "0 0 R 0x0x40", "0 0 R 0x40g"):
+            with pytest.raises(TraceError):
+                list(parse_trace([line]))
+
+    def test_non_decimal_socket_or_core(self):
+        for line in ("١ 0 R 0x40", "0 ١ R 0x40", "+0 0 R 0x40",
+                     "0 +0 R 0x40", "0_0 0 R 0x40", "-1 0 R 0x40",
+                     "0 -1 R 0x40", "¹ 0 R 0x40"):
+            with pytest.raises(TraceError) as exc:
+                list(parse_trace(["# header", line]))
+            assert exc.value.lineno == 2
 
     def test_out_of_range_socket(self):
         with pytest.raises(TraceError):
@@ -84,11 +94,23 @@ class TestGenerate:
         saw_bit = False
         for r in recs:
             if r.op is Op.READ:
-                out = system.handle_read(r.socket, r.addr)
+                system.handle_read(r.socket, r.addr)
             else:
-                out = system.handle_write(r.socket, r.addr)
-            saw_bit = saw_bit or out.set_remote_shared
+                system.handle_write(r.socket, r.addr)
+            _, set_id, tag, _ = decode(r.addr, TOPO)
+            saw_bit = saw_bit or system.llcs[r.socket][set_id].lines[tag][1]
         assert saw_bit
+
+    def test_negative_sockets_rejected(self):
+        for spec in (
+            GeneratorSpec(GeneratorKind.MIGRATORY, home_socket=-1),
+            GeneratorSpec(GeneratorKind.PRODUCER_CONSUMER,
+                          sharing_socket_pairs=[(-1, 0)]),
+            GeneratorSpec(GeneratorKind.PRODUCER_CONSUMER,
+                          sharing_socket_pairs=[(0, -2)]),
+        ):
+            with pytest.raises(ConfigError):
+                generate(spec, TOPO)
 
     def test_home_socket_override(self):
         spec = GeneratorSpec(GeneratorKind.PRODUCER_CONSUMER,
