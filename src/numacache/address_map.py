@@ -2,6 +2,7 @@
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 
 class ConfigError(ValueError):
@@ -49,22 +50,36 @@ class TopologyConfig:
         return self.line_size_bytes.bit_length() - 1
 
 
+def decoder(topo: TopologyConfig) -> Callable[[int], tuple[int, int]]:
+    """`addr -> (set index, tag)` for `topo`, with its shifts bound once.
+
+    This is the one range check of an address: it raises ConfigError for
+    an address outside the address width. The tag is every bit above the
+    set index, so the home bits are part of it, and the line address and
+    home socket follow from (set index, tag).
+    """
+    width, offset_bits = topo.address_width, topo.offset_bits
+    set_mask, tag_shift = topo.llc_sets - 1, offset_bits + topo.set_bits
+
+    def set_and_tag(addr: int) -> tuple[int, int]:
+        if addr < 0 or addr >> width:
+            raise ConfigError(f"address {addr:#x} does not fit in {width} bits")
+        return (addr >> offset_bits) & set_mask, addr >> tag_shift
+
+    return set_and_tag
+
+
 def decode(addr: int, topo: TopologyConfig) -> tuple[int, int, int, int]:
     """(line address, set index, tag, home socket) of an address.
 
-    The line address has the low line-offset bits masked off. The tag is
-    every bit above the set index, so the home bits are part of it. The
-    home socket, whose DRAM backs the line, is named by the topmost
-    address bits (always 0 with a single socket).
+    The line address has the low line-offset bits masked off. The home
+    socket, whose DRAM backs the line, is named by the topmost address
+    bits (always 0 with a single socket).
     """
-    if addr < 0 or addr >> topo.address_width:
-        raise ConfigError(
-            f"address {addr:#x} does not fit in {topo.address_width} bits"
-        )
-    offset_bits = topo.offset_bits
+    set_id, tag = decoder(topo)(addr)
     return (
         addr & -topo.line_size_bytes,
-        (addr >> offset_bits) & (topo.llc_sets - 1),
-        addr >> (offset_bits + topo.set_bits),
+        set_id,
+        tag,
         addr >> (topo.address_width - topo.socket_bits),
     )

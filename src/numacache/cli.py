@@ -145,23 +145,26 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list) -> list:
             if not sep:
                 raise ConfigError(f"config line {text!r} is not key=value")
             defaults[key.strip().replace("-", "_")] = value.strip()
-    # re-use each option's type converter so config values behave like flags
-    converters = {}
+    # parser defaults skip argparse's checks, so apply each option's type
+    # converter and choices here to make config values behave like flags
+    actions = {}
     for sp in parser._subparsers._group_actions[0].choices.values():
         for action in sp._actions:
             if action.dest != "help":
-                converters.setdefault(action.dest, action.type)
+                actions.setdefault(action.dest, action)
     typed = {}
     for dest, value in defaults.items():
-        if dest not in converters:
-            raise ConfigError(f"unknown config key {dest.replace('_', '-')!r}")
-        conv = converters[dest]
-        if conv is None:  # store_true flags and plain strings
-            typed[dest] = _parse_bool(value) if value.lower() in (
-                "true", "false", "on", "off", "1", "0", "yes", "no"
-            ) else value
+        key = dest.replace("_", "-")
+        action = actions.get(dest)
+        if action is None:
+            raise ConfigError(f"unknown config key {key!r}")
+        if action.nargs == 0:  # store_true flags
+            typed[dest] = _parse_bool(value)
         else:
-            typed[dest] = conv(value)
+            typed[dest] = action.type(value) if action.type else value
+            if action.choices is not None and typed[dest] not in action.choices:
+                raise ConfigError(f"config key {key!r} must be one of "
+                                  f"{', '.join(action.choices)}, got {value!r}")
     for sp in parser._subparsers._group_actions[0].choices.values():
         sp.set_defaults(**{
             d: v for d, v in typed.items()

@@ -10,7 +10,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .address_map import TopologyConfig, decode
+from .address_map import TopologyConfig, decoder
 from .replacement import CacheSet, MoesiState, PolicyConfig, PolicyKind, select_victim
 
 
@@ -30,10 +30,16 @@ class FillOutcome(NamedTuple):
     counter_reset: bool = False  # a bias counter reached its threshold
 
 
-_HIT = FillOutcome(ServiceSource.LOCAL_HIT)
+# Enum members bound once: attribute access on an Enum class is slow.
+MODIFIED, OWNER, EXCLUSIVE, SHARED = MoesiState
+LOCAL_HIT, REMOTE_C2C, LOCAL_DRAM, REMOTE_DRAM = ServiceSource
+
+_HIT = FillOutcome(LOCAL_HIT)
+# the outcome of a miss that evicts nothing, by source
+_MISS = [FillOutcome(source) for source in ServiceSource]
 
 
-@dataclass
+@dataclass(slots=True)
 class DirectoryEntry:
     owner: Optional[int] = None  # socket holding the line in M, O, or E
     sharers: set[int] = field(default_factory=set)
@@ -51,62 +57,69 @@ class CoherenceSystem:
             for _ in range(topo.num_sockets)
         ]
         self.directory: dict[int, DirectoryEntry] = {}
+        self._set_and_tag = decoder(topo)
+        self._offset_bits = topo.offset_bits
         self._tag_shift = topo.offset_bits + topo.set_bits
         home_shift = topo.address_width - topo.socket_bits - self._tag_shift
         self._home_of = lambda tag: tag >> home_shift
+        self._assoc = topo.llc_assoc
+        self._can_bias = self.policy.kind is not PolicyKind.LRU_ONLY
 
     # -- accesses ---------------------------------------------------------
 
     def handle_read(
         self, requestor: int, addr: int, bias_enabled: bool = True
     ) -> FillOutcome:
-        line, set_id, tag, home = decode(addr, self.topo)
+        set_id, tag = self._set_and_tag(addr)
         lines = self.llcs[requestor][set_id].lines
         if tag in lines:
             lines[tag] = lines.pop(tag)
             return _HIT
 
+        line = (tag << self._tag_shift) | (set_id << self._offset_bits)
         entry = self.directory.get(line)
         if entry is None or not entry.sharers:
             # cold fill from the home DRAM
-            source = self._dram_source(requestor, home)
-            state, bit = MoesiState.EXCLUSIVE, False
+            source = self._dram_source(requestor, tag)
+            state, bit = EXCLUSIVE, False
         elif entry.owner is not None:
             supplier = self.llcs[entry.owner][set_id].lines
-            if supplier[tag][0] is MoesiState.EXCLUSIVE:
+            if supplier[tag][0] is EXCLUSIVE:
                 # the clean supplier degrades; nobody owns the line
-                supplier[tag] = (MoesiState.SHARED, False)
+                supplier[tag] = (SHARED, False)
                 entry.owner = None
                 bit = False
             else:  # a Modified supplier becomes Owner; an Owner stays
-                supplier[tag] = (MoesiState.OWNER, False)
+                supplier[tag] = (OWNER, False)
                 bit = True
-            source, state = ServiceSource.REMOTE_C2C, MoesiState.SHARED
+            source, state = REMOTE_C2C, SHARED
         else:
             # only Shared copies exist; memory owns the line
-            source = self._dram_source(requestor, home)
-            state, bit = MoesiState.SHARED, False
+            source = self._dram_source(requestor, tag)
+            state, bit = SHARED, False
 
         outcome = self._install(
             requestor, set_id, tag, state, bit, bias_enabled, source
         )
-        entry = self.directory.setdefault(line, DirectoryEntry())
+        if entry is None:
+            entry = self.directory[line] = DirectoryEntry()
         entry.sharers.add(requestor)
-        if state is MoesiState.EXCLUSIVE:
+        if state is EXCLUSIVE:
             entry.owner = requestor
         return outcome
 
     def handle_write(
         self, requestor: int, addr: int, bias_enabled: bool = True
     ) -> FillOutcome:
-        line, set_id, tag, home = decode(addr, self.topo)
+        set_id, tag = self._set_and_tag(addr)
         lines = self.llcs[requestor][set_id].lines
         held = lines.pop(tag, None)
+        line = (tag << self._tag_shift) | (set_id << self._offset_bits)
         if held is not None:
-            if held[0] in (MoesiState.SHARED, MoesiState.OWNER):
+            if held[0] in (SHARED, OWNER):
                 # upgrade: invalidate every other copy
                 self._invalidate_others(line, set_id, tag, keep=requestor)
-            lines[tag] = (MoesiState.MODIFIED, False)
+            lines[tag] = (MODIFIED, False)
             entry = self.directory[line]
             entry.owner = requestor
             entry.sharers = {requestor}
@@ -115,14 +128,14 @@ class CoherenceSystem:
         entry = self.directory.get(line)
         if entry is not None and entry.owner is not None:
             # dirty or exclusive holder ships the line and invalidates
-            source = ServiceSource.REMOTE_C2C
+            source = REMOTE_C2C
         else:
-            source = self._dram_source(requestor, home)
+            source = self._dram_source(requestor, tag)
         if entry is not None:
             self._invalidate_others(line, set_id, tag, keep=requestor)
 
         outcome = self._install(
-            requestor, set_id, tag, MoesiState.MODIFIED, False, bias_enabled, source
+            requestor, set_id, tag, MODIFIED, False, bias_enabled, source
         )
         self.directory[line] = DirectoryEntry(requestor, {requestor})
         return outcome
@@ -137,14 +150,14 @@ class CoherenceSystem:
         held = self.llcs[socket][set_id].lines.pop(tag, None)
         if held is None:
             raise RuntimeError(f"evict of tag {tag:#x} not held in set {set_id}")
-        line = self._line_address(set_id, tag)
+        line = (tag << self._tag_shift) | (set_id << self._offset_bits)
         entry = self.directory[line]
         entry.sharers.discard(socket)
         if entry.owner == socket:
             entry.owner = None
         if not entry.sharers:
             del self.directory[line]
-        return held[0] in (MoesiState.MODIFIED, MoesiState.OWNER)
+        return held[0] in (MODIFIED, OWNER)
 
     # -- invariant checking -----------------------------------------------
 
@@ -224,12 +237,15 @@ class CoherenceSystem:
 
     # -- helpers ----------------------------------------------------------
 
-    @staticmethod
-    def _dram_source(requestor: int, home: int) -> ServiceSource:
-        return ServiceSource.LOCAL_DRAM if home == requestor else ServiceSource.REMOTE_DRAM
+    def _dram_source(self, requestor: int, tag: int) -> ServiceSource:
+        """The DRAM source of a fill of `tag`: local iff its home is `requestor`."""
+        if self._home_of(tag) == requestor:
+            return LOCAL_DRAM
+        return REMOTE_DRAM
 
     def _line_address(self, set_id: int, tag: int) -> int:
-        return (tag << self._tag_shift) | (set_id << self.topo.offset_bits)
+        # inlined on the access paths, where a call per miss shows
+        return (tag << self._tag_shift) | (set_id << self._offset_bits)
 
     def _invalidate_others(self, line: int, set_id: int, tag: int, keep: int) -> None:
         entry = self.directory[line]
@@ -254,11 +270,11 @@ class CoherenceSystem:
     ) -> FillOutcome:
         """Install a line at MRU, first evicting a victim if the set is full."""
         cset = self.llcs[socket][set_id]
-        outcome = FillOutcome(source)
-        if len(cset.lines) >= self.topo.llc_assoc:
-            bias = bias_enabled and self.policy.kind is not PolicyKind.LRU_ONLY
+        outcome = _MISS[source]
+        if len(cset.lines) >= self._assoc:
             victim, biased, reset = select_victim(
-                cset, socket, self._home_of, self.thresholds, bias
+                cset, socket, self._home_of, self.thresholds,
+                bias_enabled and self._can_bias,
             )
             writeback = self.evict_line(socket, set_id, victim)
             outcome = FillOutcome(source, writeback, biased, reset)

@@ -38,9 +38,6 @@ class LatencyModel:
         """Cycle cost of each service source, indexed by ServiceSource."""
         return (self.llc_hit, self.remote_c2c, self.local_dram, self.remote_dram)
 
-    def cost(self, source: ServiceSource) -> int:
-        return self.costs[source]
-
 
 @dataclass
 class SocketStats:
@@ -138,64 +135,64 @@ def run(
     lat = lat if lat is not None else LatencyModel()
 
     system = CoherenceSystem(topo, policy)  # fails fast on bad thresholds
-    controllers = [AdaptiveState(adaptive) for _ in range(topo.num_sockets)]
-    per_socket = [SocketStats() for _ in range(topo.num_sockets)]
+    num_sockets, num_cores = topo.num_sockets, topo.cores_per_socket
+    controllers = [AdaptiveState(adaptive) for _ in range(num_sockets)]
+    # per socket: accesses by ServiceSource, then write-backs, bias events
+    # and counter resets
+    counts = [[0] * 7 for _ in range(num_sockets)]
     toggles: list[tuple[int, int, bool]] = []
+    always_bias = policy.kind is PolicyKind.BIASED_ALWAYS
+    adaptive_bias = policy.kind is PolicyKind.BIASED_ADAPTIVE
+    # whether a miss from each source counts as remote for the controller
+    is_remote = (False, True, False, adaptive.count_remote_dram)
+    handle_read, handle_write = system.handle_read, system.handle_write
+    # Enum members bound once: attribute access on an Enum class is slow.
+    read, write, hit = Op.READ, Op.WRITE, ServiceSource.LOCAL_HIT
 
-    for rec in trace:
-        if not 0 <= rec.socket < topo.num_sockets:
-            raise ConfigError(f"record {rec.seq}: socket {rec.socket} out of range")
-        if not 0 <= rec.core < topo.cores_per_socket:
-            raise ConfigError(f"record {rec.seq}: core {rec.core} out of range")
+    for socket, core, op, addr, seq in trace:
+        if not 0 <= socket < num_sockets:
+            raise ConfigError(f"record {seq}: socket {socket} out of range")
+        if not 0 <= core < num_cores:
+            raise ConfigError(f"record {seq}: core {core} out of range")
 
-        if policy.kind is PolicyKind.BIASED_ALWAYS:
-            bias = True
-        elif policy.kind is PolicyKind.BIASED_ADAPTIVE:
-            bias = controllers[rec.socket].is_bias_enabled()
+        controller = controllers[socket]
+        bias = always_bias or (adaptive_bias and controller.bias_enabled)
+        if op is read:
+            outcome = handle_read(socket, addr, bias)
+        elif op is write:
+            outcome = handle_write(socket, addr, bias)
         else:
-            bias = False
+            raise ConfigError(f"record {seq}: op {op!r} is not an Op")
 
-        if rec.op is Op.READ:
-            outcome = system.handle_read(rec.socket, rec.addr, bias)
-        else:
-            outcome = system.handle_write(rec.socket, rec.addr, bias)
-
-        source = outcome.service_source
-        stats = per_socket[rec.socket]
-        stats.accesses += 1
-        stats.total_cost += lat.cost(source)
-        if source is ServiceSource.LOCAL_HIT:
-            stats.hits += 1
-        else:
-            stats.misses += 1
-            if source is ServiceSource.REMOTE_C2C:
-                stats.remote_c2c += 1
-            elif source is ServiceSource.LOCAL_DRAM:
-                stats.local_dram += 1
-            else:
-                stats.remote_dram += 1
-            stats.writebacks += outcome.writeback
-            stats.bias_events += outcome.biased
-            stats.counter_resets += outcome.counter_reset
-
-            is_remote = source is ServiceSource.REMOTE_C2C or (
-                adaptive.count_remote_dram and source is ServiceSource.REMOTE_DRAM
-            )
-            controller = controllers[rec.socket]
-            before = controller.is_bias_enabled()
-            closed = controller.record_miss(is_remote)
+        source, writeback, biased, reset = outcome
+        count = counts[socket]
+        count[source] += 1
+        if source is not hit:
+            count[4] += writeback
+            count[5] += biased
+            count[6] += reset
+            before = controller.bias_enabled
+            closed = controller.record_miss(is_remote[source])
             if closed is not None and closed != before:
-                toggles.append((rec.seq, rec.socket, closed))
+                toggles.append((seq, socket, closed))
 
         if validate:
             violations = system.check_global_invariants()
             if violations:
                 raise InvariantError(
-                    f"after record {rec.seq}: " + "; ".join(violations)
+                    f"after record {seq}: " + "; ".join(violations)
                 )
 
-    for socket, controller in enumerate(controllers):
-        per_socket[socket].window_fractions = list(controller.window_fractions)
+    per_socket = []
+    for count, controller in zip(counts, controllers):
+        hits, remote_c2c, local_dram, remote_dram, *events = count
+        misses = remote_c2c + local_dram + remote_dram
+        per_socket.append(SocketStats(
+            hits + misses, hits, misses, remote_c2c, local_dram, remote_dram,
+            *events,
+            total_cost=sum(cost * n for cost, n in zip(lat.costs, count)),
+            window_fractions=list(controller.window_fractions),
+        ))
     return SimStats(per_socket, toggles)
 
 

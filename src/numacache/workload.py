@@ -12,7 +12,7 @@ Fields are ASCII: decimal socket and core, hex digits after `0x`.
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .address_map import ConfigError, TopologyConfig
 
@@ -30,8 +30,10 @@ class Op(enum.Enum):
     WRITE = "W"
 
 
-@dataclass(frozen=True)
-class AccessRecord:
+_OPS = {op.value: op for op in Op}
+
+
+class AccessRecord(NamedTuple):
     socket: int
     core: int
     op: Op
@@ -44,36 +46,41 @@ def parse_trace(
 ) -> Iterator[AccessRecord]:
     """Stream records from trace text, validating against topo if given."""
     seq = 0
+    if topo is not None:
+        sockets, cores = topo.num_sockets, topo.cores_per_socket
+        width = topo.address_width
     for lineno, raw in enumerate(lines, start=1):
         text = raw.strip()
-        if not text or text.startswith("#"):
+        if not text or text[0] == "#":
             continue
         parts = text.split()
         if len(parts) != 4:
             raise TraceError(lineno, f"expected 4 fields, got {len(parts)}")
         if not text.isascii():
             raise TraceError(lineno, f"non-ASCII character in {text!r}")
-        if not (parts[0].isdigit() and parts[1].isdigit()):
+        s_text, c_text, op_text, a_text = parts
+        if not (s_text.isdigit() and c_text.isdigit()):
             raise TraceError(lineno, f"bad socket/core in {text!r}")
-        socket = int(parts[0])
-        core = int(parts[1])
-        if parts[2] not in ("R", "W"):
-            raise TraceError(lineno, f"operation must be R or W, got {parts[2]!r}")
+        socket = int(s_text)
+        core = int(c_text)
+        op = _OPS.get(op_text)
+        if op is None:
+            raise TraceError(lineno, f"operation must be R or W, got {op_text!r}")
         # int() would also accept `_` digit separators
-        if not parts[3].lower().startswith("0x") or "_" in parts[3]:
-            raise TraceError(lineno, f"address must be 0x-prefixed hex, got {parts[3]!r}")
+        if a_text[:2] not in ("0x", "0X") or "_" in a_text:
+            raise TraceError(lineno, f"address must be 0x-prefixed hex, got {a_text!r}")
         try:
-            addr = int(parts[3], 16)
+            addr = int(a_text, 16)
         except ValueError:
-            raise TraceError(lineno, f"bad address {parts[3]!r}") from None
+            raise TraceError(lineno, f"bad address {a_text!r}") from None
         if topo is not None:
-            if socket >= topo.num_sockets:
+            if socket >= sockets:
                 raise TraceError(lineno, f"socket {socket} out of range")
-            if core >= topo.cores_per_socket:
+            if core >= cores:
                 raise TraceError(lineno, f"core {core} out of range")
-            if addr >> topo.address_width:
+            if addr >> width:
                 raise TraceError(lineno, f"address {addr:#x} exceeds address width")
-        yield AccessRecord(socket, core, Op(parts[2]), addr, seq)
+        yield AccessRecord(socket, core, op, addr, seq)
         seq += 1
 
 

@@ -189,6 +189,24 @@ class TestConfigFile:
                                "--gen-kind", "private")
         assert code != 0 and "bogus" in err
 
+    @pytest.mark.parametrize("line", ["report=xml", "remote-miss-def=bogus",
+                                      "validate=maybe"])
+    def test_invalid_value_is_config_error(self, capsys, tmp_path, line):
+        trace = tmp_path / "t.txt"
+        trace.write_text("")
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli(capsys, "run", "--trace", str(trace),
+                                 "--config", str(cfg))
+        assert code == 1 and "config error" in err and out == ""
+
+    def test_valid_values_accepted(self, capsys, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("report=table\nremote-miss-def=c2c-only\nvalidate=on\n")
+        code, out, _ = run_cli(capsys, "run", "--gen-kind", "private",
+                               "--config", str(cfg))
+        assert code == 0 and out.startswith(" ") and "total cost" in out
+
     def test_input_files_untouched(self, capsys, tmp_path):
         trace = tmp_path / "t.txt"
         content = "0 0 R 0x40\n"

@@ -102,6 +102,16 @@ class TestRun:
                 run([AccessRecord(socket, core, Op.READ, 0x0, 0)], TOPO,
                     PolicyConfig())
 
+    def test_op_other_than_read_or_write_rejected(self):
+        # a string op would otherwise be simulated as a write
+        topo = TopologyConfig(num_sockets=1, llc_sets=1, llc_assoc=4)
+        reads = [AccessRecord(0, 0, Op.READ, i * 64, i) for i in range(5)]
+        assert run(reads, topo, PolicyConfig()).to_dict()["writebacks"] == 0
+        for op in ("R", "W", None):
+            trace = [AccessRecord(0, 0, op, 0x40, 0)] + reads[1:]
+            with pytest.raises(ConfigError, match="record 0"):
+                run(trace, topo, PolicyConfig())
+
 
 class TestCompare:
     def test_self_comparison_zero_deltas(self):
