@@ -54,6 +54,3 @@ class AdaptiveState:
         self.misses_in_window = 0
         self.remote_misses_in_window = 0
         return self.bias_enabled
-
-    def is_bias_enabled(self) -> bool:
-        return self.bias_enabled

@@ -68,18 +68,3 @@ def decoder(topo: TopologyConfig) -> Callable[[int], tuple[int, int]]:
 
     return set_and_tag
 
-
-def decode(addr: int, topo: TopologyConfig) -> tuple[int, int, int, int]:
-    """(line address, set index, tag, home socket) of an address.
-
-    The line address has the low line-offset bits masked off. The home
-    socket, whose DRAM backs the line, is named by the topmost address
-    bits (always 0 with a single socket).
-    """
-    set_id, tag = decoder(topo)(addr)
-    return (
-        addr & -topo.line_size_bytes,
-        set_id,
-        tag,
-        addr >> (topo.address_width - topo.socket_bits),
-    )

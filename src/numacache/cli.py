@@ -3,8 +3,8 @@
 import argparse
 import json
 import sys
-from contextlib import nullcontext
-from typing import Optional
+from contextlib import ExitStack, nullcontext
+from typing import Iterable, Iterator, Optional
 
 from .adaptive import AdaptiveConfig
 from .address_map import ConfigError, TopologyConfig
@@ -200,12 +200,13 @@ def _open_trace(path: str):
     return nullcontext(sys.stdin) if path == "-" else open(path)
 
 
-def _load_trace(args, topo: TopologyConfig) -> list:
+def _load_trace(args, topo: TopologyConfig, files: ExitStack) -> Iterator:
+    """The records of the run's one trace source, parsed or generated as
+    they are consumed; a trace file stays open until `files` closes."""
     if (args.trace is None) == (args.gen_kind is None):
         raise ConfigError("give exactly one trace source: --trace or --gen-kind")
     if args.trace is not None:
-        with _open_trace(args.trace) as fh:
-            return list(parse_trace(fh, topo))
+        return parse_trace(files.enter_context(_open_trace(args.trace)), topo)
     return generate(_generator_spec(args), topo)
 
 
@@ -315,24 +316,26 @@ def _render_table(named_stats: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_output(text: str, out: Optional[str]) -> None:
+def _write_output(chunks: Iterable[str], out: Optional[str]) -> None:
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _cmd_run(args) -> int:
     topo = _topology(args)
     policy = _policy(args.policy, args)
-    trace = _load_trace(args, topo)
-    stats = run(trace, topo, policy, _adaptive(args), _latency(args), args.validate)
+    with ExitStack() as files:
+        trace = _load_trace(args, topo, files)
+        stats = run(trace, topo, policy, _adaptive(args), _latency(args),
+                    args.validate)
     report = {"config": _config_echo(args, topo, [policy]), "stats": stats.to_dict()}
     if args.report == "json":
-        _write_output(json.dumps(report, indent=2) + "\n", args.out)
+        _write_output([json.dumps(report, indent=2) + "\n"], args.out)
     else:
-        _write_output(_render_table([(args.policy, report["stats"])]), args.out)
+        _write_output([_render_table([(args.policy, report["stats"])])], args.out)
     return 0
 
 
@@ -340,15 +343,16 @@ def _cmd_compare(args) -> int:
     topo = _topology(args)
     names = [n.strip() for n in args.policies.split(",") if n.strip()]
     policies = [_policy(n, args) for n in names]
-    trace = _load_trace(args, topo)
-    result = compare(trace, topo, policies, _adaptive(args), _latency(args),
-                     args.validate)
+    with ExitStack() as files:
+        # compare lists the trace once and replays it per policy
+        result = compare(_load_trace(args, topo, files), topo, policies,
+                         _adaptive(args), _latency(args), args.validate)
     report = {"config": _config_echo(args, topo, policies), **result}
     if args.report == "json":
-        _write_output(json.dumps(report, indent=2) + "\n", args.out)
+        _write_output([json.dumps(report, indent=2) + "\n"], args.out)
     else:
         named = [(e["policy"], e["stats"]) for e in result["policies"]]
-        _write_output(_render_table(named), args.out)
+        _write_output([_render_table(named)], args.out)
     return 0
 
 
@@ -356,9 +360,9 @@ def _cmd_gen(args) -> int:
     topo = _topology(args)
     if args.gen_kind is None:
         raise ConfigError("gen requires --gen-kind")
+    # generate checks its inputs up front, so no record fails mid-write
     records = generate(_generator_spec(args), topo)
-    text = "".join(line + "\n" for line in format_trace(records))
-    _write_output(text, args.out)
+    _write_output((line + "\n" for line in format_trace(records)), args.out)
     return 0
 
 

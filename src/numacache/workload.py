@@ -109,36 +109,49 @@ class GeneratorSpec:
     home_socket: Optional[int] = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, GeneratorKind):
+            raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.working_set_lines < 1 or self.iterations < 1:
             raise ValueError("working_set_lines and iterations must be >= 1")
 
 
 def _line_addr(index: int, home: int, topo: TopologyConfig) -> int:
-    body_bits = topo.address_width - topo.socket_bits - topo.offset_bits
-    if index >> body_bits:
-        raise ConfigError("working set does not fit in the address space")
     addr = index << topo.offset_bits
     if topo.num_sockets > 1:
         addr |= home << (topo.address_width - topo.socket_bits)
     return addr
 
 
-def generate(spec: GeneratorSpec, topo: TopologyConfig) -> list[AccessRecord]:
-    """Deterministic access sequence for (spec, topo)."""
+def generate(spec: GeneratorSpec, topo: TopologyConfig) -> Iterator[AccessRecord]:
+    """Deterministic access sequence for (spec, topo), produced lazily.
+
+    Every input is checked here, before the first record, so iterating
+    the result never fails.
+    """
     sockets = range(topo.num_sockets)
     if spec.home_socket is not None and spec.home_socket not in sockets:
         raise ConfigError(f"home_socket {spec.home_socket} out of range")
     for a, b in spec.sharing_socket_pairs:
         if a not in sockets or b not in sockets:
             raise ConfigError(f"socket pair ({a}, {b}) out of range")
+    # one block of working_set_lines lines per producer-consumer pair and
+    # per private stream; the other kinds share one block
+    blocks = {GeneratorKind.PRODUCER_CONSUMER: len(spec.sharing_socket_pairs),
+              GeneratorKind.PRIVATE_STREAM: topo.num_sockets}.get(spec.kind, 1)
+    body_bits = topo.address_width - topo.socket_bits - topo.offset_bits
+    if blocks * spec.working_set_lines > 1 << body_bits:
+        raise ConfigError("working set does not fit in the address space")
 
     rng = random.Random(spec.rng_seed)
-    records: list[AccessRecord] = []
+    cores = topo.cores_per_socket
+    return (
+        AccessRecord(socket, rng.randrange(cores), op, addr, seq)
+        for seq, (socket, op, addr) in enumerate(_accesses(spec, topo))
+    )
 
-    def emit(socket: int, op: Op, addr: int) -> None:
-        core = rng.randrange(topo.cores_per_socket)
-        records.append(AccessRecord(socket, core, op, addr, len(records)))
 
+def _accesses(spec: GeneratorSpec, topo: TopologyConfig) -> Iterator[tuple]:
+    """(socket, op, address) of each generated access, in order."""
     default_home = spec.home_socket if spec.home_socket is not None else 0
     kind = spec.kind
 
@@ -147,30 +160,27 @@ def generate(spec: GeneratorSpec, topo: TopologyConfig) -> list[AccessRecord]:
             for pi, (producer, consumer) in enumerate(spec.sharing_socket_pairs):
                 for l in range(spec.working_set_lines):
                     addr = _line_addr(pi * spec.working_set_lines + l, default_home, topo)
-                    emit(producer, Op.WRITE, addr)
-                    emit(consumer, Op.READ, addr)
+                    yield producer, Op.WRITE, addr
+                    yield consumer, Op.READ, addr
     elif kind is GeneratorKind.MIGRATORY:
         for _ in range(spec.iterations):
             for socket in range(topo.num_sockets):
                 for l in range(spec.working_set_lines):
                     addr = _line_addr(l, default_home, topo)
-                    emit(socket, Op.READ, addr)
-                    emit(socket, Op.WRITE, addr)
+                    yield socket, Op.READ, addr
+                    yield socket, Op.WRITE, addr
     elif kind is GeneratorKind.PRIVATE_STREAM:
         for _ in range(spec.iterations):
             for socket in range(topo.num_sockets):
                 home = spec.home_socket if spec.home_socket is not None else socket
                 for l in range(spec.working_set_lines):
                     addr = _line_addr(socket * spec.working_set_lines + l, home, topo)
-                    emit(socket, Op.READ, addr)
-    elif kind is GeneratorKind.SHARED_READ_ONLY:
+                    yield socket, Op.READ, addr
+    else:  # SHARED_READ_ONLY
         init_socket = spec.sharing_socket_pairs[0][0] if spec.sharing_socket_pairs else 0
         for l in range(spec.working_set_lines):
-            emit(init_socket, Op.WRITE, _line_addr(l, default_home, topo))
+            yield init_socket, Op.WRITE, _line_addr(l, default_home, topo)
         for _ in range(spec.iterations):
             for socket in range(topo.num_sockets):
                 for l in range(spec.working_set_lines):
-                    emit(socket, Op.READ, _line_addr(l, default_home, topo))
-    else:  # pragma: no cover
-        raise ValueError(f"unknown generator kind {kind}")
-    return records
+                    yield socket, Op.READ, _line_addr(l, default_home, topo)

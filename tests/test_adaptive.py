@@ -20,13 +20,13 @@ def feed(state, remote, total):
 def test_high_window_turns_bias_on():
     state = make(initial=False)
     assert feed(state, 6, 10) is True
-    assert state.is_bias_enabled()
+    assert state.bias_enabled
 
 
 def test_empty_window_turns_bias_off():
     state = make(initial=True)
     assert feed(state, 0, 10) is False
-    assert not state.is_bias_enabled()
+    assert not state.bias_enabled
 
 
 def test_hysteresis_band_holds_state():
@@ -36,7 +36,7 @@ def test_hysteresis_band_holds_state():
 
 
 def test_fresh_state_bias_on_by_default():
-    assert make().is_bias_enabled()
+    assert make().bias_enabled
 
 
 def test_two_high_windows_idempotent():
@@ -49,7 +49,7 @@ def test_no_toggle_mid_window():
     state = make(initial=True)
     for _ in range(9):
         assert state.record_miss(False) is None
-    assert state.is_bias_enabled()  # unchanged until the boundary
+    assert state.bias_enabled  # unchanged until the boundary
     assert state.record_miss(False) is False
 
 

@@ -1,10 +1,19 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from numacache.address_map import ConfigError, TopologyConfig, decode
+from numacache.address_map import ConfigError, TopologyConfig, decoder
 
 TOPO8 = TopologyConfig(num_sockets=4, llc_sets=1, llc_assoc=2,
                        line_size_bytes=4, address_width=8)
+
+
+def decode(addr, topo):
+    """(line address, set index, tag, home socket) of addr: set and tag
+    from decoder(topo), which also range-checks the address; the line
+    address masks off the line offset and the top bits name the home."""
+    set_id, tag = decoder(topo)(addr)
+    home = addr >> (topo.address_width - topo.socket_bits)
+    return addr & -topo.line_size_bytes, set_id, tag, home
 
 
 def home_node(addr, topo):

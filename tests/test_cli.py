@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -36,6 +37,17 @@ class TestGen:
                                   "--out", str(out))
         assert code == 0 and stdout == ""
         assert out.read_text()
+
+    def test_overflow_leaves_no_file(self, capsys, tmp_path):
+        # 2 pairs x 300 lines need 600 of the 512 lines that 16 address
+        # bits leave below the home bit: only the second pair overflows
+        out = tmp_path / "t.txt"
+        code, stdout, err = run_cli(
+            capsys, "gen", "--gen-kind", "producer-consumer", "--pairs",
+            "0:1,1:0", "--working-set", "300", "--address-width", "16",
+            "--out", str(out))
+        assert code == 1 and "config error" in err and stdout == ""
+        assert not out.exists()
 
 
 class TestRun:
@@ -74,6 +86,49 @@ class TestRun:
             trace.write_text(line + "\n", encoding="utf-8")
             code, _, err = run_cli(capsys, "run", "--trace", str(trace))
             assert code == 1 and "line 1" in err, line
+
+    def test_late_malformed_record_writes_no_report(self, capsys, tmp_path):
+        trace = tmp_path / "t.txt"
+        good = "".join(f"{i % 2} 0 R 0x{i * 64:x}\n" for i in range(3000))
+        trace.write_text(good + "0 0 R 0x40 extra\n" + good)
+        out = tmp_path / "r.json"
+        for report in ("json", "table"):
+            code, stdout, err = run_cli(capsys, "run", "--trace", str(trace),
+                                        "--report", report, "--out", str(out))
+            assert code == 1 and "trace error: line 3001:" in err
+            assert stdout == "" and not out.exists()
+
+    def test_bad_threshold_and_late_malformed_record(self, capsys, tmp_path):
+        # streamed records reach the parser only after the thresholds are
+        # checked, so the threshold error comes first; a trace parsed up
+        # front reports the record instead. Either way: exit 1, no report.
+        trace = tmp_path / "t.txt"
+        trace.write_text("0 0 R 0x40\n" * 100 + "0 0 Q 0x40\n")
+        code, out, err = run_cli(capsys, "run", "--trace", str(trace),
+                                 "--policy", "biased", "--t-local", "99")
+        assert code == 1 and out == "" and "error" in err
+
+    def test_memory_constant_in_trace_length(self, capsys, tmp_path):
+        """Records stream from the trace file into the simulation, so the
+        peak of traced allocations does not grow with the trace length."""
+        def peak_mib(records):
+            trace = tmp_path / f"t{records}.txt"
+            # 1024 distinct lines, so the directory stays bounded too
+            trace.write_text("".join(
+                f"{i % 2} 0 {'RW'[i % 3 == 0]} 0x{i % 1024 * 64:x}\n"
+                for i in range(records)))
+            tracemalloc.start()
+            try:
+                code = main(["run", "--trace", str(trace),
+                             "--out", str(tmp_path / "r.json")])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            return peak / 2**20
+
+        small, large = peak_mib(4000), peak_mib(16000)
+        assert large <= small + 0.5, (small, large)
 
     def test_negative_pair_rejected(self, capsys):
         code, _, err = run_cli(capsys, "run", "--gen-kind", "producer-consumer",

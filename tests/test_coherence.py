@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from numacache.address_map import ConfigError, TopologyConfig, decode
+from numacache.address_map import ConfigError, TopologyConfig, decoder
 from numacache.coherence import CoherenceSystem, DirectoryEntry, ServiceSource
 from numacache.replacement import MoesiState, PolicyConfig, PolicyKind
 
@@ -128,9 +128,9 @@ class TestEvict:
         sys_ = system()
         addr = HOME1 | 0x1000
         sys_.handle_write(0, addr)
-        _, si, tag, home = decode(addr, TOPO)
+        si, tag = decoder(TOPO)(addr)
         assert sys_.evict_line(0, si, tag)  # dirty: writes back to its home
-        assert home == 1
+        assert addr >> (TOPO.address_width - TOPO.socket_bits) == 1
         assert state_of(sys_, 0, addr) is None
 
     def test_shared_drops_silently(self):

@@ -1,6 +1,6 @@
 import pytest
 
-from numacache.address_map import ConfigError, TopologyConfig, decode
+from numacache.address_map import ConfigError, TopologyConfig, decoder
 from numacache.coherence import CoherenceSystem
 from numacache.workload import (
     AccessRecord,
@@ -67,14 +67,14 @@ class TestGenerate:
     def test_producer_consumer_minimal(self):
         spec = GeneratorSpec(GeneratorKind.PRODUCER_CONSUMER,
                              working_set_lines=1, iterations=1)
-        recs = generate(spec, TOPO)
+        recs = list(generate(spec, TOPO))
         assert [(r.socket, r.op) for r in recs] == [(0, Op.WRITE), (1, Op.READ)]
         assert recs[0].addr == recs[1].addr
 
     def test_deterministic_for_seed(self):
         spec = GeneratorSpec(GeneratorKind.MIGRATORY, working_set_lines=4,
                              iterations=3, rng_seed=9)
-        assert generate(spec, TOPO) == generate(spec, TOPO)
+        assert list(generate(spec, TOPO)) == list(generate(spec, TOPO))
 
     def test_private_stream_never_shares(self):
         spec = GeneratorSpec(GeneratorKind.PRIVATE_STREAM,
@@ -97,7 +97,7 @@ class TestGenerate:
                 system.handle_read(r.socket, r.addr)
             else:
                 system.handle_write(r.socket, r.addr)
-            _, set_id, tag, _ = decode(r.addr, TOPO)
+            set_id, tag = decoder(TOPO)(r.addr)
             saw_bit = saw_bit or system.llcs[r.socket][set_id].lines[tag][1]
         assert saw_bit
 
@@ -112,6 +112,23 @@ class TestGenerate:
             with pytest.raises(ConfigError):
                 generate(spec, TOPO)
 
+    def test_overflow_rejected_when_called(self):
+        topo = TopologyConfig(num_sockets=2, address_width=16)
+        for spec in (
+            # 600 lines of a 512-line space; only the second pair overflows
+            GeneratorSpec(GeneratorKind.PRODUCER_CONSUMER, working_set_lines=300,
+                          sharing_socket_pairs=[(0, 1), (1, 0)]),
+            GeneratorSpec(GeneratorKind.PRIVATE_STREAM, working_set_lines=257),
+            GeneratorSpec(GeneratorKind.MIGRATORY, working_set_lines=513),
+            GeneratorSpec(GeneratorKind.SHARED_READ_ONLY, working_set_lines=513),
+        ):
+            with pytest.raises(ConfigError, match="address space"):
+                generate(spec, topo)
+        # the largest working set that fits
+        spec = GeneratorSpec(GeneratorKind.MIGRATORY, working_set_lines=512,
+                             iterations=1)
+        assert len(list(generate(spec, topo))) == 2 * 2 * 512
+
     def test_home_socket_override(self):
         spec = GeneratorSpec(GeneratorKind.PRODUCER_CONSUMER,
                              working_set_lines=2, iterations=1, home_socket=1)
@@ -121,7 +138,7 @@ class TestGenerate:
     def test_shared_readonly_shape(self):
         spec = GeneratorSpec(GeneratorKind.SHARED_READ_ONLY,
                              working_set_lines=2, iterations=1)
-        recs = generate(spec, TOPO)
+        recs = list(generate(spec, TOPO))
         assert [r.op for r in recs[:2]] == [Op.WRITE, Op.WRITE]
         assert all(r.op is Op.READ for r in recs[2:])
         assert len(recs) == 2 + 2 * TOPO.num_sockets
@@ -129,5 +146,5 @@ class TestGenerate:
     def test_seq_is_dense(self):
         spec = GeneratorSpec(GeneratorKind.MIGRATORY, working_set_lines=2,
                              iterations=2)
-        recs = generate(spec, TOPO)
+        recs = list(generate(spec, TOPO))
         assert [r.seq for r in recs] == list(range(len(recs)))
