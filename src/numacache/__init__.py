@@ -1,11 +1,10 @@
 """Trace-driven ccNUMA multi-socket LLC simulator with MOESI coherence and
 a remote-sharing-biased replacement policy."""
 
-from .adaptive import AdaptiveConfig, AdaptiveState
+from .adaptive import AdaptiveConfig
 from .address_map import ConfigError, TopologyConfig
-from .coherence import CoherenceSystem, FillOutcome, ServiceSource
-from .engine import InvariantError, LatencyModel, SimStats, SocketStats, compare, run
-from .replacement import CacheSet, MoesiState, PolicyConfig, PolicyKind
+from .engine import InvariantError, LatencyModel, SimStats, compare, run
+from .replacement import PolicyConfig, PolicyKind
 from .workload import (
     AccessRecord,
     GeneratorKind,
@@ -20,22 +19,15 @@ from .workload import (
 __all__ = [
     "AccessRecord",
     "AdaptiveConfig",
-    "AdaptiveState",
-    "CacheSet",
-    "CoherenceSystem",
     "ConfigError",
-    "FillOutcome",
     "GeneratorKind",
     "GeneratorSpec",
     "InvariantError",
     "LatencyModel",
-    "MoesiState",
     "Op",
     "PolicyConfig",
     "PolicyKind",
-    "ServiceSource",
     "SimStats",
-    "SocketStats",
     "TopologyConfig",
     "TraceError",
     "compare",

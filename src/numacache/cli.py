@@ -1,10 +1,12 @@
 """Command-line front end: run/compare simulations, generate traces."""
 
 import argparse
+import dataclasses
+import io
 import json
 import sys
-from contextlib import ExitStack, nullcontext
-from typing import Iterable, Iterator, Optional
+from contextlib import ExitStack, contextmanager
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .adaptive import AdaptiveConfig
 from .address_map import ConfigError, TopologyConfig
@@ -19,13 +21,7 @@ from .workload import (
     parse_trace,
 )
 
-_POLICY_NAMES = {
-    "lru": PolicyKind.LRU_ONLY,
-    "biased": PolicyKind.BIASED_ALWAYS,
-    "adaptive": PolicyKind.BIASED_ADAPTIVE,
-}
-
-_GEN_KINDS = {k.value: k for k in GeneratorKind}
+_POLICY_NAMES = {k.value: k for k in PolicyKind}
 
 
 def _parse_bool(text: str) -> bool:
@@ -46,96 +42,154 @@ def _parse_pairs(text: str) -> list:
     return pairs
 
 
-def _add_topology_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sockets", type=int, default=2)
-    p.add_argument("--cores-per-socket", type=int, default=1)
-    p.add_argument("--sets", type=int, default=16)
-    p.add_argument("--assoc", type=int, default=4)
-    p.add_argument("--line-size", type=int, default=64)
-    p.add_argument("--address-width", type=int, default=32)
+class Option(NamedTuple):
+    """One option of the subcommands in `commands`: its flag, the config
+    object field it sets, whose default is its own, and its echo key."""
+
+    flag: str
+    commands: tuple
+    owner: Optional[type] = None  # the dataclass whose `field` it sets
+    field: str = ""
+    echo: str = ""  # dotted path in the report's `config`; "" = not echoed
+    type: Callable = int  # `bool` makes a switch that takes no value
+    choices: Optional[Iterable] = None  # a dict maps each to a field value
+    default: object = None  # of an option that sets no field
+    help: Optional[str] = None
+    metavar: Optional[str] = None
+    required: bool = False
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
 
 
-def _add_trace_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trace", help="trace file to load ('-' for stdin)")
-    p.add_argument("--gen-kind", choices=sorted(_GEN_KINDS))
-    p.add_argument("--working-set", type=int, default=8)
-    p.add_argument("--iterations", type=int, default=4)
-    p.add_argument("--pairs", type=_parse_pairs, default=[(0, 1)],
-                   help="sharing socket pairs, e.g. 0:1,1:0")
-    p.add_argument("--home-socket", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+_ALL = ("run", "compare", "gen", "validate-trace")
+_SOURCE = ("run", "compare", "gen")
+_SIM = ("run", "compare")
+_GEN = "trace_source.generator."
+
+# in the order of the report's `config` echo
+_OPTIONS = (
+    Option("--sockets", _ALL, TopologyConfig, "num_sockets", "topology.sockets"),
+    Option("--cores-per-socket", _ALL, TopologyConfig, "cores_per_socket",
+           "topology.cores_per_socket"),
+    Option("--sets", _ALL, TopologyConfig, "llc_sets", "topology.sets"),
+    Option("--assoc", _ALL, TopologyConfig, "llc_assoc", "topology.assoc"),
+    Option("--line-size", _ALL, TopologyConfig, "line_size_bytes",
+           "topology.line_size"),
+    Option("--address-width", _ALL, TopologyConfig, "address_width",
+           "topology.address_width"),
+    # the echo holds the policy kinds and the thresholds they resolve to
+    Option("--policy", ("run",), PolicyConfig, "kind", "policies", str,
+           _POLICY_NAMES),
+    Option("--policies", ("compare",), echo="policies", type=str,
+           default="lru,biased", help="comma-separated policy names"),
+    Option("--t-local", _SIM, PolicyConfig, "t_local", "t_local"),
+    Option("--t-remote", _SIM, PolicyConfig, "t_remote", "t_remote"),
+    Option("--window", _SIM, AdaptiveConfig, "window_size", "adaptive.window"),
+    Option("--high-water", _SIM, AdaptiveConfig, "high_water", "adaptive.high_water",
+           float),
+    Option("--low-water", _SIM, AdaptiveConfig, "low_water", "adaptive.low_water",
+           float),
+    Option("--initial-bias", _SIM, AdaptiveConfig, "initial_bias",
+           "adaptive.initial_bias", _parse_bool, metavar="{on,off}"),
+    Option("--remote-miss-def", _SIM, AdaptiveConfig, "count_remote_dram",
+           "adaptive.remote_miss_def", str, {"any-remote": True, "c2c-only": False}),
+    Option("--lat-llc", _SIM, LatencyModel, "llc_hit", "latency.llc_hit"),
+    Option("--lat-c2c", _SIM, LatencyModel, "remote_c2c", "latency.remote_c2c"),
+    Option("--lat-ldram", _SIM, LatencyModel, "local_dram", "latency.local_dram"),
+    Option("--lat-rdram", _SIM, LatencyModel, "remote_dram", "latency.remote_dram"),
+    # the echo keeps whichever of the file and the generator is the source
+    Option("--trace", _SOURCE, echo="trace_source.file", type=str,
+           help="trace file to load ('-' for stdin)"),
+    Option("--gen-kind", _SOURCE, GeneratorSpec, "kind", _GEN + "kind", str,
+           {k.value: k for k in GeneratorKind}),
+    Option("--working-set", _SOURCE, GeneratorSpec, "working_set_lines",
+           _GEN + "working_set_lines"),
+    Option("--iterations", _SOURCE, GeneratorSpec, "iterations", _GEN + "iterations"),
+    Option("--pairs", _SOURCE, GeneratorSpec, "sharing_socket_pairs", _GEN + "pairs",
+           _parse_pairs, help="sharing socket pairs, e.g. 0:1,1:0"),
+    Option("--home-socket", _SOURCE, GeneratorSpec, "home_socket",
+           _GEN + "home_socket"),
+    Option("--seed", _SOURCE, GeneratorSpec, "rng_seed", _GEN + "seed"),
+    Option("--report", _SIM, type=str, choices=("json", "table"), default="json"),
+    Option("--out", _SIM, type=str,
+           help="write the report here instead of stdout"),
+    Option("--out", ("gen",), type=str,
+           help="write the trace here instead of stdout"),
+    Option("--validate", _SIM, echo="validate", type=bool, default=False,
+           help="check coherence invariants after every access"),
+    Option("--trace", ("validate-trace",), type=str, required=True,
+           help="trace file to check ('-' for stdin)"),
+)
 
 
-def _add_sim_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--t-local", type=int, default=None)
-    p.add_argument("--t-remote", type=int, default=None)
-    p.add_argument("--window", type=int, default=1024)
-    p.add_argument("--high-water", type=float, default=0.5)
-    p.add_argument("--low-water", type=float, default=0.1)
-    p.add_argument("--initial-bias", type=_parse_bool, default=True,
-                   metavar="{on,off}")
-    p.add_argument("--remote-miss-def", choices=["any-remote", "c2c-only"],
-                   default="any-remote")
-    p.add_argument("--lat-llc", type=int, default=30)
-    p.add_argument("--lat-c2c", type=int, default=150)
-    p.add_argument("--lat-ldram", type=int, default=200)
-    p.add_argument("--lat-rdram", type=int, default=350)
-    p.add_argument("--report", choices=["json", "table"], default="json")
-    p.add_argument("--out", help="write the report here instead of stdout")
-    p.add_argument("--validate", action="store_true",
-                   help="check coherence invariants after every access")
+def _default(opt: Option):
+    """The option's default, as its flag would give it."""
+    if opt.owner is None:
+        return opt.default
+    field, = (f for f in dataclasses.fields(opt.owner) if f.name == opt.field)
+    if field.default_factory is not dataclasses.MISSING:
+        return field.default_factory()
+    if field.default is dataclasses.MISSING:
+        return None
+    if isinstance(opt.choices, dict):
+        return next(k for k, v in opt.choices.items() if v == field.default)
+    return field.default
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
+    """The `numacache` parser; `config` maps option dests to config-file
+    values, which replace the defaults."""
+    config = config or {}
     parser = argparse.ArgumentParser(
         prog="numacache",
         description="Trace-driven multi-socket LLC simulator with "
                     "remote-sharing-biased replacement",
-        # `--conf file` would reach the parser, not _apply_config_file
+        # `--conf file` would reach the parser, not _split_config
         allow_abbrev=False,
     )
-    parser.add_argument("--config", help="key=value defaults file", default=None)
+    parser.add_argument("--config", help="key=value defaults file")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="simulate one policy")
-    p_run.add_argument("--policy", choices=sorted(_POLICY_NAMES), default="lru")
-    for add in (_add_topology_flags, _add_trace_flags, _add_sim_flags):
-        add(p_run)
-
-    p_cmp = sub.add_parser("compare", help="run several policies on one trace")
-    p_cmp.add_argument("--policies", default="lru,biased",
-                       help="comma-separated policy names")
-    for add in (_add_topology_flags, _add_trace_flags, _add_sim_flags):
-        add(p_cmp)
-
-    p_gen = sub.add_parser("gen", help="emit a synthetic trace")
-    _add_topology_flags(p_gen)
-    _add_trace_flags(p_gen)
-    p_gen.add_argument("--out", help="write the trace here instead of stdout")
-
-    p_val = sub.add_parser("validate-trace", help="parse-check a trace file")
-    _add_topology_flags(p_val)
-    p_val.add_argument("--trace", required=True,
-                       help="trace file to check ('-' for stdin)")
-
+    commands = {name: sub.add_parser(name, help=text)
+                for name, (text, _) in _COMMANDS.items()}
+    for opt in _OPTIONS:
+        kwargs = dict(default=config.get(opt.dest, _default(opt)),
+                      help=opt.help, required=opt.required)
+        if opt.type is bool:
+            kwargs["action"] = "store_true"
+        else:
+            kwargs.update(type=opt.type, metavar=opt.metavar,
+                          choices=sorted(opt.choices) if opt.choices else None)
+        for name in opt.commands:
+            commands[name].add_argument(opt.flag, **kwargs)
     return parser
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list) -> list:
-    """Turn `--config file` (or `--config=file`) key=value pairs into
-    parser defaults."""
-    for i, arg in enumerate(argv):
+def _split_config(argv: list) -> tuple[list, Optional[str]]:
+    """`argv` without `--config file` (or `--config=file`), and that path
+    (None without one)."""
+    rest, paths = [], []
+    args = iter(argv)
+    for arg in args:
         if arg == "--config":
-            if i + 1 == len(argv):
+            paths.append(next(args, None))
+            if paths[-1] is None:
                 raise ConfigError("--config needs a file path")
-            path, argv = argv[i + 1], argv[:i] + argv[i + 2:]
-            break
-        if arg.startswith("--config="):
-            path, argv = arg.partition("=")[2], argv[:i] + argv[i + 1:]
-            break
-    else:
-        return argv
-    defaults = {}
+        elif arg.startswith("--config="):
+            paths.append(arg.partition("=")[2])
+        else:
+            rest.append(arg)
+    if len(paths) > 1:
+        raise ConfigError("--config given more than once")
+    return rest, paths[0] if paths else None
+
+
+def _read_config(path: str) -> dict:
+    """Option dest -> value of each key=value line of the config file at
+    `path`; a key is a flag without `--`, with `_` accepted for `-`."""
+    options = {opt.flag[2:]: opt for opt in _OPTIONS}
+    values = {}
     with open(path) as fh:
         for raw in fh:
             text = raw.strip()
@@ -144,60 +198,54 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list) -> list:
             key, sep, value = text.partition("=")
             if not sep:
                 raise ConfigError(f"config line {text!r} is not key=value")
-            defaults[key.strip().replace("-", "_")] = value.strip()
-    # parser defaults skip argparse's checks, so apply each option's type
-    # converter and choices here to make config values behave like flags
-    actions = {}
-    for sp in parser._subparsers._group_actions[0].choices.values():
-        for action in sp._actions:
-            if action.dest != "help":
-                actions.setdefault(action.dest, action)
-    typed = {}
-    for dest, value in defaults.items():
-        key = dest.replace("_", "-")
-        action = actions.get(dest)
-        if action is None:
-            raise ConfigError(f"unknown config key {key!r}")
-        if action.nargs == 0:  # store_true flags
-            typed[dest] = _parse_bool(value)
-        else:
-            typed[dest] = action.type(value) if action.type else value
-            if action.choices is not None and typed[dest] not in action.choices:
+            key, value = key.strip().replace("_", "-"), value.strip()
+            opt = options.get(key)
+            if opt is None:
+                raise ConfigError(f"unknown config key {key!r}")
+            # argparse checks no default, so convert and check as a flag
+            if opt.type is bool:
+                values[opt.dest] = _parse_bool(value)
+            elif opt.choices is not None and value not in opt.choices:
                 raise ConfigError(f"config key {key!r} must be one of "
-                                  f"{', '.join(action.choices)}, got {value!r}")
-    for sp in parser._subparsers._group_actions[0].choices.values():
-        sp.set_defaults(**{
-            d: v for d, v in typed.items()
-            if any(a.dest == d for a in sp._actions)
-        })
-    return argv
+                                  f"{', '.join(sorted(opt.choices))}, "
+                                  f"got {value!r}")
+            else:
+                values[opt.dest] = opt.type(value)
+    return values
 
 
-def _topology(args) -> TopologyConfig:
-    return TopologyConfig(
-        num_sockets=args.sockets,
-        cores_per_socket=args.cores_per_socket,
-        llc_sets=args.sets,
-        llc_assoc=args.assoc,
-        line_size_bytes=args.line_size,
-        address_width=args.address_width,
-    )
+def _build(cls: type, args, **given):
+    """A `cls` config object with the fields its options set; fields in
+    `given` take precedence."""
+    for opt in _OPTIONS:
+        if opt.owner is cls and args.command in opt.commands:
+            value = getattr(args, opt.dest)
+            if isinstance(opt.choices, dict):
+                value = opt.choices[value]
+            given.setdefault(opt.field, value)
+    return cls(**given)
 
 
-def _generator_spec(args) -> GeneratorSpec:
-    return GeneratorSpec(
-        kind=_GEN_KINDS[args.gen_kind],
-        working_set_lines=args.working_set,
-        iterations=args.iterations,
-        sharing_socket_pairs=args.pairs,
-        rng_seed=args.seed,
-        home_socket=args.home_socket,
-    )
+@contextmanager
+def _open_trace(path: str) -> Iterator:
+    """The trace file at `path`, or stdin (left open) for '-', as text.
 
-
-def _open_trace(path: str):
-    """The trace file at `path`, or stdin (left open) for '-'."""
-    return nullcontext(sys.stdin) if path == "-" else open(path)
+    A byte that is not UTF-8 decodes to a surrogate, which parse_trace
+    reports as a non-ASCII character of its line, from a file or stdin
+    alike and in any locale.
+    """
+    if path != "-":
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            yield fh
+    elif not hasattr(sys.stdin, "buffer"):  # a text stream over no bytes
+        yield sys.stdin
+    else:
+        fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8",
+                              errors="surrogateescape")
+        try:
+            yield fh
+        finally:
+            fh.detach()
 
 
 def _load_trace(args, topo: TopologyConfig, files: ExitStack) -> Iterator:
@@ -207,73 +255,23 @@ def _load_trace(args, topo: TopologyConfig, files: ExitStack) -> Iterator:
         raise ConfigError("give exactly one trace source: --trace or --gen-kind")
     if args.trace is not None:
         return parse_trace(files.enter_context(_open_trace(args.trace)), topo)
-    return generate(_generator_spec(args), topo)
-
-
-def _policy(name: str, args) -> PolicyConfig:
-    if name not in _POLICY_NAMES:
-        raise ConfigError(f"unknown policy {name!r}")
-    return PolicyConfig(_POLICY_NAMES[name], args.t_local, args.t_remote)
-
-
-def _adaptive(args) -> AdaptiveConfig:
-    return AdaptiveConfig(
-        window_size=args.window,
-        high_water=args.high_water,
-        low_water=args.low_water,
-        initial_bias=args.initial_bias,
-        count_remote_dram=args.remote_miss_def == "any-remote",
-    )
-
-
-def _latency(args) -> LatencyModel:
-    return LatencyModel(args.lat_llc, args.lat_c2c, args.lat_ldram, args.lat_rdram)
+    return generate(_build(GeneratorSpec, args), topo)
 
 
 def _config_echo(args, topo, policies) -> dict:
     """Everything needed to reproduce the run, echoed into the report."""
-    if args.trace is not None:
-        source = {"file": args.trace}
-    else:
-        source = {
-            "generator": {
-                "kind": args.gen_kind,
-                "working_set_lines": args.working_set,
-                "iterations": args.iterations,
-                "pairs": [list(p) for p in args.pairs],
-                "home_socket": args.home_socket,
-                "seed": args.seed,
-            }
-        }
-    t_local, t_remote = policies[0].thresholds(topo.llc_assoc)
-    return {
-        "topology": {
-            "sockets": topo.num_sockets,
-            "cores_per_socket": topo.cores_per_socket,
-            "sets": topo.llc_sets,
-            "assoc": topo.llc_assoc,
-            "line_size": topo.line_size_bytes,
-            "address_width": topo.address_width,
-        },
-        "policies": [p.kind.value for p in policies],
-        "t_local": t_local,
-        "t_remote": t_remote,
-        "adaptive": {
-            "window": args.window,
-            "high_water": args.high_water,
-            "low_water": args.low_water,
-            "initial_bias": args.initial_bias,
-            "remote_miss_def": args.remote_miss_def,
-        },
-        "latency": {
-            "llc_hit": args.lat_llc,
-            "remote_c2c": args.lat_c2c,
-            "local_dram": args.lat_ldram,
-            "remote_dram": args.lat_rdram,
-        },
-        "trace_source": source,
-        "validate": bool(args.validate),
-    }
+    echo = {}
+    for opt in _OPTIONS:
+        if opt.echo and args.command in opt.commands:
+            *sections, key = opt.echo.split(".")
+            node = echo
+            for section in sections:
+                node = node.setdefault(section, {})
+            node[key] = getattr(args, opt.dest)
+    del echo["trace_source"]["file" if args.trace is None else "generator"]
+    echo["policies"] = [p.kind.value for p in policies]
+    echo["t_local"], echo["t_remote"] = policies[0].thresholds(topo.llc_assoc)
+    return echo
 
 
 _TABLE_ROWS = [
@@ -324,69 +322,77 @@ def _write_output(chunks: Iterable[str], out: Optional[str]) -> None:
         sys.stdout.writelines(chunks)
 
 
-def _cmd_run(args) -> int:
-    topo = _topology(args)
-    policy = _policy(args.policy, args)
-    with ExitStack() as files:
-        trace = _load_trace(args, topo, files)
-        stats = run(trace, topo, policy, _adaptive(args), _latency(args),
-                    args.validate)
-    report = {"config": _config_echo(args, topo, [policy]), "stats": stats.to_dict()}
+def _write_report(args, report: dict, named_stats: list) -> int:
     if args.report == "json":
         _write_output([json.dumps(report, indent=2) + "\n"], args.out)
     else:
-        _write_output([_render_table([(args.policy, report["stats"])])], args.out)
+        _write_output([_render_table(named_stats)], args.out)
     return 0
+
+
+def _cmd_run(args) -> int:
+    topo = _build(TopologyConfig, args)
+    policy = _build(PolicyConfig, args)
+    with ExitStack() as files:
+        trace = _load_trace(args, topo, files)
+        stats = run(trace, topo, policy, _build(AdaptiveConfig, args),
+                    _build(LatencyModel, args), args.validate)
+    stats = stats.to_dict()
+    report = {"config": _config_echo(args, topo, [policy]), "stats": stats}
+    return _write_report(args, report, [(args.policy, stats)])
 
 
 def _cmd_compare(args) -> int:
-    topo = _topology(args)
-    names = [n.strip() for n in args.policies.split(",") if n.strip()]
-    policies = [_policy(n, args) for n in names]
+    topo = _build(TopologyConfig, args)
+    policies = []
+    for name in filter(None, (n.strip() for n in args.policies.split(","))):
+        if name not in _POLICY_NAMES:
+            raise ConfigError(f"unknown policy {name!r}")
+        policies.append(_build(PolicyConfig, args, kind=_POLICY_NAMES[name]))
     with ExitStack() as files:
         # compare lists the trace once and replays it per policy
         result = compare(_load_trace(args, topo, files), topo, policies,
-                         _adaptive(args), _latency(args), args.validate)
+                         _build(AdaptiveConfig, args),
+                         _build(LatencyModel, args), args.validate)
     report = {"config": _config_echo(args, topo, policies), **result}
-    if args.report == "json":
-        _write_output([json.dumps(report, indent=2) + "\n"], args.out)
-    else:
-        named = [(e["policy"], e["stats"]) for e in result["policies"]]
-        _write_output([_render_table(named)], args.out)
-    return 0
+    named = [(e["policy"], e["stats"]) for e in result["policies"]]
+    return _write_report(args, report, named)
 
 
 def _cmd_gen(args) -> int:
-    topo = _topology(args)
+    topo = _build(TopologyConfig, args)
     if args.gen_kind is None:
         raise ConfigError("gen requires --gen-kind")
     # generate checks its inputs up front, so no record fails mid-write
-    records = generate(_generator_spec(args), topo)
+    records = generate(_build(GeneratorSpec, args), topo)
     _write_output((line + "\n" for line in format_trace(records)), args.out)
     return 0
 
 
 def _cmd_validate_trace(args) -> int:
-    topo = _topology(args)
+    topo = _build(TopologyConfig, args)
     with _open_trace(args.trace) as fh:
         count = sum(1 for _ in parse_trace(fh, topo))
     print(f"ok: {count} records")
     return 0
 
 
+# name -> (help, handler) of each subcommand
+_COMMANDS = {
+    "run": ("simulate one policy", _cmd_run),
+    "compare": ("run several policies on one trace", _cmd_compare),
+    "gen": ("emit a synthetic trace", _cmd_gen),
+    "validate-trace": ("parse-check a trace file", _cmd_validate_trace),
+}
+
+
 def main(argv: Optional[list] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
-        handler = {
-            "run": _cmd_run,
-            "compare": _cmd_compare,
-            "gen": _cmd_gen,
-            "validate-trace": _cmd_validate_trace,
-        }[args.command]
-        return handler(args)
+        argv, config = _split_config(argv)
+        config = {} if config is None else _read_config(config)
+        args = build_parser(config).parse_args(argv)
+        return _COMMANDS[args.command][1](args)
     except TraceError as exc:
         print(f"trace error: {exc}", file=sys.stderr)
         return 1

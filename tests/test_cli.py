@@ -177,6 +177,31 @@ class TestCompare:
         assert code != 0 and "fifo" in err
 
 
+class TestUndecodableTrace:
+    """A byte that is not UTF-8 is a non-ASCII character of its line, from
+    a trace file or from stdin, under `run` and `validate-trace`."""
+
+    DATA = b"0 0 R 0x40\n0 0 R 0x\xff40\n"
+
+    @pytest.mark.parametrize("command", ["run", "validate-trace"])
+    def test_file(self, capsys, tmp_path, command):
+        trace = tmp_path / "t.txt"
+        trace.write_bytes(self.DATA)
+        code, out, err = run_cli(capsys, command, "--trace", str(trace))
+        assert code == 1 and out == ""
+        assert err.startswith("trace error: line 2: non-ASCII")
+
+    @pytest.mark.parametrize("command", ["run", "validate-trace"])
+    def test_stdin(self, capsys, monkeypatch, command):
+        # a strict UTF-8 text layer over the bytes, as a UTF-8 locale gives
+        stdin = io.TextIOWrapper(io.BytesIO(self.DATA), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run_cli(capsys, command, "--trace", "-")
+        assert code == 1 and out == ""
+        assert err.startswith("trace error: line 2: non-ASCII")
+        assert not stdin.closed
+
+
 class TestValidateTrace:
     def test_ok(self, capsys, tmp_path):
         trace = tmp_path / "t.txt"
@@ -261,6 +286,19 @@ class TestConfigFile:
         code, out, _ = run_cli(capsys, "run", "--gen-kind", "private",
                                "--config", str(cfg))
         assert code == 0 and out.startswith(" ") and "total cost" in out
+
+    @pytest.mark.parametrize("where", ["before", "after", "mixed"])
+    def test_repeated_config_is_config_error(self, capsys, tmp_path, where):
+        first, second = tmp_path / "a.cfg", tmp_path / "b.cfg"
+        first.write_text("assoc=16\n")
+        second.write_text("assoc=8\n")
+        configs = ["--config", str(first), "--config", str(second)]
+        command = ["run", "--gen-kind", "private"]
+        argv = {"before": configs + command, "after": command + configs,
+                "mixed": command + [f"--config={first}"] + configs[2:]}[where]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "config error" in err and "--config" in err
 
     def test_input_files_untouched(self, capsys, tmp_path):
         trace = tmp_path / "t.txt"
