@@ -4,8 +4,9 @@ import argparse
 import dataclasses
 import io
 import json
+import os
 import sys
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, suppress
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .adaptive import AdaptiveConfig
@@ -29,7 +30,16 @@ def _parse_bool(text: str) -> bool:
         return True
     if text.lower() in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"expected a boolean, got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
+
+
+def _parse_int(text: str) -> int:
+    """ASCII decimal digits with an optional leading `-`: no spaces, `+`,
+    `_` or other scripts' digits, all of which int() accepts."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
 
 
 def _parse_pairs(text: str) -> list:
@@ -37,8 +47,9 @@ def _parse_pairs(text: str) -> list:
     for chunk in text.split(","):
         a, sep, b = chunk.partition(":")
         if not sep:
-            raise ValueError(f"expected socket pairs like 0:1, got {chunk!r}")
-        pairs.append((int(a), int(b)))
+            raise argparse.ArgumentTypeError(
+                f"expected socket pairs like 0:1, got {chunk!r}")
+        pairs.append((_parse_int(a), _parse_int(b)))
     return pairs
 
 
@@ -51,7 +62,7 @@ class Option(NamedTuple):
     owner: Optional[type] = None  # the dataclass whose `field` it sets
     field: str = ""
     echo: str = ""  # dotted path in the report's `config`; "" = not echoed
-    type: Callable = int  # `bool` makes a switch that takes no value
+    type: Callable = _parse_int  # `bool` makes a switch that takes no value
     choices: Optional[Iterable] = None  # a dict maps each to a field value
     default: object = None  # of an option that sets no field
     help: Optional[str] = None
@@ -100,7 +111,7 @@ _OPTIONS = (
     Option("--lat-ldram", _SIM, LatencyModel, "local_dram", "latency.local_dram"),
     Option("--lat-rdram", _SIM, LatencyModel, "remote_dram", "latency.remote_dram"),
     # the echo keeps whichever of the file and the generator is the source
-    Option("--trace", _SOURCE, echo="trace_source.file", type=str,
+    Option("--trace", _SIM, echo="trace_source.file", type=str,
            help="trace file to load ('-' for stdin)"),
     Option("--gen-kind", _SOURCE, GeneratorSpec, "kind", _GEN + "kind", str,
            {k.value: k for k in GeneratorKind}),
@@ -187,30 +198,40 @@ def _split_config(argv: list) -> tuple[list, Optional[str]]:
 
 def _read_config(path: str) -> dict:
     """Option dest -> value of each key=value line of the config file at
-    `path`; a key is a flag without `--`, with `_` accepted for `-`."""
+    `path`; a key is a flag without `--`, with `_` accepted for `-`.
+
+    The file is read as UTF-8. A byte that is not UTF-8 decodes to a
+    surrogate: a path keeps it as that byte, and any other value fails its
+    check. Each error names its line.
+    """
     options = {opt.flag[2:]: opt for opt in _OPTIONS}
     values = {}
-    with open(path) as fh:
-        for raw in fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for number, raw in enumerate(fh, 1):
             text = raw.strip()
             if not text or text.startswith("#"):
                 continue
-            key, sep, value = text.partition("=")
-            if not sep:
-                raise ConfigError(f"config line {text!r} is not key=value")
-            key, value = key.strip().replace("_", "-"), value.strip()
-            opt = options.get(key)
-            if opt is None:
-                raise ConfigError(f"unknown config key {key!r}")
-            # argparse checks no default, so convert and check as a flag
-            if opt.type is bool:
-                values[opt.dest] = _parse_bool(value)
-            elif opt.choices is not None and value not in opt.choices:
-                raise ConfigError(f"config key {key!r} must be one of "
-                                  f"{', '.join(sorted(opt.choices))}, "
-                                  f"got {value!r}")
-            else:
-                values[opt.dest] = opt.type(value)
+            try:
+                key, sep, value = text.partition("=")
+                if not sep:
+                    raise ConfigError(f"{text!r} is not key=value")
+                key, value = key.strip().replace("_", "-"), value.strip()
+                opt = options.get(key)
+                if opt is None:
+                    raise ConfigError(f"unknown config key {key!r}")
+                # argparse checks no default, so convert and check as a flag
+                if opt.type is bool:
+                    values[opt.dest] = _parse_bool(value)
+                elif opt.choices is not None and value not in opt.choices:
+                    raise ConfigError(f"config key {key!r} must be one of "
+                                      f"{', '.join(sorted(opt.choices))}, "
+                                      f"got {value!r}")
+                else:
+                    values[opt.dest] = opt.type(value)
+            # ConfigError is a ValueError; argparse prints the converters'
+            # ArgumentTypeError messages as they are
+            except (argparse.ArgumentTypeError, ValueError) as exc:
+                raise ConfigError(f"config line {number}: {exc}") from None
     return values
 
 
@@ -402,6 +423,12 @@ def main(argv: Optional[list] = None) -> int:
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # stdout's reader went away (`| head`): stop quietly, with stdout
+        # pointed at os.devnull so the flush at exit cannot fail again
+        with suppress(OSError):  # a stdout with no file descriptor
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,4 @@
-"""Directory-based MOESI coherence across per-socket inclusive LLCs.
+"""MOESI coherence across per-socket inclusive LLCs, with no directory.
 
 One LLC per socket; cores issue reads and writes straight to it. Every
 access completes atomically: snoop, supply, state change, install, and any
@@ -7,7 +7,6 @@ store; only coherence state is tracked, not data.
 """
 
 import enum
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .address_map import TopologyConfig, decoder
@@ -39,14 +38,14 @@ _HIT = FillOutcome(LOCAL_HIT)
 _MISS = [FillOutcome(source) for source in ServiceSource]
 
 
-@dataclass(slots=True)
-class DirectoryEntry:
-    owner: Optional[int] = None  # socket holding the line in M, O, or E
-    sharers: set[int] = field(default_factory=set)
-
-
 class CoherenceSystem:
-    """All sockets' LLCs plus the global directory."""
+    """All sockets' LLCs under MOESI, with no directory.
+
+    A line can only sit in one set index, so its holders are the sockets
+    whose LLC holds its tag in that set: a miss probes the same set of
+    every socket, O(sockets) per miss. `_columns[set_id][socket]` is that
+    set's `lines` dict in each socket, bound once.
+    """
 
     def __init__(self, topo: TopologyConfig, policy: Optional[PolicyConfig] = None):
         self.topo = topo
@@ -56,7 +55,10 @@ class CoherenceSystem:
             [CacheSet() for _ in range(topo.llc_sets)]
             for _ in range(topo.num_sockets)
         ]
-        self.directory: dict[int, DirectoryEntry] = {}
+        self._columns = [
+            [llc[set_id].lines for llc in self.llcs]
+            for set_id in range(topo.llc_sets)
+        ]
         self._set_and_tag = decoder(topo)
         self._offset_bits = topo.offset_bits
         self._tag_shift = topo.offset_bits + topo.set_bits
@@ -71,74 +73,60 @@ class CoherenceSystem:
         self, requestor: int, addr: int, bias_enabled: bool = True
     ) -> FillOutcome:
         set_id, tag = self._set_and_tag(addr)
-        lines = self.llcs[requestor][set_id].lines
+        column = self._columns[set_id]
+        lines = column[requestor]
         if tag in lines:
             lines[tag] = lines.pop(tag)
             return _HIT
 
-        line = (tag << self._tag_shift) | (set_id << self._offset_bits)
-        entry = self.directory.get(line)
-        if entry is None or not entry.sharers:
-            # cold fill from the home DRAM
-            source = self._dram_source(requestor, tag)
-            state, bit = EXCLUSIVE, False
-        elif entry.owner is not None:
-            supplier = self.llcs[entry.owner][set_id].lines
-            if supplier[tag][0] is EXCLUSIVE:
+        # the requestor holds no copy, so every copy found is another's
+        state, bit = EXCLUSIVE, False
+        for supplier in [other for other in column if tag in other]:
+            held = supplier[tag][0]
+            if held is SHARED:
+                state = SHARED
+            elif held is EXCLUSIVE:
                 # the clean supplier degrades; nobody owns the line
                 supplier[tag] = (SHARED, False)
-                entry.owner = None
-                bit = False
+                source, state = REMOTE_C2C, SHARED
+                break
             else:  # a Modified supplier becomes Owner; an Owner stays
                 supplier[tag] = (OWNER, False)
-                bit = True
-            source, state = REMOTE_C2C, SHARED
+                source, state, bit = REMOTE_C2C, SHARED, True
+                break
         else:
-            # only Shared copies exist; memory owns the line
+            # no copy (a cold fill), or only Shared ones: memory supplies
             source = self._dram_source(requestor, tag)
-            state, bit = SHARED, False
 
-        outcome = self._install(
+        return self._install(
             requestor, set_id, tag, state, bit, bias_enabled, source
         )
-        if entry is None:
-            entry = self.directory[line] = DirectoryEntry()
-        entry.sharers.add(requestor)
-        if state is EXCLUSIVE:
-            entry.owner = requestor
-        return outcome
 
     def handle_write(
         self, requestor: int, addr: int, bias_enabled: bool = True
     ) -> FillOutcome:
         set_id, tag = self._set_and_tag(addr)
-        lines = self.llcs[requestor][set_id].lines
+        column = self._columns[set_id]
+        lines = column[requestor]
         held = lines.pop(tag, None)
-        line = (tag << self._tag_shift) | (set_id << self._offset_bits)
         if held is not None:
             if held[0] in (SHARED, OWNER):
                 # upgrade: invalidate every other copy
-                self._invalidate_others(line, set_id, tag, keep=requestor)
+                for other in column:
+                    other.pop(tag, None)
             lines[tag] = (MODIFIED, False)
-            entry = self.directory[line]
-            entry.owner = requestor
-            entry.sharers = {requestor}
             return _HIT
 
-        entry = self.directory.get(line)
-        if entry is not None and entry.owner is not None:
-            # dirty or exclusive holder ships the line and invalidates
+        # every copy is invalidated; a Modified, Owner or Exclusive one
+        # ships the line
+        states = [other.pop(tag)[0] for other in column if tag in other]
+        if states.count(SHARED) < len(states):
             source = REMOTE_C2C
         else:
             source = self._dram_source(requestor, tag)
-        if entry is not None:
-            self._invalidate_others(line, set_id, tag, keep=requestor)
-
-        outcome = self._install(
+        return self._install(
             requestor, set_id, tag, MODIFIED, False, bias_enabled, source
         )
-        self.directory[line] = DirectoryEntry(requestor, {requestor})
-        return outcome
 
     def evict_line(self, socket: int, set_id: int, tag: int) -> bool:
         """Drop a line from an LLC; True when it was dirty (M/O) and so
@@ -150,22 +138,19 @@ class CoherenceSystem:
         held = self.llcs[socket][set_id].lines.pop(tag, None)
         if held is None:
             raise RuntimeError(f"evict of tag {tag:#x} not held in set {set_id}")
-        line = (tag << self._tag_shift) | (set_id << self._offset_bits)
-        entry = self.directory[line]
-        entry.sharers.discard(socket)
-        if entry.owner == socket:
-            entry.owner = None
-        if not entry.sharers:
-            del self.directory[line]
         return held[0] in (MODIFIED, OWNER)
 
     # -- invariant checking -----------------------------------------------
 
     def check_global_invariants(self) -> list[str]:
-        """Empty list iff the global MOESI and directory invariants hold."""
+        """Empty list iff the per-set and cross-socket MOESI invariants hold.
+
+        The holders of a line are read from the LLCs themselves, so there
+        is no second copy of them to disagree with.
+        """
         violations = []
         holders: dict[int, list[tuple[int, MoesiState]]] = {}
-        assoc = self.topo.llc_assoc
+        assoc = self._assoc
         t_local, t_remote = self.thresholds
 
         for socket, llc in enumerate(self.llcs):
@@ -187,17 +172,17 @@ class CoherenceSystem:
                         f"{remote_count} out of [0, {t_remote}]"
                     )
                 for tag, (state, remote_shared) in cset.lines.items():
-                    if remote_shared and state is not MoesiState.SHARED:
+                    if remote_shared and state is not SHARED:
                         violations.append(
                             f"socket {socket} set {set_id}: remote_shared on "
                             f"{state.value} line"
                         )
-                    addr = self._line_address(set_id, tag)
+                    addr = (tag << self._tag_shift) | (set_id << self._offset_bits)
                     holders.setdefault(addr, []).append((socket, state))
 
         for addr, held in holders.items():
-            exclusive = [s for s, st in held if st in (MoesiState.MODIFIED, MoesiState.EXCLUSIVE)]
-            owners = [s for s, st in held if st is MoesiState.OWNER]
+            exclusive = [s for s, st in held if st in (MODIFIED, EXCLUSIVE)]
+            owners = [s for s, st in held if st is OWNER]
             if exclusive and len(held) > 1:
                 violations.append(
                     f"line {addr:#x}: M/E at socket {exclusive[0]} coexists "
@@ -207,32 +192,10 @@ class CoherenceSystem:
                 violations.append(f"line {addr:#x}: multiple M/E holders")
             if len(owners) > 1:
                 violations.append(f"line {addr:#x}: multiple Owner holders")
-            if owners and any(
-                st not in (MoesiState.OWNER, MoesiState.SHARED) for _, st in held
-            ):
+            if owners and any(st not in (OWNER, SHARED) for _, st in held):
                 violations.append(
                     f"line {addr:#x}: Owner coexists with a non-Shared copy"
                 )
-            entry = self.directory.get(addr)
-            if entry is None:
-                violations.append(f"line {addr:#x}: cached but absent from directory")
-                continue
-            actual = {s for s, _ in held}
-            if entry.sharers != actual:
-                violations.append(
-                    f"line {addr:#x}: directory sharers {sorted(entry.sharers)} "
-                    f"!= holders {sorted(actual)}"
-                )
-            actual_owner = (exclusive + owners)[0] if exclusive or owners else None
-            if entry.owner != actual_owner:
-                violations.append(
-                    f"line {addr:#x}: directory owner {entry.owner} "
-                    f"!= actual {actual_owner}"
-                )
-
-        for addr in self.directory:
-            if addr not in holders:
-                violations.append(f"line {addr:#x}: stale directory entry")
         return violations
 
     # -- helpers ----------------------------------------------------------
@@ -242,21 +205,6 @@ class CoherenceSystem:
         if self._home_of(tag) == requestor:
             return LOCAL_DRAM
         return REMOTE_DRAM
-
-    def _line_address(self, set_id: int, tag: int) -> int:
-        # inlined on the access paths, where a call per miss shows
-        return (tag << self._tag_shift) | (set_id << self._offset_bits)
-
-    def _invalidate_others(self, line: int, set_id: int, tag: int, keep: int) -> None:
-        entry = self.directory[line]
-        for socket in entry.sharers:
-            if socket != keep:
-                del self.llcs[socket][set_id].lines[tag]
-        entry.sharers &= {keep}
-        if entry.owner is not None and entry.owner != keep:
-            entry.owner = None
-        if not entry.sharers:
-            del self.directory[line]
 
     def _install(
         self,

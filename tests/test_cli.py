@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
+import numacache
 from numacache.cli import main
 
 
@@ -37,6 +41,28 @@ class TestGen:
                                   "--out", str(out))
         assert code == 0 and stdout == ""
         assert out.read_text()
+
+    def test_trace_flag_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--gen-kind", "private", "--trace", "/nonexistent"])
+        assert exc.value.code == 2
+
+    def test_closed_stdout_pipe_exits_quietly(self):
+        # about 1 MB of trace, far more than a pipe buffers
+        src = os.path.dirname(os.path.dirname(numacache.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "numacache.cli", "gen", "--gen-kind",
+             "private", "--sockets", "2", "--working-set", "4096",
+             "--iterations", "8"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"0 0 R 0x0\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
 
     def test_overflow_leaves_no_file(self, capsys, tmp_path):
         # 2 pairs x 300 lines need 600 of the 512 lines that 16 address
@@ -300,9 +326,41 @@ class TestConfigFile:
         assert code == 1 and out == ""
         assert "config error" in err and "--config" in err
 
+    def test_non_utf8_byte_is_config_error(self, capsys, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_bytes(b"assoc=8\nsets=\xff4\n")
+        code, out, err = run_cli(capsys, "--config", str(cfg), "run",
+                                 "--gen-kind", "private")
+        assert code == 1 and out == ""
+        assert err.startswith("config error: config line 2: ")
+
     def test_input_files_untouched(self, capsys, tmp_path):
         trace = tmp_path / "t.txt"
         content = "0 0 R 0x40\n"
         trace.write_text(content)
         run_cli(capsys, "run", "--trace", str(trace))
         assert trace.read_text() == content
+
+
+# each int() accepts these, but a flag or config value must be ASCII decimal
+# digits with an optional leading `-`
+LOOSE_INTEGERS = [("sets", "1_6"), ("sets", "+16"), ("sets", "\u0661\u0666"),
+                  ("home-socket", "\u0660"), ("pairs", "\u0661:0"),
+                  ("pairs", "0: 1")]
+
+
+@pytest.mark.parametrize("key, value", LOOSE_INTEGERS)
+class TestStrictIntegers:
+    def test_flag_is_usage_error(self, capsys, key, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--gen-kind", "private", f"--{key}", value])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_config_value_is_config_error(self, capsys, tmp_path, key, value):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"{key}={value}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "--config", str(cfg), "gen",
+                                 "--gen-kind", "private")
+        assert code == 1 and out == ""
+        assert err.startswith("config error: config line 1: ")

@@ -39,9 +39,8 @@ HELP_OPTIONS = {
     ],
     "gen": [
         "-h", "--help", "--sockets", "--cores-per-socket", "--sets", "--assoc",
-        "--line-size", "--address-width", "--trace", "--gen-kind",
-        "--working-set", "--iterations", "--pairs", "--home-socket", "--seed",
-        "--out",
+        "--line-size", "--address-width", "--gen-kind", "--working-set",
+        "--iterations", "--pairs", "--home-socket", "--seed", "--out",
     ],
     "validate-trace": [
         "-h", "--help", "--sockets", "--cores-per-socket", "--sets", "--assoc",
@@ -197,7 +196,5 @@ def test_cases_cover_every_option():
                CASES.values()}
     for command, options, _ in CASES.values():
         covered[command] |= {flag for flag, _ in options}
-    # gen accepts --trace and ignores it: there is nothing to compare
-    covered["gen"].add("--trace")
     for command, options in covered.items():
         assert options == set(HELP_OPTIONS[command]), command

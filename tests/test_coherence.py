@@ -3,7 +3,7 @@ import random
 import pytest
 
 from numacache.address_map import ConfigError, TopologyConfig, decoder
-from numacache.coherence import CoherenceSystem, DirectoryEntry, ServiceSource
+from numacache.coherence import CoherenceSystem, ServiceSource
 from numacache.replacement import MoesiState, PolicyConfig, PolicyKind
 
 TOPO = TopologyConfig(num_sockets=2, llc_sets=4, llc_assoc=4,
@@ -179,11 +179,32 @@ class TestInvariants:
         violations = sys_.check_global_invariants()
         assert violations
 
-    def test_directory_mismatch_detected(self):
+    # socket 0 writes 0x1000 and socket 1 may read it (0 becomes Owner, 1
+    # Shared); then socket 1's copy is set to a state that breaks MOESI
+    # name -> (socket 1 reads, socket 1's corrupt state, violations)
+    CROSS_SOCKET = {
+        "me-with-other-copy": (False, MoesiState.SHARED, [
+            "line 0x1000: M/E at socket 0 coexists with other copies"]),
+        "two-me-holders": (False, MoesiState.EXCLUSIVE, [
+            "line 0x1000: M/E at socket 0 coexists with other copies",
+            "line 0x1000: multiple M/E holders"]),
+        "two-owners": (True, MoesiState.OWNER, [
+            "line 0x1000: multiple Owner holders"]),
+        "owner-beside-non-shared": (True, MoesiState.MODIFIED, [
+            "line 0x1000: M/E at socket 1 coexists with other copies",
+            "line 0x1000: Owner coexists with a non-Shared copy"]),
+    }
+
+    @pytest.mark.parametrize("case", list(CROSS_SOCKET))
+    def test_cross_socket_corruption_detected(self, case):
+        reads, state, expected = self.CROSS_SOCKET[case]
         sys_ = system()
-        sys_.handle_read(0, 0x1000)
-        sys_.directory[0x1000].sharers.add(1)
-        assert sys_.check_global_invariants()
+        sys_.handle_write(0, 0x1000)
+        if reads:
+            sys_.handle_read(1, 0x1000)
+        assert sys_.check_global_invariants() == []
+        sys_.llcs[1][0].lines[0x10] = (state, False)
+        assert sys_.check_global_invariants() == expected
 
     def test_overfull_set_detected(self):
         sys_ = system()
@@ -191,7 +212,6 @@ class TestInvariants:
             sys_.handle_read(0, i * 0x100)
         # corrupt: a fifth line in a 4-way set
         sys_.llcs[0][0].lines[0x40] = (MoesiState.SHARED, False)
-        sys_.directory[0x4000] = DirectoryEntry(None, {0})
         assert sys_.check_global_invariants() == [
             "socket 0 set 0: 5 lines exceed associativity 4"
         ]

@@ -83,8 +83,10 @@ class TestGenerate:
         system = CoherenceSystem(TOPO)
         for r in recs:
             system.handle_read(r.socket, r.addr)
-        for entry in system.directory.values():
-            assert len(entry.sharers) == 1
+        # no (set, tag) is held by two sockets
+        held = [(set_id, tag) for llc in system.llcs
+                for set_id, cset in enumerate(llc) for tag in cset.lines]
+        assert held and len(held) == len(set(held))
 
     def test_producer_consumer_sets_remote_shared(self):
         spec = GeneratorSpec(GeneratorKind.PRODUCER_CONSUMER,
