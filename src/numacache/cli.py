@@ -197,8 +197,9 @@ def _split_config(argv: list) -> tuple[list, Optional[str]]:
 
 
 def _read_config(path: str) -> dict:
-    """Option dest -> value of each key=value line of the config file at
-    `path`; a key is a flag without `--`, with `_` accepted for `-`.
+    """Option dest -> (line number, value) of each key=value line of the
+    config file at `path`; a key is a flag without `--`, with `_` accepted
+    for `-`.
 
     The file is read as UTF-8. A byte that is not UTF-8 decodes to a
     surrogate: a path keeps it as that byte, and any other value fails its
@@ -221,13 +222,14 @@ def _read_config(path: str) -> dict:
                     raise ConfigError(f"unknown config key {key!r}")
                 # argparse checks no default, so convert and check as a flag
                 if opt.type is bool:
-                    values[opt.dest] = _parse_bool(value)
+                    value = _parse_bool(value)
                 elif opt.choices is not None and value not in opt.choices:
                     raise ConfigError(f"config key {key!r} must be one of "
                                       f"{', '.join(sorted(opt.choices))}, "
                                       f"got {value!r}")
                 else:
-                    values[opt.dest] = opt.type(value)
+                    value = opt.type(value)
+                values[opt.dest] = number, value
             # ConfigError is a ValueError; argparse prints the converters'
             # ArgumentTypeError messages as they are
             except (argparse.ArgumentTypeError, ValueError) as exc:
@@ -412,7 +414,16 @@ def main(argv: Optional[list] = None) -> int:
     try:
         argv, config = _split_config(argv)
         config = {} if config is None else _read_config(config)
-        args = build_parser(config).parse_args(argv)
+        args = build_parser(
+            {dest: value for dest, (_, value) in config.items()}
+        ).parse_args(argv)
+        # the namespace holds only the subcommand's options; a key for any
+        # other option is refused, as its flag would be
+        for dest, (number, _) in config.items():
+            if not hasattr(args, dest):
+                flag = "--" + dest.replace("_", "-")
+                raise ConfigError(
+                    f"config line {number}: {args.command} does not take {flag}")
         return _COMMANDS[args.command][1](args)
     except TraceError as exc:
         print(f"trace error: {exc}", file=sys.stderr)

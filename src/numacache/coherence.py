@@ -36,6 +36,13 @@ LOCAL_HIT, REMOTE_C2C, LOCAL_DRAM, REMOTE_DRAM = ServiceSource
 _HIT = FillOutcome(LOCAL_HIT)
 # the outcome of a miss that evicts nothing, by source
 _MISS = [FillOutcome(source) for source in ServiceSource]
+# the outcome of a miss that evicts, [source][writeback][biased][counter_reset]
+_EVICTING = [
+    [[[FillOutcome(source, writeback, biased, reset) for reset in (False, True)]
+      for biased in (False, True)]
+     for writeback in (False, True)]
+    for source in ServiceSource
+]
 
 
 class CoherenceSystem:
@@ -63,6 +70,7 @@ class CoherenceSystem:
         self._offset_bits = topo.offset_bits
         self._tag_shift = topo.offset_bits + topo.set_bits
         home_shift = topo.address_width - topo.socket_bits - self._tag_shift
+        self._home_shift = home_shift
         self._home_of = lambda tag: tag >> home_shift
         self._assoc = topo.llc_assoc
         self._can_bias = self.policy.kind is not PolicyKind.LRU_ONLY
@@ -81,25 +89,29 @@ class CoherenceSystem:
 
         # the requestor holds no copy, so every copy found is another's
         state, bit = EXCLUSIVE, False
-        for supplier in [other for other in column if tag in other]:
-            held = supplier[tag][0]
-            if held is SHARED:
+        for other in column:
+            held = other.get(tag)
+            if held is None:
+                continue
+            if held[0] is SHARED:
                 state = SHARED
-            elif held is EXCLUSIVE:
+            elif held[0] is EXCLUSIVE:
                 # the clean supplier degrades; nobody owns the line
-                supplier[tag] = (SHARED, False)
+                other[tag] = (SHARED, False)
                 source, state = REMOTE_C2C, SHARED
                 break
             else:  # a Modified supplier becomes Owner; an Owner stays
-                supplier[tag] = (OWNER, False)
+                other[tag] = (OWNER, False)
                 source, state, bit = REMOTE_C2C, SHARED, True
                 break
         else:
-            # no copy (a cold fill), or only Shared ones: memory supplies
-            source = self._dram_source(requestor, tag)
+            # no copy (a cold fill), or only Shared ones: memory supplies,
+            # local iff the line's home is the requestor
+            home = tag >> self._home_shift
+            source = LOCAL_DRAM if home == requestor else REMOTE_DRAM
 
         return self._install(
-            requestor, set_id, tag, state, bit, bias_enabled, source
+            lines, requestor, set_id, tag, state, bit, bias_enabled, source
         )
 
     def handle_write(
@@ -118,14 +130,19 @@ class CoherenceSystem:
             return _HIT
 
         # every copy is invalidated; a Modified, Owner or Exclusive one
-        # ships the line
-        states = [other.pop(tag)[0] for other in column if tag in other]
-        if states.count(SHARED) < len(states):
+        # ships the line, else memory does, as for a read
+        shipped = False
+        for other in column:
+            held = other.pop(tag, None)
+            if held is not None and held[0] is not SHARED:
+                shipped = True
+        if shipped:
             source = REMOTE_C2C
         else:
-            source = self._dram_source(requestor, tag)
+            home = tag >> self._home_shift
+            source = LOCAL_DRAM if home == requestor else REMOTE_DRAM
         return self._install(
-            requestor, set_id, tag, MODIFIED, False, bias_enabled, source
+            lines, requestor, set_id, tag, MODIFIED, False, bias_enabled, source
         )
 
     def evict_line(self, socket: int, set_id: int, tag: int) -> bool:
@@ -200,14 +217,9 @@ class CoherenceSystem:
 
     # -- helpers ----------------------------------------------------------
 
-    def _dram_source(self, requestor: int, tag: int) -> ServiceSource:
-        """The DRAM source of a fill of `tag`: local iff its home is `requestor`."""
-        if self._home_of(tag) == requestor:
-            return LOCAL_DRAM
-        return REMOTE_DRAM
-
     def _install(
         self,
+        lines: dict,
         socket: int,
         set_id: int,
         tag: int,
@@ -216,15 +228,15 @@ class CoherenceSystem:
         bias_enabled: bool,
         source: ServiceSource,
     ) -> FillOutcome:
-        """Install a line at MRU, first evicting a victim if the set is full."""
-        cset = self.llcs[socket][set_id]
-        outcome = _MISS[source]
-        if len(cset.lines) >= self._assoc:
-            victim, biased, reset = select_victim(
-                cset, socket, self._home_of, self.thresholds,
-                bias_enabled and self._can_bias,
-            )
-            writeback = self.evict_line(socket, set_id, victim)
-            outcome = FillOutcome(source, writeback, biased, reset)
-        cset.lines[tag] = (state, remote_shared)
-        return outcome
+        """Install a line at MRU in `lines`, the set `set_id` of `socket`,
+        first evicting a victim if the set is full."""
+        if len(lines) < self._assoc:
+            lines[tag] = (state, remote_shared)
+            return _MISS[source]
+        victim, biased, reset = select_victim(
+            self.llcs[socket][set_id], socket, self._home_of, self.thresholds,
+            bias_enabled and self._can_bias,
+        )
+        writeback = self.evict_line(socket, set_id, victim)
+        lines[tag] = (state, remote_shared)
+        return _EVICTING[source][writeback][biased][reset]

@@ -156,7 +156,8 @@ def run(
             raise ConfigError(f"record {seq}: core {core} out of range")
 
         controller = controllers[socket]
-        bias = always_bias or (adaptive_bias and controller.bias_enabled)
+        enabled = controller.bias_enabled
+        bias = always_bias or (adaptive_bias and enabled)
         if op is read:
             outcome = handle_read(socket, addr, bias)
         elif op is write:
@@ -171,9 +172,8 @@ def run(
             count[4] += writeback
             count[5] += biased
             count[6] += reset
-            before = controller.bias_enabled
             closed = controller.record_miss(is_remote[source])
-            if closed is not None and closed != before:
+            if closed is not None and closed != enabled:
                 toggles.append((seq, socket, closed))
 
         if validate:

@@ -10,8 +10,11 @@ Fields are ASCII: decimal socket and core, hex digits after `0x`.
 """
 
 import enum
+import math
 import random
+import re
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .address_map import ConfigError, TopologyConfig
@@ -41,15 +44,60 @@ class AccessRecord(NamedTuple):
     seq: int
 
 
+# lines read per block; a block of canonical records takes the fast path
+_BLOCK = 512
+
+# one canonical record per line: single spaces, `R` or `W`, lower-case `0x`
+_RECORD = re.compile(r"^([0-9]+) ([0-9]+) ([RW]) 0x([0-9a-fA-F]+)$", re.M | re.A)
+
+
 def parse_trace(
     lines: Iterable[str], topo: Optional[TopologyConfig] = None
 ) -> Iterator[AccessRecord]:
-    """Stream records from trace text, validating against topo if given."""
-    seq = 0
+    """Stream records from trace text, validating against topo if given.
+
+    Lines are read a block at a time. A block whose every element is one
+    canonical record line is matched by one regex and converted in one
+    loop. Any other block, and a fast-path block from its first record out
+    of range on, is parsed line by line by `_parse_lines`, which raises
+    every error, so both paths give the same records and errors.
+    """
+    if topo is not None:
+        sockets, cores = topo.num_sockets, topo.cores_per_socket
+        addr_end = 1 << topo.address_width
+    else:
+        sockets = cores = addr_end = math.inf
+    findall, new, ops = _RECORD.findall, tuple.__new__, _OPS
+    lines = iter(lines)
+    lineno = seq = 0  # the lines and records before the block
+    while block := list(islice(lines, _BLOCK)):
+        text = "".join(block)
+        fields = findall(text)
+        done = 0  # the block's leading lines the fast path has yielded
+        if (len(fields) == len(block) == text.count("\n")
+                and all(map(str.endswith, block, repeat("\n")))):
+            for done, (s_text, c_text, op_text, a_text) in enumerate(fields):
+                socket, core, addr = int(s_text), int(c_text), int(a_text, 16)
+                if socket >= sockets or core >= cores or addr >= addr_end:
+                    break
+                # the NamedTuple's own __new__ is a Python-level call
+                yield new(AccessRecord, (socket, core, ops[op_text], addr, seq))
+                seq += 1
+            else:
+                done = len(block)
+        seq = yield from _parse_lines(block[done:], topo, lineno + done + 1, seq)
+        lineno += len(block)
+
+
+def _parse_lines(
+    lines: Iterable[str], topo: Optional[TopologyConfig], first: int = 1, seq: int = 0
+) -> Iterator[AccessRecord]:
+    """Parse and check `lines` one at a time, numbering them from `first`
+    and the records from `seq`; returns the next record's seq."""
     if topo is not None:
         sockets, cores = topo.num_sockets, topo.cores_per_socket
         width = topo.address_width
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(lines, start=first):
         text = raw.strip()
         if not text or text[0] == "#":
             continue
@@ -82,6 +130,7 @@ def parse_trace(
                 raise TraceError(lineno, f"address {addr:#x} exceeds address width")
         yield AccessRecord(socket, core, op, addr, seq)
         seq += 1
+    return seq
 
 
 def format_trace(records: Iterable[AccessRecord]) -> Iterator[str]:

@@ -334,6 +334,26 @@ class TestConfigFile:
         assert code == 1 and out == ""
         assert err.startswith("config error: config line 2: ")
 
+    @pytest.mark.parametrize("command, line", [
+        ("gen", "trace=/nonexistent"),
+        ("gen", "policy=adaptive"),
+        ("validate-trace", "policy=adaptive"),
+        ("validate-trace", "validate=on"),
+    ])
+    def test_key_the_command_does_not_take_is_config_error(
+            self, capsys, tmp_path, command, line):
+        # as a flag, each of these is a usage error of the command
+        trace = tmp_path / "t.txt"
+        trace.write_text("0 0 R 0x40\n")
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"sockets=2\n{line}\n")
+        source = {"gen": ["--gen-kind", "private"],
+                  "validate-trace": ["--trace", str(trace)]}[command]
+        code, out, err = run_cli(capsys, "--config", str(cfg), command, *source)
+        flag = "--" + line.partition("=")[0]
+        assert (code, out) == (1, "")
+        assert err == f"config error: config line 2: {command} does not take {flag}\n"
+
     def test_input_files_untouched(self, capsys, tmp_path):
         trace = tmp_path / "t.txt"
         content = "0 0 R 0x40\n"

@@ -1,4 +1,8 @@
+import io
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from numacache.address_map import ConfigError, TopologyConfig, decoder
 from numacache.coherence import CoherenceSystem
@@ -8,6 +12,7 @@ from numacache.workload import (
     GeneratorSpec,
     Op,
     TraceError,
+    _parse_lines,
     format_trace,
     generate,
     parse_trace,
@@ -61,6 +66,93 @@ class TestParse:
         recs = [AccessRecord(0, 1, Op.READ, 0x40, 0),
                 AccessRecord(1, 3, Op.WRITE, 0xDEADC0, 1)]
         assert list(parse_trace(format_trace(recs))) == recs
+
+
+def canonical_line(rng: random.Random) -> str:
+    """A record line of the canonical form, in range of TOPO."""
+    socket = str(rng.randrange(2)).zfill(rng.choice((1, 1, 3)))
+    addr = f"{rng.randrange(1 << 32):x}"
+    addr = addr.upper() if rng.random() < 0.2 else addr
+    return f"{socket} {rng.randrange(4)} {rng.choice('RW')} 0x{addr}\n"
+
+
+# runs of list elements that are not one canonical line of TOPO each
+ODD_RUNS = [(element,) for element in [
+    # records in another form, comments and blank lines
+    "# a comment\n", "\n", "   \n", "\t\n", "0\t1\tR\t0x40\n",
+    "0 1 R 0x40\r\n", "  0 1 R 0x40\n", "0 1 R 0x40  \n", "0  1 R 0x40\n",
+    "0 1 W 0X7f\n", "1 3 R 0xABCdef\n",
+    # non-ASCII bytes, as text or as a file's undecodable byte
+    "0 1 R 0x4\u00e9\n", "\uff10 1 R 0x40\n", "0 1 R 0x\udcff\n",
+    # every malformed-record kind
+    "0 R 0x40\n", "0 0 0 R 0x40\n", "x 0 R 0x40\n", "0 +1 R 0x40\n",
+    "-1 0 R 0x40\n", "0 0 X 0x40\n", "0 0 r 0x40\n", "0 0 R 40\n",
+    "0 0 R 0x4_0\n", "0 0 R 0xg\n", "0 0 R 0x\n", "0 0 R 0x0x40\n",
+    # every out-of-range kind (records when there is no topology)
+    "2 0 R 0x40\n", "0 4 R 0x40\n", "0 0 R 0x100000000\n",
+    "99999999999999999999 0 R 0x40\n",
+    # elements holding two lines, or lacking the trailing newline
+    "0 0 R 0x40\n1 1 W 0x80\n", "0 0 R 0x40\n1 1 W 0x8", "0 0 R 0x40",
+    "0 0 R 0x4", "# no newline",
+]] + [
+    # two elements whose joined text is two canonical lines
+    ("0 0 R 0x40\n1 1 W 0x8", "0\n"),
+    ("0 0 R 0x4", "0\n"),
+]
+
+
+def outcome(records):
+    """The records an iterator yields, then its TraceError (or None)."""
+    seen = []
+    try:
+        for record in records:
+            seen.append(record)
+    except TraceError as exc:
+        return seen, (str(exc), exc.lineno)
+    return seen, None
+
+
+@st.composite
+def traces(draw):
+    """Canonical lines, longer than one block, with odd elements mixed in."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    lines = [canonical_line(rng) for _ in range(draw(st.integers(513, 1600)))]
+    # placed by the seeded generator, so every block is as likely to be hit
+    for _ in range(draw(st.integers(0, 6))):
+        run = rng.choice(ODD_RUNS)
+        index = rng.randrange(len(lines) - 1)
+        lines[index:index + len(run)] = run
+    return lines
+
+
+class TestParseBlocks:
+    @settings(max_examples=150, deadline=None)
+    @given(traces(), st.sampled_from([None, TOPO]))
+    def test_same_as_line_by_line(self, lines, topo):
+        assert outcome(parse_trace(lines, topo)) == outcome(_parse_lines(lines, topo))
+
+    def test_elements_joined_into_canonical_lines(self):
+        # the block's text is two canonical lines, but its first element
+        # holds two lines and its second one a fragment
+        lines = ["0 0 R 0x40\n1 1 W 0x8", "0\n"]
+        with pytest.raises(TraceError, match="line 1: expected 4 fields, got 8"):
+            list(parse_trace(lines))
+
+    @pytest.mark.parametrize("lineno", [512, 513, 1025])
+    @pytest.mark.parametrize("bad, message", [
+        ("0 0 R 0x4_0\n", "address must be 0x-prefixed hex, got '0x4_0'"),
+        ("2 0 R 0x40\n", "socket 2 out of range"),
+        ("0 4 R 0x40\n", "core 4 out of range"),
+        ("0 0 W 0x100000000\n", "address 0x100000000 exceeds address width"),
+    ])
+    def test_error_at_block_boundary(self, lineno, bad, message):
+        rng = random.Random(lineno)
+        lines = [canonical_line(rng) for _ in range(1100)]
+        lines[lineno - 1] = bad
+        records, error = outcome(parse_trace(io.StringIO("".join(lines)), TOPO))
+        # every record before the bad line is yielded first
+        assert [r.seq for r in records] == list(range(lineno - 1))
+        assert error == (f"line {lineno}: {message}", lineno)
 
 
 class TestGenerate:
