@@ -1,8 +1,12 @@
-"""Physical address decomposition: home node, set index, tag."""
+"""Topology and physical address layout.
+
+From the top bit down, an address holds the home socket, the rest of the
+tag, the set index and the line offset: the tag is every bit above the set
+index. `CoherenceSystem` decodes and range-checks each access's address.
+"""
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 
 class ConfigError(ValueError):
@@ -48,23 +52,4 @@ class TopologyConfig:
     @cached_property
     def offset_bits(self) -> int:
         return self.line_size_bytes.bit_length() - 1
-
-
-def decoder(topo: TopologyConfig) -> Callable[[int], tuple[int, int]]:
-    """`addr -> (set index, tag)` for `topo`, with its shifts bound once.
-
-    This is the one range check of an address: it raises ConfigError for
-    an address outside the address width. The tag is every bit above the
-    set index, so the home bits are part of it, and the line address and
-    home socket follow from (set index, tag).
-    """
-    width, offset_bits = topo.address_width, topo.offset_bits
-    set_mask, tag_shift = topo.llc_sets - 1, offset_bits + topo.set_bits
-
-    def set_and_tag(addr: int) -> tuple[int, int]:
-        if addr < 0 or addr >> width:
-            raise ConfigError(f"address {addr:#x} does not fit in {width} bits")
-        return (addr >> offset_bits) & set_mask, addr >> tag_shift
-
-    return set_and_tag
 

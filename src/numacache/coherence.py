@@ -9,7 +9,7 @@ store; only coherence state is tracked, not data.
 import enum
 from typing import NamedTuple, Optional
 
-from .address_map import TopologyConfig, decoder
+from .address_map import ConfigError, TopologyConfig
 from .replacement import CacheSet, MoesiState, PolicyConfig, PolicyKind, select_victim
 
 
@@ -32,6 +32,7 @@ class FillOutcome(NamedTuple):
 # Enum members bound once: attribute access on an Enum class is slow.
 MODIFIED, OWNER, EXCLUSIVE, SHARED = MoesiState
 LOCAL_HIT, REMOTE_C2C, LOCAL_DRAM, REMOTE_DRAM = ServiceSource
+_DIRTY = (MODIFIED, OWNER)  # the states whose eviction writes back
 
 _HIT = FillOutcome(LOCAL_HIT)
 # the outcome of a miss that evicts nothing, by source
@@ -52,6 +53,12 @@ class CoherenceSystem:
     whose LLC holds its tag in that set: a miss probes the same set of
     every socket, O(sockets) per miss. `_columns[set_id][socket]` is that
     set's `lines` dict in each socket, bound once.
+
+    Each handler decodes its address inline, after the one range check of
+    an address: the set index is the `set_bits` bits above the line offset,
+    and the tag is every bit above the set index, so the home bits are part
+    of it, and the line address and home socket follow from (set index,
+    tag).
     """
 
     def __init__(self, topo: TopologyConfig, policy: Optional[PolicyConfig] = None):
@@ -66,12 +73,13 @@ class CoherenceSystem:
             [llc[set_id].lines for llc in self.llcs]
             for set_id in range(topo.llc_sets)
         ]
-        self._set_and_tag = decoder(topo)
+        self._width = topo.address_width
         self._offset_bits = topo.offset_bits
+        self._set_mask = topo.llc_sets - 1
         self._tag_shift = topo.offset_bits + topo.set_bits
-        home_shift = topo.address_width - topo.socket_bits - self._tag_shift
-        self._home_shift = home_shift
-        self._home_of = lambda tag: tag >> home_shift
+        self._home_shift = topo.address_width - topo.socket_bits - self._tag_shift
+        # tag -> tag >> home shift, the home socket, as a builtin method
+        self._home_of = self._home_shift.__rrshift__
         self._assoc = topo.llc_assoc
         self._can_bias = self.policy.kind is not PolicyKind.LRU_ONLY
 
@@ -80,7 +88,10 @@ class CoherenceSystem:
     def handle_read(
         self, requestor: int, addr: int, bias_enabled: bool = True
     ) -> FillOutcome:
-        set_id, tag = self._set_and_tag(addr)
+        if addr < 0 or addr >> self._width:
+            raise ConfigError(f"address {addr:#x} does not fit in {self._width} bits")
+        set_id = (addr >> self._offset_bits) & self._set_mask
+        tag = addr >> self._tag_shift
         column = self._columns[set_id]
         lines = column[requestor]
         if tag in lines:
@@ -110,14 +121,27 @@ class CoherenceSystem:
             home = tag >> self._home_shift
             source = LOCAL_DRAM if home == requestor else REMOTE_DRAM
 
-        return self._install(
-            lines, requestor, set_id, tag, state, bit, bias_enabled, source
+        # install at MRU, first evicting a victim if the set is full
+        if len(lines) < self._assoc:
+            lines[tag] = (state, bit)
+            return _MISS[source]
+        victim, biased, reset = select_victim(
+            self.llcs[requestor][set_id], requestor, self._home_of,
+            self.thresholds, bias_enabled and self._can_bias,
         )
+        # Shared copies elsewhere of an evicted Owner line keep their
+        # remote-shared bits, which go stale by design (silent write-back)
+        writeback = lines.pop(victim)[0] in _DIRTY
+        lines[tag] = (state, bit)
+        return _EVICTING[source][writeback][biased][reset]
 
     def handle_write(
         self, requestor: int, addr: int, bias_enabled: bool = True
     ) -> FillOutcome:
-        set_id, tag = self._set_and_tag(addr)
+        if addr < 0 or addr >> self._width:
+            raise ConfigError(f"address {addr:#x} does not fit in {self._width} bits")
+        set_id = (addr >> self._offset_bits) & self._set_mask
+        tag = addr >> self._tag_shift
         column = self._columns[set_id]
         lines = column[requestor]
         held = lines.pop(tag, None)
@@ -141,21 +165,19 @@ class CoherenceSystem:
         else:
             home = tag >> self._home_shift
             source = LOCAL_DRAM if home == requestor else REMOTE_DRAM
-        return self._install(
-            lines, requestor, set_id, tag, MODIFIED, False, bias_enabled, source
+
+        # install at MRU, first evicting a victim if the set is full, as
+        # for a read
+        if len(lines) < self._assoc:
+            lines[tag] = (MODIFIED, False)
+            return _MISS[source]
+        victim, biased, reset = select_victim(
+            self.llcs[requestor][set_id], requestor, self._home_of,
+            self.thresholds, bias_enabled and self._can_bias,
         )
-
-    def evict_line(self, socket: int, set_id: int, tag: int) -> bool:
-        """Drop a line from an LLC; True when it was dirty (M/O) and so
-        wrote back to its home DRAM.
-
-        Remaining Shared copies of an evicted Owner line keep their
-        remote-shared bits, which go stale by design (silent write-back).
-        """
-        held = self.llcs[socket][set_id].lines.pop(tag, None)
-        if held is None:
-            raise RuntimeError(f"evict of tag {tag:#x} not held in set {set_id}")
-        return held[0] in (MODIFIED, OWNER)
+        writeback = lines.pop(victim)[0] in _DIRTY
+        lines[tag] = (MODIFIED, False)
+        return _EVICTING[source][writeback][biased][reset]
 
     # -- invariant checking -----------------------------------------------
 
@@ -214,29 +236,3 @@ class CoherenceSystem:
                     f"line {addr:#x}: Owner coexists with a non-Shared copy"
                 )
         return violations
-
-    # -- helpers ----------------------------------------------------------
-
-    def _install(
-        self,
-        lines: dict,
-        socket: int,
-        set_id: int,
-        tag: int,
-        state: MoesiState,
-        remote_shared: bool,
-        bias_enabled: bool,
-        source: ServiceSource,
-    ) -> FillOutcome:
-        """Install a line at MRU in `lines`, the set `set_id` of `socket`,
-        first evicting a victim if the set is full."""
-        if len(lines) < self._assoc:
-            lines[tag] = (state, remote_shared)
-            return _MISS[source]
-        victim, biased, reset = select_victim(
-            self.llcs[socket][set_id], socket, self._home_of, self.thresholds,
-            bias_enabled and self._can_bias,
-        )
-        writeback = self.evict_line(socket, set_id, victim)
-        lines[tag] = (state, remote_shared)
-        return _EVICTING[source][writeback][biased][reset]

@@ -14,6 +14,9 @@ class InvariantError(RuntimeError):
     """A coherence invariant broke mid-run (validation mode)."""
 
 
+_NO_RECORD = object()  # `run` has taken no record from its trace yet
+
+
 @dataclass
 class LatencyModel:
     """Abstract per-access cycle costs. Defaults are configuration values,
@@ -149,39 +152,50 @@ def run(
     # Enum members bound once: attribute access on an Enum class is slow.
     read, write, hit = Op.READ, Op.WRITE, ServiceSource.LOCAL_HIT
 
-    for socket, core, op, addr, seq in trace:
-        if not 0 <= socket < num_sockets:
-            raise ConfigError(f"record {seq}: socket {socket} out of range")
-        if not 0 <= core < num_cores:
-            raise ConfigError(f"record {seq}: core {core} out of range")
+    record = _NO_RECORD  # the record in the loop, for an error's message
+    try:
+        for record in trace:
+            socket, core, op, addr, seq = record
+            if not 0 <= socket < num_sockets:
+                raise ConfigError(f"record {seq}: socket {socket} out of range")
+            if not 0 <= core < num_cores:
+                raise ConfigError(f"record {seq}: core {core} out of range")
 
-        controller = controllers[socket]
-        enabled = controller.bias_enabled
-        bias = always_bias or (adaptive_bias and enabled)
-        if op is read:
-            outcome = handle_read(socket, addr, bias)
-        elif op is write:
-            outcome = handle_write(socket, addr, bias)
-        else:
-            raise ConfigError(f"record {seq}: op {op!r} is not an Op")
+            controller = controllers[socket]
+            enabled = controller.bias_enabled
+            bias = always_bias or (adaptive_bias and enabled)
+            if op is read:
+                outcome = handle_read(socket, addr, bias)
+            elif op is write:
+                outcome = handle_write(socket, addr, bias)
+            else:
+                raise ConfigError(f"record {seq}: op {op!r} is not an Op")
 
-        source, writeback, biased, reset = outcome
-        count = counts[socket]
-        count[source] += 1
-        if source is not hit:
-            count[4] += writeback
-            count[5] += biased
-            count[6] += reset
-            closed = controller.record_miss(is_remote[source])
-            if closed is not None and closed != enabled:
-                toggles.append((seq, socket, closed))
+            source, writeback, biased, reset = outcome
+            count = counts[socket]
+            count[source] += 1
+            if source is not hit:
+                count[4] += writeback
+                count[5] += biased
+                count[6] += reset
+                closed = controller.record_miss(is_remote[source])
+                if closed is not None and closed != enabled:
+                    toggles.append((seq, socket, closed))
 
-        if validate:
-            violations = system.check_global_invariants()
-            if violations:
-                raise InvariantError(
-                    f"after record {seq}: " + "; ".join(violations)
-                )
+            if validate:
+                violations = system.check_global_invariants()
+                if violations:
+                    raise InvariantError(
+                        f"after record {seq}: " + "; ".join(violations)
+                    )
+    except (TypeError, ValueError) as exc:
+        # a malformed record fails somewhere in the loop: name it; any
+        # other error (a trace's own, an internal one) passes unchanged
+        simulated = sum(sum(count[:4]) for count in counts)
+        problem = _record_problem(record, simulated, topo)
+        if problem is None:
+            raise
+        raise ConfigError(problem) from exc
 
     per_socket = []
     for count, controller in zip(counts, controllers):
@@ -194,6 +208,27 @@ def run(
             window_fractions=list(controller.window_fractions),
         ))
     return SimStats(per_socket, toggles)
+
+
+def _record_problem(record, index: int, topo: TopologyConfig) -> Optional[str]:
+    """The error message for a record that `run` cannot simulate, or None.
+
+    The record is named by its seq, or by its index in the trace when it
+    is not a (socket, core, op, addr, seq) record.
+    """
+    if record is _NO_RECORD:
+        return None
+    try:
+        socket, core, op, addr, seq = record
+    except (TypeError, ValueError):
+        return f"record {index}: expected (socket, core, op, addr, seq), got {record!r}"
+    for name, value in (("socket", socket), ("core", core), ("address", addr)):
+        if not isinstance(value, int):
+            return f"record {seq}: {name} {value!r} is not an integer"
+    width = topo.address_width
+    if addr < 0 or addr >> width:
+        return f"record {seq}: address {addr:#x} does not fit in {width} bits"
+    return None
 
 
 def compare(

@@ -47,8 +47,12 @@ class AccessRecord(NamedTuple):
 # lines read per block; a block of canonical records takes the fast path
 _BLOCK = 512
 
-# one canonical record per line: single spaces, `R` or `W`, lower-case `0x`
-_RECORD = re.compile(r"^([0-9]+) ([0-9]+) ([RW]) 0x([0-9a-fA-F]+)$", re.M | re.A)
+# one canonical record line: single spaces, `R` or `W`, lower-case `0x`
+_RECORD = r"[0-9]+ [0-9]+ [RW] 0x[0-9a-fA-F]+\n"
+# a block's lines joined by tabs, every one canonical; a tab is whitespace
+# to `str.split` but no part of a record, so a match holding one record per
+# element proves that each element is exactly one canonical line
+_CANONICAL = re.compile(f"{_RECORD}(?:\t{_RECORD})*", re.A).fullmatch
 
 
 def parse_trace(
@@ -57,36 +61,38 @@ def parse_trace(
     """Stream records from trace text, validating against topo if given.
 
     Lines are read a block at a time. A block whose every element is one
-    canonical record line is matched by one regex and converted in one
-    loop. Any other block, and a fast-path block from its first record out
-    of range on, is parsed line by line by `_parse_lines`, which raises
-    every error, so both paths give the same records and errors.
+    canonical record line, all in range, is matched by one regex and
+    converted column by column with builtins. Any other block is parsed
+    line by line by `_parse_lines`, which yields the records before the
+    first bad line and raises its error, so both paths give the same
+    records and errors.
     """
     if topo is not None:
         sockets, cores = topo.num_sockets, topo.cores_per_socket
         addr_end = 1 << topo.address_width
     else:
         sockets = cores = addr_end = math.inf
-    findall, new, ops = _RECORD.findall, tuple.__new__, _OPS
+    new, op_of = tuple.__new__, _OPS.__getitem__
     lines = iter(lines)
     lineno = seq = 0  # the lines and records before the block
     while block := list(islice(lines, _BLOCK)):
-        text = "".join(block)
-        fields = findall(text)
-        done = 0  # the block's leading lines the fast path has yielded
-        if (len(fields) == len(block) == text.count("\n")
-                and all(map(str.endswith, block, repeat("\n")))):
-            for done, (s_text, c_text, op_text, a_text) in enumerate(fields):
-                socket, core, addr = int(s_text), int(c_text), int(a_text, 16)
-                if socket >= sockets or core >= cores or addr >= addr_end:
-                    break
+        n = len(block)
+        text = "\t".join(block)
+        fields = text.split() if _CANONICAL(text) else ()
+        if len(fields) == 4 * n:
+            socket = list(map(int, fields[0::4]))
+            core = list(map(int, fields[1::4]))
+            addr = list(map(int, fields[3::4], repeat(16)))
+            if max(socket) < sockets and max(core) < cores and max(addr) < addr_end:
                 # the NamedTuple's own __new__ is a Python-level call
-                yield new(AccessRecord, (socket, core, ops[op_text], addr, seq))
-                seq += 1
-            else:
-                done = len(block)
-        seq = yield from _parse_lines(block[done:], topo, lineno + done + 1, seq)
-        lineno += len(block)
+                yield from map(new, repeat(AccessRecord), zip(
+                    socket, core, map(op_of, fields[2::4]), addr,
+                    range(seq, seq + n)))
+                lineno += n
+                seq += n
+                continue
+        seq = yield from _parse_lines(block, topo, lineno + 1, seq)
+        lineno += n
 
 
 def _parse_lines(

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from numacache.address_map import ConfigError, TopologyConfig, decoder
+from numacache.address_map import ConfigError, TopologyConfig
+from numacache.coherence import CoherenceSystem
 
 TOPO8 = TopologyConfig(num_sockets=4, llc_sets=1, llc_assoc=2,
                        line_size_bytes=4, address_width=8)
@@ -9,9 +10,13 @@ TOPO8 = TopologyConfig(num_sockets=4, llc_sets=1, llc_assoc=2,
 
 def decode(addr, topo):
     """(line address, set index, tag, home socket) of addr: set and tag
-    from decoder(topo), which also range-checks the address; the line
-    address masks off the line offset and the top bits name the home."""
-    set_id, tag = decoder(topo)(addr)
+    from where a read by socket 0 installs it, which also range-checks the
+    address; the line address masks off the line offset and the top bits
+    name the home."""
+    system = CoherenceSystem(topo)
+    system.handle_read(0, addr)
+    [(set_id, tag)] = [(set_id, tag) for set_id, cset in enumerate(system.llcs[0])
+                       for tag in cset.lines]
     home = addr >> (topo.address_width - topo.socket_bits)
     return addr & -topo.line_size_bytes, set_id, tag, home
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from numacache.address_map import ConfigError, TopologyConfig, decoder
+from numacache.address_map import ConfigError, TopologyConfig
 from numacache.coherence import CoherenceSystem, ServiceSource
 from numacache.replacement import MoesiState, PolicyConfig, PolicyKind
 
@@ -123,34 +123,38 @@ class TestWrite:
         assert state_of(sys_, 0, 0x1000) is None
 
 
+def evict(sys_, socket, addr):
+    """Read new lines into the set of addr, the LRU line of that set in
+    `socket`, until the last read evicts it; return that read's outcome."""
+    for way in range(1, TOPO.llc_assoc + 1):
+        assert state_of(sys_, socket, addr) is not None
+        out = sys_.handle_read(socket, addr + way * 0x100)  # same set
+    assert state_of(sys_, socket, addr) is None
+    return out
+
+
 class TestEvict:
     def test_modified_writes_back_home(self):
         sys_ = system()
         addr = HOME1 | 0x1000
         sys_.handle_write(0, addr)
-        si, tag = decoder(TOPO)(addr)
-        assert sys_.evict_line(0, si, tag)  # dirty: writes back to its home
+        assert evict(sys_, 0, addr).writeback  # dirty: writes back to its home
         assert addr >> (TOPO.address_width - TOPO.socket_bits) == 1
-        assert state_of(sys_, 0, addr) is None
 
     def test_shared_drops_silently(self):
         sys_ = system()
         sys_.handle_read(1, 0x1000)
         sys_.handle_read(0, 0x1000)
-        assert sys_.evict_line(0, 0, 0x10) is False
+        assert evict(sys_, 0, 0x1000).writeback is False
+        assert state_of(sys_, 1, 0x1000) == (MoesiState.SHARED, False)
 
     def test_owner_eviction_leaves_stale_bit(self):
         sys_ = system()
         sys_.handle_write(1, 0x1000)
         sys_.handle_read(0, 0x1000)  # 0: S bit=1, 1: O
-        assert sys_.evict_line(1, 0, 0x10) is True
+        assert evict(sys_, 1, 0x1000).writeback is True
         # the bit is stale by design
         assert state_of(sys_, 0, 0x1000) == (MoesiState.SHARED, True)
-
-    def test_evict_invalid_way_is_caller_bug(self):
-        sys_ = system()
-        with pytest.raises(RuntimeError):
-            sys_.evict_line(0, 0, 0x10)
 
 
 class TestInvariants:

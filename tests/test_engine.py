@@ -1,14 +1,24 @@
 import json
 import random
+import sys
 
 import pytest
 
 from numacache.adaptive import AdaptiveConfig
 from numacache.address_map import ConfigError, TopologyConfig
-from numacache.coherence import ServiceSource
+from numacache.coherence import CoherenceSystem, ServiceSource
 from numacache.engine import LatencyModel, SimStats, compare, run
 from numacache.replacement import PolicyConfig, PolicyKind
-from numacache.workload import AccessRecord, GeneratorKind, GeneratorSpec, Op, generate
+from numacache.workload import (
+    AccessRecord,
+    GeneratorKind,
+    GeneratorSpec,
+    Op,
+    TraceError,
+    format_trace,
+    generate,
+    parse_trace,
+)
 
 TOPO = TopologyConfig(num_sockets=2, llc_sets=4, llc_assoc=4,
                       line_size_bytes=64, address_width=32)
@@ -111,6 +121,84 @@ class TestRun:
             trace = [AccessRecord(0, 0, op, 0x40, 0)] + reads[1:]
             with pytest.raises(ConfigError, match="record 0"):
                 run(trace, topo, PolicyConfig())
+
+    # id -> (the malformed record, the error that names it)
+    MALFORMED = {
+        "str-address": (AccessRecord(0, 0, Op.READ, "0x40", 7),
+                        "record 7: address '0x40' is not an integer"),
+        "float-address": (AccessRecord(0, 0, Op.WRITE, 64.0, 7),
+                          "record 7: address 64.0 is not an integer"),
+        "none-socket": (AccessRecord(None, 0, Op.READ, 0x40, 7),
+                        "record 7: socket None is not an integer"),
+        "float-socket": (AccessRecord(1.0, 0, Op.READ, 0x40, 7),
+                         "record 7: socket 1.0 is not an integer"),
+        "str-core": (AccessRecord(0, "0", Op.READ, 0x40, 7),
+                     "record 7: core '0' is not an integer"),
+        "wide-address": (AccessRecord(0, 0, Op.READ, 1 << 32, 7),
+                         "record 7: address 0x100000000 does not fit in 32 bits"),
+        "negative-address": (AccessRecord(0, 0, Op.WRITE, -64, 7),
+                             "record 7: address -0x40 does not fit in 32 bits"),
+        # a record without a seq is named by its index in the trace
+        "4-tuple": ((0, 0, Op.READ, 0x40),
+                    "record 2: expected (socket, core, op, addr, seq), "
+                    "got (0, 0, <Op.READ: 'R'>, 64)"),
+        "none": (None, "record 2: expected (socket, core, op, addr, seq), got None"),
+    }
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_malformed_record_names_it(self, case):
+        bad, message = self.MALFORMED[case]
+        trace = random_trace(2, 1) + [bad] + random_trace(2, 2)
+        with pytest.raises(ConfigError) as error:
+            run(trace, TOPO, PolicyConfig(PolicyKind.BIASED_ALWAYS))
+        assert str(error.value) == message
+
+    def test_trace_errors_pass_unchanged(self):
+        def trace():
+            yield from random_trace(3, 1)
+            raise TypeError("from the trace")
+
+        with pytest.raises(TypeError, match="^from the trace$"):
+            run(trace(), TOPO, PolicyConfig())
+        # before the first record, and after one
+        for lines in (["0 0 R 0x4_0\n"], ["0 0 R 0x40\n", "0 0 R 0x4_0\n"]):
+            with pytest.raises(TraceError, match=f"^line {len(lines)}: address must be"):
+                run(parse_trace(lines, TOPO), TOPO, PolicyConfig())
+
+    def test_internal_type_error_passes_unchanged(self, monkeypatch):
+        def broken(self, requestor, addr, bias_enabled=True):
+            raise TypeError("internal")
+
+        monkeypatch.setattr(CoherenceSystem, "handle_read", broken)
+        with pytest.raises(TypeError, match="^internal$"):
+            run([AccessRecord(0, 0, Op.READ, 0x40, 0)], TOPO, PolicyConfig())
+
+
+def test_python_calls_per_record_stay_at_the_layer_boundaries():
+    """A record costs Python-level calls only at the layer boundaries: one
+    resume of `parse_trace`, one handler call and, on a miss, one each of
+    `record_miss` and (when the set is full) `select_victim`."""
+    spec = GeneratorSpec(GeneratorKind.PRODUCER_CONSUMER, working_set_lines=24,
+                         iterations=40, sharing_socket_pairs=[(0, 1), (1, 0)])
+    lines = [line + "\n" for line in format_trace(generate(spec, TOPO))]
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        stats = run(parse_trace(lines, TOPO), TOPO, PolicyConfig(PolicyKind.BIASED_ADAPTIVE),
+                    AdaptiveConfig(window_size=64))
+    finally:
+        sys.setprofile(None)
+    # every access misses, and evictions write back, bias and reset
+    d = stats.to_dict()
+    assert d["misses"] == len(lines) == 3840
+    assert d["writebacks"] > 1000 and d["bias_events"] > 1000
+    assert d["counter_resets"] > 500
+    assert calls / len(lines) <= 4.1  # 4.0 when measured
 
 
 class TestCompare:

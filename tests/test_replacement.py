@@ -67,12 +67,6 @@ class TestTouch:
             assert sorted(order(sys_)) == list(range(8))
             assert order(sys_)[-1] == tag
 
-    def test_touch_invalid_raises(self):
-        sys_ = filled_system(4)
-        with pytest.raises(RuntimeError):
-            sys_.evict_line(0, 0, 9)  # tag 9 is not held
-        assert order(sys_) == [0, 1, 2, 3]
-
 
 class TestFill:
     def test_fill_shared_with_bit(self):

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from numacache.address_map import ConfigError, TopologyConfig, decoder
+from numacache.address_map import ConfigError, TopologyConfig
 from numacache.coherence import CoherenceSystem
 from numacache.workload import (
     AccessRecord,
@@ -138,6 +138,19 @@ class TestParseBlocks:
         with pytest.raises(TraceError, match="line 1: expected 4 fields, got 8"):
             list(parse_trace(lines))
 
+    @pytest.mark.parametrize("lines, message", [
+        # joined by single spaces, a fragment and then a line and a
+        # space-led line would read as two canonical lines
+        (["0 0", "R 0x40\n 1 1 W 0x80\n"], "expected 4 fields, got 2"),
+        # joined by tabs, one element holding a line and a tab-led line
+        # reads as two canonical lines
+        (["0 0 R 0x40\n\t1 1 W 0x80\n"], "expected 4 fields, got 8"),
+    ])
+    def test_elements_whose_joined_text_hides_their_lines(self, lines, message):
+        rng = random.Random(7)
+        lines = lines + [canonical_line(rng) for _ in range(600)]
+        assert outcome(parse_trace(lines, TOPO)) == ([], (f"line 1: {message}", 1))
+
     @pytest.mark.parametrize("lineno", [512, 513, 1025])
     @pytest.mark.parametrize("bad, message", [
         ("0 0 R 0x4_0\n", "address must be 0x-prefixed hex, got '0x4_0'"),
@@ -191,7 +204,7 @@ class TestGenerate:
                 system.handle_read(r.socket, r.addr)
             else:
                 system.handle_write(r.socket, r.addr)
-            set_id, tag = decoder(TOPO)(r.addr)
+            set_id, tag = (r.addr >> 6) & 3, r.addr >> 8  # TOPO's layout
             saw_bit = saw_bit or system.llcs[r.socket][set_id].lines[tag][1]
         assert saw_bit
 
