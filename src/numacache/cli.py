@@ -12,6 +12,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 from .adaptive import AdaptiveConfig
 from .address_map import ConfigError, TopologyConfig
 from .engine import InvariantError, LatencyModel, compare, run
+from .reader import read_ahead
 from .replacement import PolicyConfig, PolicyKind
 from .workload import (
     GeneratorKind,
@@ -273,12 +274,15 @@ def _open_trace(path: str) -> Iterator:
 
 def _load_trace(args, topo: TopologyConfig, files: ExitStack) -> Iterator:
     """The records of the run's one trace source, parsed or generated as
-    they are consumed; a trace file stays open until `files` closes."""
+    they are consumed (see `read_ahead`); a trace file and the reader
+    process last until `files` closes."""
     if (args.trace is None) == (args.gen_kind is None):
         raise ConfigError("give exactly one trace source: --trace or --gen-kind")
     if args.trace is not None:
-        return parse_trace(files.enter_context(_open_trace(args.trace)), topo)
-    return generate(_build(GeneratorSpec, args), topo)
+        records = parse_trace(files.enter_context(_open_trace(args.trace)), topo)
+    else:
+        records = generate(_build(GeneratorSpec, args), topo)
+    return read_ahead(records, files)
 
 
 def _config_echo(args, topo, policies) -> dict:

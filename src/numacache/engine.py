@@ -122,7 +122,7 @@ class SimStats:
 
 
 def run(
-    trace: Iterable[AccessRecord],
+    trace: Iterable[tuple],
     topo: TopologyConfig,
     policy: PolicyConfig,
     adaptive: Optional[AdaptiveConfig] = None,
@@ -131,14 +131,17 @@ def run(
 ) -> SimStats:
     """Drive a trace through a fresh system and accumulate statistics.
 
-    The windowed remote-miss tracking runs for every policy kind (it is
-    pure bookkeeping); only BIASED_ADAPTIVE lets it steer the bias.
+    The trace is any iterable of (socket, core, op, addr, seq) tuples,
+    `AccessRecord`s among them. The windowed remote-miss tracking runs for
+    every policy kind (it is pure bookkeeping); only BIASED_ADAPTIVE lets
+    it steer the bias.
     """
     adaptive = adaptive if adaptive is not None else AdaptiveConfig()
     lat = lat if lat is not None else LatencyModel()
 
     system = CoherenceSystem(topo, policy)  # fails fast on bad thresholds
     num_sockets, num_cores = topo.num_sockets, topo.cores_per_socket
+    cores = range(num_cores)
     controllers = [AdaptiveState(adaptive) for _ in range(num_sockets)]
     # per socket: accesses by ServiceSource, then write-backs, bias events
     # and counter resets
@@ -160,6 +163,7 @@ def run(
                 raise ConfigError(f"record {seq}: socket {socket} out of range")
             if not 0 <= core < num_cores:
                 raise ConfigError(f"record {seq}: core {core} out of range")
+            cores[core]  # a TypeError unless the core is an integer
 
             controller = controllers[socket]
             enabled = controller.bias_enabled

@@ -26,6 +26,7 @@ class TraceError(ValueError):
     def __init__(self, lineno: int, message: str):
         super().__init__(f"line {lineno}: {message}")
         self.lineno = lineno
+        self.message = message
 
 
 class Op(enum.Enum):

@@ -1,6 +1,10 @@
+import errno
 import io
+import itertools
 import json
 import os
+import random
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -8,7 +12,14 @@ import tracemalloc
 import pytest
 
 import numacache
+from numacache import cli, reader
+from numacache.adaptive import AdaptiveConfig
+from numacache.address_map import TopologyConfig
 from numacache.cli import main
+from numacache.coherence import CoherenceSystem
+from numacache.engine import compare, run
+from numacache.replacement import PolicyConfig, PolicyKind
+from numacache.workload import _BLOCK, parse_trace
 
 
 def run_cli(capsys, *argv):
@@ -201,6 +212,249 @@ class TestCompare:
         code, _, err = run_cli(capsys, "compare", "--policies", "lru,fifo",
                                "--gen-kind", "private")
         assert code != 0 and "fifo" in err
+
+
+def local_trace(records, lines=128, seed=3):
+    """Random accesses of 2 sockets to `lines` lines of both homes."""
+    rng = random.Random(seed)
+    return "".join(
+        f"{rng.randrange(2)} 0 {'RW'[rng.random() < 0.3]} "
+        f"0x{rng.randrange(lines) * 64 | rng.randrange(2) << 31:x}\n"
+        for _ in range(records))
+
+
+# records the CLI takes in process before it forks a reader
+IN_PROCESS = reader._FORK_AFTER * _BLOCK
+
+
+class TestReader:
+    """Past its first blocks, the CLI parses a trace in a forked reader
+    process while it simulates."""
+
+    TOPO = ["--sockets", "2", "--sets", "16", "--assoc", "4", "--window", "64"]
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids of the reader processes forked, once each is reaped;
+        two CPUs are usable, whatever the host has."""
+        pids, fork = [], os.fork
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+
+        def counted():
+            pid = fork()
+            pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        yield pids
+        # main reaps every reader it forked, on every exit path
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("command, policies", [
+        ("run", ["--policy", "adaptive"]),
+        ("compare", ["--policies", "lru,biased,adaptive"]),
+    ])
+    def test_file_stdin_and_in_process_agree(self, capsys, monkeypatch, tmp_path,
+                                              forks, command, policies):
+        trace = tmp_path / "t.txt"
+        trace.write_text(local_trace(IN_PROCESS + 1600))  # 3 blocks forked
+        argv = [command, *self.TOPO, *policies, "--trace"]
+        code, from_file, _ = run_cli(capsys, *argv, str(trace))
+        assert code == 0 and len(forks) == 1
+        with open(trace, encoding="utf-8") as stdin:
+            monkeypatch.setattr("sys.stdin", stdin)
+            code, from_stdin, _ = run_cli(capsys, *argv, "-")
+        assert code == 0 and len(forks) == 2
+        assert from_file.replace(json.dumps(str(trace)), '"-"') == from_stdin
+        # the same stats as a simulation that parses in process
+        topo = TopologyConfig(num_sockets=2, llc_sets=16, llc_assoc=4)
+        report, adaptive = json.loads(from_file), AdaptiveConfig(window_size=64)
+        with open(trace, encoding="utf-8") as fh:
+            if command == "run":
+                stats = run(parse_trace(fh, topo), topo,
+                            PolicyConfig(PolicyKind.BIASED_ADAPTIVE), adaptive)
+                assert report["stats"] == stats.to_dict()
+            else:
+                kinds = [PolicyKind(k) for k in report["config"]["policies"]]
+                result = compare(parse_trace(fh, topo), topo,
+                                 [PolicyConfig(k) for k in kinds], adaptive)
+                del report["config"]
+                assert report == result
+
+    def test_only_a_trace_past_the_first_blocks_forks(self, capsys, tmp_path, forks):
+        trace = tmp_path / "t.txt"
+        for records in (0, 1, IN_PROCESS - 1, IN_PROCESS):
+            trace.write_text(local_trace(records))
+            assert run_cli(capsys, "run", "--trace", str(trace))[0] == 0
+            assert len(forks) == (records >= IN_PROCESS)
+
+    @pytest.mark.parametrize("host", ["no fork", "one CPU", "one CPU, no affinity"])
+    def test_every_block_is_read_in_process_without_a_second_cpu(
+            self, capsys, monkeypatch, tmp_path, forks, host):
+        trace = tmp_path / "t.txt"
+        trace.write_text(local_trace(IN_PROCESS + 1600))
+        argv = ["run", *self.TOPO, "--policy", "adaptive", "--trace", str(trace)]
+        forked = run_cli(capsys, *argv)
+        assert len(forks) == 1
+        if host == "no fork":
+            monkeypatch.delattr(os, "fork")
+        elif host == "one CPU":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity")
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert run_cli(capsys, *argv) == forked
+        assert len(forks) == 1
+
+    def bad_last_line(self, monkeypatch, trace):
+        with open(trace, "a") as fh:
+            fh.write("0 0 Q 0x40\n")
+
+    def invariant_breaks_past_the_fork(self, monkeypatch, trace):
+        calls = itertools.count()
+        monkeypatch.setattr(
+            CoherenceSystem, "check_global_invariants",
+            lambda self: ["broken"] if next(calls) == IN_PROCESS + 500 else [])
+
+    def interrupted_past_the_fork(self, monkeypatch, trace):
+        calls = itertools.count()
+
+        def interrupting(handle):
+            def interrupted(self, *args):
+                if next(calls) == IN_PROCESS + 500:
+                    raise KeyboardInterrupt
+                return handle(self, *args)
+            return interrupted
+
+        for name in ("handle_read", "handle_write"):
+            monkeypatch.setattr(CoherenceSystem, name,
+                                interrupting(getattr(CoherenceSystem, name)))
+
+    def broken_stdout(self, monkeypatch, trace):
+        class Closed:
+            def writelines(self, chunks):
+                raise BrokenPipeError
+
+            def fileno(self):
+                raise io.UnsupportedOperation
+
+        monkeypatch.setattr("sys.stdout", Closed())
+
+    # exit path -> (argv, the test's set-up, exit code)
+    EXITS = {
+        "success": (["run"], None, 0),
+        "trace error": (["run"], bad_last_line, 1),
+        "bad threshold": (["compare", "--t-local", "99"], None, 1),
+        "invariant error": (["run", "--validate"], invariant_breaks_past_the_fork, 3),
+        "broken pipe": (["run"], broken_stdout, 0),
+        "ctrl-c": (["run"], interrupted_past_the_fork, KeyboardInterrupt),
+    }
+
+    @pytest.mark.parametrize("path", list(EXITS))
+    def test_reader_is_reaped_on_every_exit_path(self, capsys, monkeypatch, tmp_path,
+                                                 forks, path):
+        (command, *flags), set_up, expected = self.EXITS[path]
+        trace = tmp_path / "t.txt"
+        trace.write_text(local_trace(IN_PROCESS + 1600))
+        if set_up is not None:
+            set_up(self, monkeypatch, trace)
+        argv = [command, *self.TOPO, *flags, "--trace", str(trace)]
+        if expected is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        else:
+            assert main(argv) == expected
+        assert len(forks) == 1
+
+    def fail_in_the_reader(self, monkeypatch, failure):
+        """Make the reader process fail at record IN_PROCESS + 500."""
+        main_pid = os.getpid()
+
+        def fails_in_the_reader(fh, topo):
+            for record in parse_trace(fh, topo):
+                if record.seq == IN_PROCESS + 500 and os.getpid() != main_pid:
+                    if failure == "killed":
+                        os.kill(os.getpid(), signal.SIGKILL)
+                    if failure == "bug":
+                        raise ZeroDivisionError("a fault of the parser")
+                    raise OSError(errno.EIO, os.strerror(errno.EIO))
+                yield record
+
+        monkeypatch.setattr(cli, "parse_trace", fails_in_the_reader)
+
+    @pytest.mark.parametrize("failure, message", [
+        ("killed", "the trace reader process ended before the trace did"),
+        ("read error", "[Errno 5] Input/output error"),
+    ])
+    def test_reader_failure_is_an_io_error(self, capsys, monkeypatch, tmp_path,
+                                           forks, failure, message):
+        self.fail_in_the_reader(monkeypatch, failure)
+        trace, out = tmp_path / "t.txt", tmp_path / "r.json"
+        trace.write_text(local_trace(IN_PROCESS + 1600))
+        code, stdout, err = run_cli(capsys, "run", "--trace", str(trace),
+                                    "--out", str(out))
+        assert (code, err) == (1, f"io error: {message}\n")
+        assert stdout == "" and not out.exists()
+
+    def test_a_fault_in_the_reader_shows_its_traceback(self, capfd, monkeypatch,
+                                                       tmp_path, forks):
+        self.fail_in_the_reader(monkeypatch, "bug")
+        trace = tmp_path / "t.txt"
+        trace.write_text(local_trace(IN_PROCESS + 1600))
+        assert main(["run", "--trace", str(trace)]) == 1
+        stdout, err = capfd.readouterr()
+        assert stdout == ""
+        # the reader's traceback names the fault; the command reports
+        # that the trace ended early
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert "ZeroDivisionError: a fault of the parser\n" in err
+        assert err.endswith(
+            "\nio error: the trace reader process ended before the trace did\n")
+
+    def test_a_reader_whose_main_process_is_gone_ends_quietly(
+            self, capfd, monkeypatch, tmp_path, forks):
+        main_pid, send = os.getpid(), reader._send
+
+        def pipe_breaks_in_the_reader(out, message):
+            if os.getpid() != main_pid:
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+            send(out, message)
+
+        monkeypatch.setattr(reader, "_send", pipe_breaks_in_the_reader)
+        trace = tmp_path / "t.txt"
+        trace.write_text(local_trace(IN_PROCESS + 1600))
+        assert main(["run", "--trace", str(trace)]) == 1
+        assert capfd.readouterr() == (
+            "", "io error: the trace reader process ended before the trace did\n")
+
+    def test_python_calls_per_record(self, tmp_path, forks):
+        """The reader leaves the simulation's layer boundaries as the only
+        Python-level calls per record in this process: none for parsing."""
+        def calls(text):
+            trace = tmp_path / "t.txt"
+            trace.write_text(text)
+            count = 0
+
+            def profile(frame, event, arg):
+                nonlocal count
+                count += event == "call"
+
+            sys.setprofile(profile)
+            try:
+                code = main(["run", *self.TOPO, "--policy", "adaptive",
+                             "--trace", str(trace), "--out", str(tmp_path / "r.json")])
+            finally:
+                sys.setprofile(None)
+            assert code == 0
+            return count
+
+        # the records past the fork, which a longer trace adds (3.5 calls
+        # per record when this process parses them too)
+        short, long = (calls(local_trace(IN_PROCESS + n)) for n in (1000, 7000))
+        assert (long - short) / 6000 <= 2.9  # 2.6 measured
+        assert len(forks) == 2
 
 
 class TestUndecodableTrace:

@@ -134,6 +134,11 @@ class TestRun:
                          "record 7: socket 1.0 is not an integer"),
         "str-core": (AccessRecord(0, "0", Op.READ, 0x40, 7),
                      "record 7: core '0' is not an integer"),
+        # a float core in range: only the record check reads the core
+        "fraction-core": (AccessRecord(0, 0.5, Op.READ, 0x40, 7),
+                          "record 7: core 0.5 is not an integer"),
+        "float-core": (AccessRecord(0, 0.0, Op.WRITE, 0x40, 7),
+                       "record 7: core 0.0 is not an integer"),
         "wide-address": (AccessRecord(0, 0, Op.READ, 1 << 32, 7),
                          "record 7: address 0x100000000 does not fit in 32 bits"),
         "negative-address": (AccessRecord(0, 0, Op.WRITE, -64, 7),
@@ -154,12 +159,13 @@ class TestRun:
         assert str(error.value) == message
 
     def test_trace_errors_pass_unchanged(self):
-        def trace():
+        def trace(error):
             yield from random_trace(3, 1)
-            raise TypeError("from the trace")
+            raise error("from the trace")
 
-        with pytest.raises(TypeError, match="^from the trace$"):
-            run(trace(), TOPO, PolicyConfig())
+        for error in (TypeError, ValueError):
+            with pytest.raises(error, match="^from the trace$"):
+                run(trace(error), TOPO, PolicyConfig())
         # before the first record, and after one
         for lines in (["0 0 R 0x4_0\n"], ["0 0 R 0x40\n", "0 0 R 0x4_0\n"]):
             with pytest.raises(TraceError, match=f"^line {len(lines)}: address must be"):

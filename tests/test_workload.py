@@ -1,9 +1,12 @@
 import io
+import os
 import random
+from contextlib import ExitStack
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from numacache import reader
 from numacache.address_map import ConfigError, TopologyConfig
 from numacache.coherence import CoherenceSystem
 from numacache.workload import (
@@ -94,10 +97,13 @@ ODD_RUNS = [(element,) for element in [
     # elements holding two lines, or lacking the trailing newline
     "0 0 R 0x40\n1 1 W 0x80\n", "0 0 R 0x40\n1 1 W 0x8", "0 0 R 0x40",
     "0 0 R 0x4", "# no newline",
+    # an element whose tab-led second line makes a block's text canonical
+    "0 0 R 0x40\n\t1 1 W 0x80\n",
 ]] + [
     # two elements whose joined text is two canonical lines
     ("0 0 R 0x40\n1 1 W 0x8", "0\n"),
     ("0 0 R 0x4", "0\n"),
+    ("0 0", "R 0x40\n 1 1 W 0x80\n"),
 ]
 
 
@@ -130,6 +136,23 @@ class TestParseBlocks:
     @given(traces(), st.sampled_from([None, TOPO]))
     def test_same_as_line_by_line(self, lines, topo):
         assert outcome(parse_trace(lines, topo)) == outcome(_parse_lines(lines, topo))
+
+    # a line index in the first, the second and the last of three blocks
+    @pytest.mark.parametrize("index", [100, 700, 1060])
+    @pytest.mark.parametrize("run", ODD_RUNS, ids=repr)
+    def test_each_odd_run_in_each_block(self, monkeypatch, run, index):
+        rng = random.Random(index)
+        lines = [canonical_line(rng) for _ in range(1100)]
+        lines[index:index + len(run)] = run
+        expected = outcome(_parse_lines(lines, TOPO))
+        assert outcome(parse_trace(lines, TOPO)) == expected
+        # the CLI's reader, here made to parse all but the first block in
+        # a forked process, yields the same tuples and the same error
+        monkeypatch.setattr(reader, "_FORK_AFTER", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        with ExitStack() as files:
+            assert outcome(reader.read_ahead(parse_trace(lines, TOPO), files)) == expected
 
     def test_elements_joined_into_canonical_lines(self):
         # the block's text is two canonical lines, but its first element
