@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
 from contextlib import ExitStack, contextmanager, suppress
@@ -41,6 +42,19 @@ def _parse_int(text: str) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     return int(text)
+
+
+def _parse_float(text: str) -> float:
+    """A finite decimal: an optional leading `-`, then ASCII digits with at
+    most one `.`; no exponent, `inf`, `nan` or any form that only float()
+    accepts."""
+    digits = text[1:] if text.startswith("-") else text
+    whole, _, fraction = digits.partition(".")
+    if digits.isascii() and (whole + fraction).isdigit():
+        value = float(text)
+        if math.isfinite(value):
+            return value
+    raise argparse.ArgumentTypeError(f"expected a decimal number, got {text!r}")
 
 
 def _parse_pairs(text: str) -> list:
@@ -100,9 +114,9 @@ _OPTIONS = (
     Option("--t-remote", _SIM, PolicyConfig, "t_remote", "t_remote"),
     Option("--window", _SIM, AdaptiveConfig, "window_size", "adaptive.window"),
     Option("--high-water", _SIM, AdaptiveConfig, "high_water", "adaptive.high_water",
-           float),
+           _parse_float),
     Option("--low-water", _SIM, AdaptiveConfig, "low_water", "adaptive.low_water",
-           float),
+           _parse_float),
     Option("--initial-bias", _SIM, AdaptiveConfig, "initial_bias",
            "adaptive.initial_bias", _parse_bool, metavar="{on,off}"),
     Option("--remote-miss-def", _SIM, AdaptiveConfig, "count_remote_dram",
@@ -362,9 +376,9 @@ def _cmd_run(args) -> int:
     policy = _build(PolicyConfig, args)
     with ExitStack() as files:
         trace = _load_trace(args, topo, files)
-        stats = run(trace, topo, policy, _build(AdaptiveConfig, args),
-                    _build(LatencyModel, args), args.validate)
-    stats = stats.to_dict()
+        adaptive, lat = _build(AdaptiveConfig, args), _build(LatencyModel, args)
+        stats = run(trace, topo, policy, adaptive, validate=args.validate)
+    stats = stats.to_dict(lat)
     report = {"config": _config_echo(args, topo, [policy]), "stats": stats}
     return _write_report(args, report, [(args.policy, stats)])
 

@@ -62,9 +62,8 @@ class CoherenceSystem:
     """
 
     def __init__(self, topo: TopologyConfig, policy: Optional[PolicyConfig] = None):
-        self.topo = topo
-        self.policy = policy if policy is not None else PolicyConfig()
-        self.thresholds = self.policy.thresholds(topo.llc_assoc)
+        policy = policy if policy is not None else PolicyConfig()
+        self.thresholds = policy.thresholds(topo.llc_assoc)
         self.llcs = [
             [CacheSet() for _ in range(topo.llc_sets)]
             for _ in range(topo.num_sockets)
@@ -81,7 +80,7 @@ class CoherenceSystem:
         # tag -> tag >> home shift, the home socket, as a builtin method
         self._home_of = self._home_shift.__rrshift__
         self._assoc = topo.llc_assoc
-        self._can_bias = self.policy.kind is not PolicyKind.LRU_ONLY
+        self._can_bias = policy.kind is not PolicyKind.LRU_ONLY
 
     # -- accesses ---------------------------------------------------------
 

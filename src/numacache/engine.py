@@ -1,7 +1,7 @@
-"""Trace-driven simulation loop, latency accounting, and statistics."""
+"""Trace-driven simulation loop, and the latency model that costs its counts."""
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple, Optional
 
 from .adaptive import AdaptiveConfig, AdaptiveState
 from .address_map import ConfigError, TopologyConfig
@@ -42,83 +42,53 @@ class LatencyModel:
         return (self.llc_hit, self.remote_c2c, self.local_dram, self.remote_dram)
 
 
-@dataclass
-class SocketStats:
-    accesses: int = 0
-    hits: int = 0
-    misses: int = 0
-    remote_c2c: int = 0
-    local_dram: int = 0
-    remote_dram: int = 0
-    writebacks: int = 0
-    bias_events: int = 0
-    counter_resets: int = 0
-    total_cost: int = 0
-    window_fractions: list = field(default_factory=list)
+class SimStats(NamedTuple):
+    """What `run` counted; `to_dict` costs it under a latency model."""
 
-    def to_dict(self) -> dict:
-        return {
-            "accesses": self.accesses,
-            "hits": self.hits,
-            "misses": self.misses,
-            "misses_by_source": {
-                "remote_c2c": self.remote_c2c,
-                "local_dram": self.local_dram,
-                "remote_dram": self.remote_dram,
-            },
-            "writebacks": self.writebacks,
-            "bias_events": self.bias_events,
-            "counter_resets": self.counter_resets,
-            "total_cost": self.total_cost,
-            "window_fractions": list(self.window_fractions),
-        }
-
-
-@dataclass
-class SimStats:
-    per_socket: list[SocketStats]
+    # per socket: accesses by ServiceSource, then write-backs, bias events
+    # and counter resets
+    counts: list[list[int]]
+    window_fractions: list[list[float]]  # per socket
     # (seq, socket, new flag) for every actual bias flip
-    adaptive_toggles: list[tuple[int, int, bool]] = field(default_factory=list)
+    adaptive_toggles: list[tuple[int, int, bool]]
 
-    def _sum(self, attr: str) -> int:
-        return sum(getattr(s, attr) for s in self.per_socket)
-
-    @property
-    def accesses(self) -> int:
-        return self._sum("accesses")
-
-    @property
-    def hits(self) -> int:
-        return self._sum("hits")
-
-    @property
-    def misses(self) -> int:
-        return self._sum("misses")
-
-    @property
-    def total_cost(self) -> int:
-        return self._sum("total_cost")
-
-    def to_dict(self) -> dict:
+    def to_dict(self, lat: Optional[LatencyModel] = None) -> dict:
+        """The stats body of a report, costed under `lat` (the default
+        latencies without one). `total_cost` is linear in the counts, so
+        the top level costs their column sums."""
+        costs = (lat if lat is not None else LatencyModel()).costs
+        totals = [sum(column) for column in zip(*self.counts)]
         return {
-            "accesses": self.accesses,
-            "hits": self.hits,
-            "misses": self.misses,
-            "misses_by_source": {
-                "remote_c2c": self._sum("remote_c2c"),
-                "local_dram": self._sum("local_dram"),
-                "remote_dram": self._sum("remote_dram"),
-            },
-            "writebacks": self._sum("writebacks"),
-            "bias_events": self._sum("bias_events"),
-            "counter_resets": self._sum("counter_resets"),
-            "total_cost": self.total_cost,
+            **_costed(totals, costs),
             "adaptive_toggles": [
                 {"seq": seq, "socket": socket, "bias": flag}
                 for seq, socket, flag in self.adaptive_toggles
             ],
-            "per_socket": [s.to_dict() for s in self.per_socket],
+            "per_socket": [
+                {**_costed(count, costs), "window_fractions": list(fractions)}
+                for count, fractions in zip(self.counts, self.window_fractions)
+            ],
         }
+
+
+def _costed(count: list[int], costs: tuple) -> dict:
+    """The report keys of one 7-slot count list (see `SimStats.counts`)."""
+    hits, remote_c2c, local_dram, remote_dram, writebacks, biased, resets = count
+    misses = remote_c2c + local_dram + remote_dram
+    return {
+        "accesses": hits + misses,
+        "hits": hits,
+        "misses": misses,
+        "misses_by_source": {
+            "remote_c2c": remote_c2c,
+            "local_dram": local_dram,
+            "remote_dram": remote_dram,
+        },
+        "writebacks": writebacks,
+        "bias_events": biased,
+        "counter_resets": resets,
+        "total_cost": sum(cost * n for cost, n in zip(costs, count)),
+    }
 
 
 def run(
@@ -126,10 +96,10 @@ def run(
     topo: TopologyConfig,
     policy: PolicyConfig,
     adaptive: Optional[AdaptiveConfig] = None,
-    lat: Optional[LatencyModel] = None,
+    *,
     validate: bool = False,
 ) -> SimStats:
-    """Drive a trace through a fresh system and accumulate statistics.
+    """Drive a trace through a fresh system and count its accesses.
 
     The trace is any iterable of (socket, core, op, addr, seq) tuples,
     `AccessRecord`s among them. The windowed remote-miss tracking runs for
@@ -137,15 +107,12 @@ def run(
     it steer the bias.
     """
     adaptive = adaptive if adaptive is not None else AdaptiveConfig()
-    lat = lat if lat is not None else LatencyModel()
 
     system = CoherenceSystem(topo, policy)  # fails fast on bad thresholds
     num_sockets, num_cores = topo.num_sockets, topo.cores_per_socket
     cores = range(num_cores)
     controllers = [AdaptiveState(adaptive) for _ in range(num_sockets)]
-    # per socket: accesses by ServiceSource, then write-backs, bias events
-    # and counter resets
-    counts = [[0] * 7 for _ in range(num_sockets)]
+    counts = [[0] * 7 for _ in range(num_sockets)]  # see SimStats.counts
     toggles: list[tuple[int, int, bool]] = []
     always_bias = policy.kind is PolicyKind.BIASED_ALWAYS
     adaptive_bias = policy.kind is PolicyKind.BIASED_ADAPTIVE
@@ -201,17 +168,7 @@ def run(
             raise
         raise ConfigError(problem) from exc
 
-    per_socket = []
-    for count, controller in zip(counts, controllers):
-        hits, remote_c2c, local_dram, remote_dram, *events = count
-        misses = remote_c2c + local_dram + remote_dram
-        per_socket.append(SocketStats(
-            hits + misses, hits, misses, remote_c2c, local_dram, remote_dram,
-            *events,
-            total_cost=sum(cost * n for cost, n in zip(lat.costs, count)),
-            window_fractions=list(controller.window_fractions),
-        ))
-    return SimStats(per_socket, toggles)
+    return SimStats(counts, [c.window_fractions for c in controllers], toggles)
 
 
 def _record_problem(record, index: int, topo: TopologyConfig) -> Optional[str]:
@@ -249,19 +206,19 @@ def compare(
         raise ConfigError("compare needs at least one policy")
     trace = list(trace)
     results = [
-        (p.kind.value, run(trace, topo, p, adaptive, lat, validate)) for p in policies
+        (p.kind.value, run(trace, topo, p, adaptive, validate=validate).to_dict(lat))
+        for p in policies
     ]
     base = results[0][1]
     return {
-        "policies": [
-            {"policy": name, "stats": stats.to_dict()} for name, stats in results
-        ],
+        "policies": [{"policy": name, "stats": stats} for name, stats in results],
         "deltas": [
             {
                 "policy": name,
-                "misses": stats.misses - base.misses,
-                "remote_c2c": stats._sum("remote_c2c") - base._sum("remote_c2c"),
-                "total_cost": stats.total_cost - base.total_cost,
+                "misses": stats["misses"] - base["misses"],
+                "remote_c2c": stats["misses_by_source"]["remote_c2c"]
+                - base["misses_by_source"]["remote_c2c"],
+                "total_cost": stats["total_cost"] - base["total_cost"],
             }
             for name, stats in results
         ],

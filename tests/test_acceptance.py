@@ -157,7 +157,7 @@ def test_criterion_5_adaptive_hysteresis():
     # socket 0's 10th miss is seq 19 (on), its 20th is seq 29 (off);
     # socket 1's windows stay all-local and never toggle its off flag
     assert stats.adaptive_toggles == [(19, 0, True), (29, 0, False)]
-    assert stats.per_socket[0].window_fractions == [1.0, 0.0]
+    assert stats.window_fractions[0] == [1.0, 0.0]
     print("ACCEPTANCE 5 (adaptive hysteresis at exact boundaries): PASS")
 
 

@@ -638,3 +638,42 @@ class TestStrictIntegers:
                                  "--gen-kind", "private")
         assert code == 1 and out == ""
         assert err.startswith("config error: config line 1: ")
+
+
+# each float() accepts these (or a float() result that is not finite), but
+# a flag or config value must be ASCII digits with at most one `.` and an
+# optional leading `-`, and finite
+LOOSE_FLOATS = [("high-water", "inf"), ("high-water", "nan"),
+                ("high-water", "1e400"),
+                pytest.param("high-water", "9" * 400, id="high-water-400-nines"),
+                ("high-water", "+.5"), ("low-water", "0_1"),
+                ("low-water", "\u0660")]
+
+
+@pytest.mark.parametrize("key, value", LOOSE_FLOATS)
+class TestStrictFloats:
+    def test_flag_is_usage_error(self, capsys, key, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--gen-kind", "migratory", f"--{key}", value])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_config_value_is_config_error(self, capsys, tmp_path, key, value):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"{key}={value}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "--config", str(cfg), "run",
+                                 "--gen-kind", "migratory")
+        assert code == 1 and out == ""
+        assert err.startswith("config error: config line 1: ")
+
+
+@pytest.mark.parametrize("text", ["0.3", "0.1", "0.5", "1", "5.", ".25", "-0.5"])
+def test_decimal_floats_parse(text):
+    assert cli._parse_float(text) == float(text)
+
+
+def test_float_flag_with_a_leading_space_is_usage_error(capsys):
+    # a config value is stripped, a flag is not
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--gen-kind", "migratory", "--low-water", " 0.1"])
+    assert exc.value.code == 2

@@ -1,5 +1,5 @@
 """Differential test: the engine against the brute-force reference model on
-random topologies, thresholds, controller settings and traces."""
+random topologies, thresholds, controller settings, latencies and traces."""
 
 import random
 
@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from numacache.adaptive import AdaptiveConfig
 from numacache.address_map import TopologyConfig
-from numacache.engine import run
+from numacache.engine import LatencyModel, run
 from numacache.replacement import PolicyConfig, PolicyKind
 from numacache.workload import AccessRecord, Op
 
@@ -34,6 +34,12 @@ def scenarios(draw):
                     high=draw(st.floats(low, 1.0)),
                     initial_bias=draw(st.booleans()),
                     count_remote_dram=draw(st.booleans()))
+    # any latencies that LatencyModel accepts
+    llc_hit = draw(st.integers(0, 500))
+    remote_c2c = draw(st.integers(llc_hit + 1, 1000))
+    remote_dram = draw(st.integers(remote_c2c, 1000))
+    lat = LatencyModel(llc_hit, remote_c2c, draw(st.integers(0, remote_dram - 1)),
+                       remote_dram)
     # The trace comes from a seeded generator: a pool of addresses anywhere
     # in the address space but in at most two sets, half to twice their
     # capacity, so that lines are reused, shared and evicted.
@@ -50,13 +56,13 @@ def scenarios(draw):
     ]
     topo = TopologyConfig(num_sockets=sockets, llc_sets=sets, llc_assoc=assoc,
                           line_size_bytes=line_size, address_width=width)
-    return topo, thresholds, adaptive, accesses
+    return topo, thresholds, adaptive, lat, accesses
 
 
 @settings(max_examples=60, deadline=None)
 @given(scenarios())
 def test_engine_equals_reference_model(scenario):
-    topo, (t_local, t_remote), adaptive, accesses = scenario
+    topo, (t_local, t_remote), adaptive, lat, accesses = scenario
     records = [AccessRecord(socket, 0, Op(op), addr, seq)
                for socket, op, addr, seq in accesses]
     config = AdaptiveConfig(adaptive["window"], adaptive["high"],
@@ -64,8 +70,8 @@ def test_engine_equals_reference_model(scenario):
                             adaptive["count_remote_dram"])
     for name, kind in POLICIES.items():
         sim = run(records, topo, PolicyConfig(kind, t_local, t_remote),
-                  config).to_dict()
+                  config).to_dict(lat)
         ref = RefModel(topo.num_sockets, topo.llc_sets, topo.llc_assoc,
                        topo.line_size_bytes, topo.address_width, name,
-                       t_local, t_remote, **adaptive).run(accesses)
+                       t_local, t_remote, **adaptive, lat=lat.costs).run(accesses)
         assert sim == ref, name

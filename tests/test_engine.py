@@ -61,23 +61,28 @@ class TestLatencyModel:
 
 class TestRun:
     def test_empty_trace(self):
-        stats = run([], TOPO, PolicyConfig())
-        assert stats.accesses == 0
-        assert stats.total_cost == 0
-        assert stats.adaptive_toggles == []
+        stats = run([], TOPO, PolicyConfig()).to_dict()
+        assert stats["accesses"] == 0
+        assert stats["total_cost"] == 0
+        assert stats["adaptive_toggles"] == []
 
     def test_single_cold_read_local_home(self):
         stats = run([AccessRecord(0, 0, Op.READ, 0x1000, 0)], TOPO,
-                    PolicyConfig(), lat=LAT)
-        assert stats.misses == 1
-        assert stats.per_socket[0].local_dram == 1
-        assert stats.total_cost == LAT.local_dram
+                    PolicyConfig()).to_dict(LAT)
+        assert stats["misses"] == 1
+        assert stats["per_socket"][0]["misses_by_source"]["local_dram"] == 1
+        assert stats["total_cost"] == LAT.local_dram
+
+    def test_latency_is_not_a_run_argument(self):
+        # a latency model passed where `run` once took one must not turn
+        # validation on
+        with pytest.raises(TypeError):
+            run([], TOPO, PolicyConfig(), None, LAT)
 
     def test_conservation(self):
         trace = random_trace(2000, 3)
-        stats = run(trace, TOPO, PolicyConfig(PolicyKind.BIASED_ALWAYS))
-        assert stats.hits + stats.misses == stats.accesses == 2000
-        d = stats.to_dict()
+        d = run(trace, TOPO, PolicyConfig(PolicyKind.BIASED_ALWAYS)).to_dict()
+        assert d["hits"] + d["misses"] == d["accesses"] == 2000
         assert sum(d["misses_by_source"].values()) == d["misses"]
 
     def test_determinism(self):
