@@ -30,9 +30,11 @@ class FillOutcome(NamedTuple):
 
 
 # Enum members bound once: attribute access on an Enum class is slow.
-MODIFIED, OWNER, EXCLUSIVE, SHARED = MoesiState
+MODIFIED, OWNER, EXCLUSIVE, SHARED, REMOTE_SHARED = MoesiState
 LOCAL_HIT, REMOTE_C2C, LOCAL_DRAM, REMOTE_DRAM = ServiceSource
 _DIRTY = (MODIFIED, OWNER)  # the states whose eviction writes back
+_SHARED = (SHARED, REMOTE_SHARED)  # the states that ship no line
+_EXCLUSIVE = (MODIFIED, EXCLUSIVE)  # the states that need no upgrade
 
 _HIT = FillOutcome(LOCAL_HIT)
 # the outcome of a miss that evicts nothing, by source
@@ -98,21 +100,21 @@ class CoherenceSystem:
             return _HIT
 
         # the requestor holds no copy, so every copy found is another's
-        state, bit = EXCLUSIVE, False
+        state = EXCLUSIVE
         for other in column:
-            held = other.get(tag)
-            if held is None:
+            if tag not in other:
                 continue
-            if held[0] is SHARED:
+            held = other[tag]
+            if held in _SHARED:
                 state = SHARED
-            elif held[0] is EXCLUSIVE:
+            elif held is EXCLUSIVE:
                 # the clean supplier degrades; nobody owns the line
-                other[tag] = (SHARED, False)
+                other[tag] = SHARED
                 source, state = REMOTE_C2C, SHARED
                 break
             else:  # a Modified supplier becomes Owner; an Owner stays
-                other[tag] = (OWNER, False)
-                source, state, bit = REMOTE_C2C, SHARED, True
+                other[tag] = OWNER
+                source, state = REMOTE_C2C, REMOTE_SHARED
                 break
         else:
             # no copy (a cold fill), or only Shared ones: memory supplies,
@@ -122,16 +124,16 @@ class CoherenceSystem:
 
         # install at MRU, first evicting a victim if the set is full
         if len(lines) < self._assoc:
-            lines[tag] = (state, bit)
+            lines[tag] = state
             return _MISS[source]
         victim, biased, reset = select_victim(
             self.llcs[requestor][set_id], requestor, self._home_of,
             self.thresholds, bias_enabled and self._can_bias,
         )
-        # Shared copies elsewhere of an evicted Owner line keep their
-        # remote-shared bits, which go stale by design (silent write-back)
-        writeback = lines.pop(victim)[0] in _DIRTY
-        lines[tag] = (state, bit)
+        # REMOTE_SHARED copies elsewhere of an evicted Owner line stay so,
+        # stale by design (silent write-back)
+        writeback = lines.pop(victim) in _DIRTY
+        lines[tag] = state
         return _EVICTING[source][writeback][biased][reset]
 
     def handle_write(
@@ -143,21 +145,19 @@ class CoherenceSystem:
         tag = addr >> self._tag_shift
         column = self._columns[set_id]
         lines = column[requestor]
-        held = lines.pop(tag, None)
-        if held is not None:
-            if held[0] in (SHARED, OWNER):
+        if tag in lines:
+            if lines.pop(tag) not in _EXCLUSIVE:
                 # upgrade: invalidate every other copy
                 for other in column:
                     other.pop(tag, None)
-            lines[tag] = (MODIFIED, False)
+            lines[tag] = MODIFIED
             return _HIT
 
         # every copy is invalidated; a Modified, Owner or Exclusive one
         # ships the line, else memory does, as for a read
         shipped = False
         for other in column:
-            held = other.pop(tag, None)
-            if held is not None and held[0] is not SHARED:
+            if tag in other and other.pop(tag) not in _SHARED:
                 shipped = True
         if shipped:
             source = REMOTE_C2C
@@ -168,14 +168,14 @@ class CoherenceSystem:
         # install at MRU, first evicting a victim if the set is full, as
         # for a read
         if len(lines) < self._assoc:
-            lines[tag] = (MODIFIED, False)
+            lines[tag] = MODIFIED
             return _MISS[source]
         victim, biased, reset = select_victim(
             self.llcs[requestor][set_id], requestor, self._home_of,
             self.thresholds, bias_enabled and self._can_bias,
         )
-        writeback = lines.pop(victim)[0] in _DIRTY
-        lines[tag] = (MODIFIED, False)
+        writeback = lines.pop(victim) in _DIRTY
+        lines[tag] = MODIFIED
         return _EVICTING[source][writeback][biased][reset]
 
     # -- invariant checking -----------------------------------------------
@@ -209,17 +209,12 @@ class CoherenceSystem:
                         f"socket {socket} set {set_id}: remote-home counter "
                         f"{remote_count} out of [0, {t_remote}]"
                     )
-                for tag, (state, remote_shared) in cset.lines.items():
-                    if remote_shared and state is not SHARED:
-                        violations.append(
-                            f"socket {socket} set {set_id}: remote_shared on "
-                            f"{state.value} line"
-                        )
+                for tag, state in cset.lines.items():
                     addr = (tag << self._tag_shift) | (set_id << self._offset_bits)
                     holders.setdefault(addr, []).append((socket, state))
 
         for addr, held in holders.items():
-            exclusive = [s for s, st in held if st in (MODIFIED, EXCLUSIVE)]
+            exclusive = [s for s, st in held if st in _EXCLUSIVE]
             owners = [s for s, st in held if st is OWNER]
             if exclusive and len(held) > 1:
                 violations.append(
@@ -230,7 +225,7 @@ class CoherenceSystem:
                 violations.append(f"line {addr:#x}: multiple M/E holders")
             if len(owners) > 1:
                 violations.append(f"line {addr:#x}: multiple Owner holders")
-            if owners and any(st not in (OWNER, SHARED) for _, st in held):
+            if owners and exclusive:
                 violations.append(
                     f"line {addr:#x}: Owner coexists with a non-Shared copy"
                 )

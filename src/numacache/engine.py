@@ -3,7 +3,7 @@
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
-from .adaptive import AdaptiveConfig, AdaptiveState
+from .adaptive import AdaptiveConfig
 from .address_map import ConfigError, TopologyConfig
 from .coherence import CoherenceSystem, ServiceSource
 from .replacement import PolicyConfig, PolicyKind
@@ -102,22 +102,29 @@ def run(
     """Drive a trace through a fresh system and count its accesses.
 
     The trace is any iterable of (socket, core, op, addr, seq) tuples,
-    `AccessRecord`s among them. The windowed remote-miss tracking runs for
-    every policy kind (it is pure bookkeeping); only BIASED_ADAPTIVE lets
-    it steer the bias.
+    `AccessRecord`s among them. Each socket's windows of `window_size`
+    misses are counted for every policy kind (it is pure bookkeeping); only
+    BIASED_ADAPTIVE lets their watermarks steer the bias.
     """
     adaptive = adaptive if adaptive is not None else AdaptiveConfig()
 
     system = CoherenceSystem(topo, policy)  # fails fast on bad thresholds
     num_sockets, num_cores = topo.num_sockets, topo.cores_per_socket
     cores = range(num_cores)
-    controllers = [AdaptiveState(adaptive) for _ in range(num_sockets)]
     counts = [[0] * 7 for _ in range(num_sockets)]  # see SimStats.counts
+    # per socket: the misses left in its window, its remote misses before
+    # the window began, its window's flag and its closed windows' fractions
+    window = adaptive.window_size
+    left = [window] * num_sockets
+    remote_before = [0] * num_sockets
+    enabled = [adaptive.initial_bias] * num_sockets
+    fractions: list[list[float]] = [[] for _ in range(num_sockets)]
     toggles: list[tuple[int, int, bool]] = []
-    always_bias = policy.kind is PolicyKind.BIASED_ALWAYS
-    adaptive_bias = policy.kind is PolicyKind.BIASED_ADAPTIVE
-    # whether a miss from each source counts as remote for the controller
-    is_remote = (False, True, False, adaptive.count_remote_dram)
+    # the bias flag each socket's accesses run with
+    if policy.kind is PolicyKind.BIASED_ADAPTIVE:
+        bias = enabled
+    else:
+        bias = [policy.kind is PolicyKind.BIASED_ALWAYS] * num_sockets
     handle_read, handle_write = system.handle_read, system.handle_write
     # Enum members bound once: attribute access on an Enum class is slow.
     read, write, hit = Op.READ, Op.WRITE, ServiceSource.LOCAL_HIT
@@ -132,13 +139,10 @@ def run(
                 raise ConfigError(f"record {seq}: core {core} out of range")
             cores[core]  # a TypeError unless the core is an integer
 
-            controller = controllers[socket]
-            enabled = controller.bias_enabled
-            bias = always_bias or (adaptive_bias and enabled)
             if op is read:
-                outcome = handle_read(socket, addr, bias)
+                outcome = handle_read(socket, addr, bias[socket])
             elif op is write:
-                outcome = handle_write(socket, addr, bias)
+                outcome = handle_write(socket, addr, bias[socket])
             else:
                 raise ConfigError(f"record {seq}: op {op!r} is not an Op")
 
@@ -149,9 +153,19 @@ def run(
                 count[4] += writeback
                 count[5] += biased
                 count[6] += reset
-                closed = controller.record_miss(is_remote[source])
-                if closed is not None and closed != enabled:
-                    toggles.append((seq, socket, closed))
+                misses_left = left[socket] - 1
+                if misses_left:
+                    left[socket] = misses_left
+                else:  # the window closes: apply the watermarks once
+                    left[socket] = window
+                    remote = count[1] + count[3] if adaptive.count_remote_dram else count[1]
+                    fraction = (remote - remote_before[socket]) / window
+                    remote_before[socket] = remote
+                    fractions[socket].append(fraction)
+                    flag = adaptive.bias_after(fraction, enabled[socket])
+                    if flag != enabled[socket]:
+                        enabled[socket] = flag
+                        toggles.append((seq, socket, flag))
 
             if validate:
                 violations = system.check_global_invariants()
@@ -168,7 +182,7 @@ def run(
             raise
         raise ConfigError(problem) from exc
 
-    return SimStats(counts, [c.window_fractions for c in controllers], toggles)
+    return SimStats(counts, fractions, toggles)
 
 
 def _record_problem(record, index: int, topo: TopologyConfig) -> Optional[str]:

@@ -16,6 +16,10 @@ class MoesiState(enum.Enum):
     OWNER = "O"
     EXCLUSIVE = "E"
     SHARED = "S"
+    REMOTE_SHARED = "R"  # Shared, installed by a remote M/O cache's transfer
+
+
+REMOTE_SHARED = MoesiState.REMOTE_SHARED  # bound once: Enum attributes are slow
 
 
 class PolicyKind(enum.Enum):
@@ -42,18 +46,17 @@ class PolicyConfig:
 class CacheSet:
     """One set of an LLC: its lines in recency order plus two bias counters.
 
-    `lines` maps tag -> (state, remote_shared), least recently used first;
-    remote_shared marks a Shared line installed by a remote cache-to-cache
-    transfer. A hit pops the tag and re-inserts it at the MRU end, while
-    assigning a new value to a held tag keeps its position. `counters`
-    holds the biased replacements whose protected line's home was local
-    (index 0) or remote (index 1).
+    `lines` maps tag -> MoesiState, least recently used first. A hit pops
+    the tag and re-inserts it at the MRU end, while assigning a new state
+    to a held tag keeps its position. `counters` holds the biased
+    replacements whose protected line's home was local (index 0) or
+    remote (index 1).
     """
 
     __slots__ = ("lines", "counters")
 
     def __init__(self):
-        self.lines: dict[int, tuple[MoesiState, bool]] = {}
+        self.lines: dict[int, MoesiState] = {}
         self.counters = [0, 0]
 
 
@@ -76,7 +79,7 @@ def select_victim(
     """
     lines = cset.lines
     lru = next(iter(lines))
-    if not bias or not lines[lru][1]:
+    if not bias or lines[lru] is not REMOTE_SHARED:
         return lru, False, False
 
     home_class = 0 if home_of(lru) == local_socket else 1
@@ -84,8 +87,8 @@ def select_victim(
     if counters[home_class] >= thresholds[home_class]:
         counters[home_class] = 0
         return lru, False, True
-    for tag, (_, remote_shared) in lines.items():
-        if not remote_shared:
+    for tag, state in lines.items():
+        if state is not REMOTE_SHARED:
             counters[home_class] += 1
             return tag, True, False
     # every line is remote-shared: nothing to protect against

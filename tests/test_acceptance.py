@@ -173,21 +173,22 @@ def test_criterion_6_threshold_defaults_and_counter_bounds(capsys):
 
     rng = random.Random(99)
     cfg = PolicyConfig(PolicyKind.BIASED_ALWAYS)
+    fired = resets = 0
     for trial in range(100):
         assoc = rng.choice([2, 4, 8, 16])
         thresholds = cfg.thresholds(assoc)
         cset = CacheSet()
         for tag in range(assoc):  # tag 0 is the LRU line
-            cset.lines[tag] = (MoesiState.EXCLUSIVE, False)
+            cset.lines[tag] = MoesiState.EXCLUSIVE
         for _ in range(100):
             for tag in cset.lines:
-                shared = rng.random() < 0.5
-                state = MoesiState.SHARED if shared else MoesiState.EXCLUSIVE
-                cset.lines[tag] = (state, shared)
+                cset.lines[tag] = (MoesiState.REMOTE_SHARED if rng.random() < 0.5
+                                   else MoesiState.EXCLUSIVE)
             homes = [rng.randrange(2) for _ in range(assoc)]
             before = list(cset.counters)
             victim, biased, reset = select_victim(
                 cset, 0, lambda tag: homes[tag], thresholds, True)
+            fired, resets = fired + biased, resets + reset
             for count, limit in zip(cset.counters, thresholds):
                 assert 0 <= count <= limit
             if reset:
@@ -196,6 +197,7 @@ def test_criterion_6_threshold_defaults_and_counter_bounds(capsys):
                 home_class = homes[victim] != 0
                 assert before[home_class] == thresholds[home_class]
                 assert cset.counters[home_class] == 0
+    assert fired and resets  # the bias and the resets were exercised
     print("ACCEPTANCE 6 (threshold defaults and counter bounds): PASS")
 
 

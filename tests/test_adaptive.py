@@ -1,83 +1,167 @@
+import dataclasses
+
 import pytest
 
-from numacache.adaptive import AdaptiveConfig, AdaptiveState
+from numacache.adaptive import AdaptiveConfig
+from numacache.address_map import TopologyConfig
+from numacache.coherence import CoherenceSystem
+from numacache.engine import run
+from numacache.replacement import PolicyConfig, PolicyKind
+from numacache.workload import AccessRecord, Op
+
+TOPO = TopologyConfig(num_sockets=2, llc_sets=4, llc_assoc=4,
+                      line_size_bytes=64, address_width=32)
+CFG = AdaptiveConfig(window_size=10, high_water=0.5, low_water=0.1)
 
 
-def make(window=10, high=0.5, low=0.1, initial=True):
-    return AdaptiveState(AdaptiveConfig(window_size=window, high_water=high,
-                                        low_water=low, initial_bias=initial))
+def on(socket, kinds):
+    """Steps of one socket, one per character of `kinds` (see `trace`)."""
+    return [(socket, kind) for kind in kinds]
 
 
-def feed(state, remote, total):
-    toggle = None
-    for i in range(total):
-        t = state.record_miss(i < remote)
-        if t is not None:
-            toggle = t
-    return toggle
+def trace(steps):
+    """One record per (socket, kind) step, its seq the step's index.
+
+    Kind "r" reads a fresh line homed at the other socket (a remote-DRAM
+    miss), "l" a fresh line homed at the reader (a local-DRAM miss), "w"
+    writes a fresh line homed at the writer (a local-DRAM miss), "c" reads
+    the other socket's last line (a remote C2C miss after its "w"), and "h"
+    reads the socket's last line again (a hit).
+    """
+    records, last = [], {}
+    for seq, (socket, kind) in enumerate(steps):
+        if kind == "c":
+            last[socket] = last[1 - socket]
+        elif kind != "h":
+            home = 1 - socket if kind == "r" else socket
+            last[socket] = home << 31 | seq << 6
+        op = Op.WRITE if kind == "w" else Op.READ
+        records.append(AccessRecord(socket, 0, op, last[socket], seq))
+    return records
 
 
-def test_high_window_turns_bias_on():
-    state = make(initial=False)
-    assert feed(state, 6, 10) is True
-    assert state.bias_enabled
+def simulate(steps, cfg=CFG, kind=PolicyKind.BIASED_ADAPTIVE, *, initial=None):
+    if initial is not None:
+        cfg = dataclasses.replace(cfg, initial_bias=initial)
+    return run(trace(steps), TOPO, PolicyConfig(kind), cfg)
 
 
-def test_empty_window_turns_bias_off():
-    state = make(initial=True)
-    assert feed(state, 0, 10) is False
-    assert not state.bias_enabled
+@pytest.fixture
+def flags(monkeypatch):
+    """The bias flag each read was handed, in trace order."""
+    seen, read = [], CoherenceSystem.handle_read
+
+    def spy(self, requestor, addr, bias_enabled=True):
+        seen.append(bias_enabled)
+        return read(self, requestor, addr, bias_enabled)
+
+    monkeypatch.setattr(CoherenceSystem, "handle_read", spy)
+    return seen
 
 
-def test_hysteresis_band_holds_state():
-    for initial in (True, False):
-        state = make(initial=initial)
-        assert feed(state, 3, 10) is initial
+class TestWatermarks:
+    def test_high_fraction_turns_bias_on(self):
+        assert CFG.bias_after(0.6, False) is True
+        assert CFG.bias_after(1.0, True) is True  # idempotent
+
+    def test_low_fraction_turns_bias_off(self):
+        assert CFG.bias_after(0.0, True) is False
+        assert CFG.bias_after(0.0, False) is False
+
+    def test_hysteresis_band_holds_state(self):
+        for bias in (True, False):
+            for fraction in (0.1, 0.3, 0.5):
+                assert CFG.bias_after(fraction, bias) is bias
+
+    def test_comparisons_are_strict(self):
+        # exactly at the high watermark: hold off; just above: on
+        assert CFG.bias_after(0.5, False) is False
+        assert CFG.bias_after(0.5 + 1e-9, False) is True
+        # exactly at the low watermark: hold on; just below: off
+        assert CFG.bias_after(0.1, True) is True
+        assert CFG.bias_after(0.1 - 1e-9, True) is False
 
 
-def test_fresh_state_bias_on_by_default():
-    assert make().bias_enabled
+class TestConfig:
+    def test_bias_on_by_default(self, flags):
+        assert AdaptiveConfig().initial_bias
+        simulate(on(0, "l"), AdaptiveConfig())
+        assert flags == [True]
+
+    def test_invalid_config_rejected(self):
+        with pytest.raises(ValueError, match="window_size must be >= 1"):
+            AdaptiveConfig(window_size=0)
+        with pytest.raises(ValueError):
+            AdaptiveConfig(high_water=0.1, low_water=0.5)
+
+    @pytest.mark.parametrize("window", [2.5, 4.0, True, False, "8", None])
+    def test_window_size_must_be_an_int(self, window):
+        with pytest.raises(ValueError, match="^window_size must be an int, got "):
+            AdaptiveConfig(window_size=window)
+
+    def test_checked_fields_cannot_change_later(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            CFG.window_size = 2.5
 
 
-def test_two_high_windows_idempotent():
-    state = make(initial=False)
-    assert feed(state, 10, 10) is True
-    assert feed(state, 10, 10) is True
+class TestWindows:
+    def test_window_closes_at_its_last_miss(self, flags):
+        stats = simulate(on(0, "rrrrrrllll" + "l"), initial=False)
+        assert stats.window_fractions == [[0.6], []]
+        # the toggle carries the seq of the record that closed the window
+        assert stats.adaptive_toggles == [(9, 0, True)]
+        # every record of the window ran with the old flag, the next with the new
+        assert flags == [False] * 10 + [True]
 
+    def test_no_toggle_before_the_boundary(self, flags):
+        stats = simulate(on(0, "r" * 9), initial=False)
+        assert stats.window_fractions == [[], []]
+        assert stats.adaptive_toggles == []
+        assert flags == [False] * 9
 
-def test_no_toggle_mid_window():
-    state = make(initial=True)
-    for _ in range(9):
-        assert state.record_miss(False) is None
-    assert state.bias_enabled  # unchanged until the boundary
-    assert state.record_miss(False) is False
+    def test_fresh_counts_after_each_window(self):
+        stats = simulate(on(0, "rrrrllllll" + "r" * 10 + "l" * 10), initial=False)
+        assert stats.window_fractions == [[0.4, 1.0, 0.0], []]
+        assert stats.adaptive_toggles == [(19, 0, True), (29, 0, False)]
 
+    def test_two_high_windows_toggle_once(self):
+        stats = simulate(on(0, "r" * 20), initial=False)
+        assert stats.window_fractions == [[1.0, 1.0], []]
+        assert stats.adaptive_toggles == [(9, 0, True)]
 
-def test_counters_zero_after_boundary():
-    state = make()
-    feed(state, 4, 10)
-    assert state.misses_in_window == 0
-    assert state.remote_misses_in_window == 0
+    def test_hits_do_not_advance_the_window(self):
+        stats = simulate(on(0, "l" + "h" * 20 + "l" * 9))
+        assert stats.window_fractions == [[0.0], []]
+        assert stats.adaptive_toggles == [(29, 0, False)]
 
+    def test_other_sockets_misses_do_not_advance_the_window(self):
+        # socket 1's nine remote misses neither close socket 0's window
+        # nor count in its fraction
+        steps = []
+        for _ in range(9):
+            steps += on(0, "l") + on(1, "r")
+        stats = simulate(steps + on(0, "l"))
+        assert stats.window_fractions == [[0.0], []]
+        assert stats.adaptive_toggles == [(18, 0, False)]
 
-def test_boundary_comparisons_are_strict():
-    # exactly at the high watermark -> hold
-    state = make(initial=False)
-    assert feed(state, 5, 10) is False
-    # exactly at the low watermark -> hold
-    state = make(initial=True)
-    assert feed(state, 1, 10) is True
+    def test_c2c_only_leaves_remote_dram_out(self):
+        # socket 0 misses five times on lines socket 1 has just written
+        # (remote C2C) and five times on remote-home lines (remote DRAM)
+        steps = []
+        for _ in range(5):
+            steps += on(1, "w") + on(0, "c")
+        steps += on(0, "rrrrr")
+        for count_remote_dram, fraction in ((True, 1.0), (False, 0.5)):
+            cfg = AdaptiveConfig(10, 0.5, 0.1, True, count_remote_dram)
+            stats = simulate(steps, cfg)
+            assert stats.to_dict()["per_socket"][0]["misses_by_source"] == {
+                "remote_c2c": 5, "local_dram": 0, "remote_dram": 5}
+            assert stats.window_fractions == [[fraction], []]
 
-
-def test_window_fraction_history():
-    state = make()
-    feed(state, 4, 10)
-    feed(state, 10, 10)
-    assert state.window_fractions == [0.4, 1.0]
-
-
-def test_invalid_config_rejected():
-    with pytest.raises(ValueError):
-        AdaptiveConfig(window_size=0)
-    with pytest.raises(ValueError):
-        AdaptiveConfig(high_water=0.1, low_water=0.5)
+    @pytest.mark.parametrize("kind, bias", [(PolicyKind.LRU_ONLY, False),
+                                            (PolicyKind.BIASED_ALWAYS, True)])
+    def test_only_adaptive_lets_the_window_steer(self, flags, kind, bias):
+        # the windows are counted and toggled under every policy kind
+        stats = simulate(on(0, "l" * 11), kind=kind)
+        assert stats.adaptive_toggles == [(9, 0, False)]
+        assert flags == [bias] * 11

@@ -18,7 +18,7 @@ def system(policy=None):
 
 
 def state_of(sys_, socket, addr):
-    """(state, remote_shared) of a socket's copy of addr, or None."""
+    """The MoesiState of a socket's copy of addr, or None."""
     return sys_.llcs[socket][(addr >> 6) & 3].lines.get(addr >> 8)
 
 
@@ -27,21 +27,21 @@ class TestRead:
         sys_ = system()
         out = sys_.handle_read(0, 0x1000)
         assert out.service_source is ServiceSource.LOCAL_DRAM
-        assert state_of(sys_, 0, 0x1000) == (MoesiState.EXCLUSIVE, False)
+        assert state_of(sys_, 0, 0x1000) is MoesiState.EXCLUSIVE
 
     def test_cold_fill_remote_home(self):
         sys_ = system()
         out = sys_.handle_read(0, HOME1 | 0x1000)
         assert out.service_source is ServiceSource.REMOTE_DRAM
-        assert state_of(sys_, 0, HOME1 | 0x1000)[0] is MoesiState.EXCLUSIVE
+        assert state_of(sys_, 0, HOME1 | 0x1000) is MoesiState.EXCLUSIVE
 
     def test_modified_supplier_becomes_owner(self):
         sys_ = system()
         sys_.handle_write(1, 0x1000)
         out = sys_.handle_read(0, 0x1000)
         assert out.service_source is ServiceSource.REMOTE_C2C
-        assert state_of(sys_, 0, 0x1000) == (MoesiState.SHARED, True)
-        assert state_of(sys_, 1, 0x1000)[0] is MoesiState.OWNER
+        assert state_of(sys_, 0, 0x1000) is MoesiState.REMOTE_SHARED
+        assert state_of(sys_, 1, 0x1000) is MoesiState.OWNER
 
     def test_owner_supplier_stays_owner(self):
         sys_ = system()
@@ -53,16 +53,16 @@ class TestRead:
         assert state_of(sys_, 0, 0x1000) is None
         out = sys_.handle_read(0, 0x1000)
         assert out.service_source is ServiceSource.REMOTE_C2C
-        assert state_of(sys_, 0, 0x1000)[1]
-        assert state_of(sys_, 1, 0x1000)[0] is MoesiState.OWNER
+        assert state_of(sys_, 0, 0x1000) is MoesiState.REMOTE_SHARED
+        assert state_of(sys_, 1, 0x1000) is MoesiState.OWNER
 
-    def test_exclusive_supplier_degrades_no_bit(self):
+    def test_exclusive_supplier_degrades_to_plain_shared(self):
         sys_ = system()
         sys_.handle_read(1, 0x1000)  # Exclusive at socket 1
         out = sys_.handle_read(0, 0x1000)
         assert out.service_source is ServiceSource.REMOTE_C2C
-        assert state_of(sys_, 0, 0x1000) == (MoesiState.SHARED, False)
-        assert state_of(sys_, 1, 0x1000)[0] is MoesiState.SHARED
+        assert state_of(sys_, 0, 0x1000) is MoesiState.SHARED
+        assert state_of(sys_, 1, 0x1000) is MoesiState.SHARED
 
     def test_only_shared_copies_memory_supplies(self):
         sys_ = system()
@@ -73,7 +73,7 @@ class TestRead:
             sys_.handle_read(0, 0x1000 + i * 0x100)
         out = sys_.handle_read(0, 0x1000)
         assert out.service_source is ServiceSource.LOCAL_DRAM
-        assert state_of(sys_, 0, 0x1000) == (MoesiState.SHARED, False)
+        assert state_of(sys_, 0, 0x1000) is MoesiState.SHARED
 
     def test_local_hit(self):
         sys_ = system()
@@ -89,22 +89,22 @@ class TestWrite:
         sys_.handle_read(0, 0x1000)
         out = sys_.handle_write(0, 0x1000)
         assert out.service_source is ServiceSource.LOCAL_HIT
-        assert state_of(sys_, 0, 0x1000)[0] is MoesiState.MODIFIED
+        assert state_of(sys_, 0, 0x1000) is MoesiState.MODIFIED
 
     def test_upgrade_invalidates_remote_owner(self):
         sys_ = system()
         sys_.handle_write(1, 0x1000)
-        sys_.handle_read(0, 0x1000)  # 0: S bit=1, 1: Owner
+        sys_.handle_read(0, 0x1000)  # 0: Remote-Shared, 1: Owner
         out = sys_.handle_write(0, 0x1000)
         assert out.service_source is ServiceSource.LOCAL_HIT
-        assert state_of(sys_, 0, 0x1000) == (MoesiState.MODIFIED, False)
+        assert state_of(sys_, 0, 0x1000) is MoesiState.MODIFIED
         assert state_of(sys_, 1, 0x1000) is None
 
     def test_cold_write_remote_home(self):
         sys_ = system()
         out = sys_.handle_write(0, HOME1 | 0x2000)
         assert out.service_source is ServiceSource.REMOTE_DRAM
-        assert state_of(sys_, 0, HOME1 | 0x2000) == (MoesiState.MODIFIED, False)
+        assert state_of(sys_, 0, HOME1 | 0x2000) is MoesiState.MODIFIED
 
     def test_write_miss_remote_modified_supplies(self):
         sys_ = system()
@@ -146,15 +146,15 @@ class TestEvict:
         sys_.handle_read(1, 0x1000)
         sys_.handle_read(0, 0x1000)
         assert evict(sys_, 0, 0x1000).writeback is False
-        assert state_of(sys_, 1, 0x1000) == (MoesiState.SHARED, False)
+        assert state_of(sys_, 1, 0x1000) is MoesiState.SHARED
 
-    def test_owner_eviction_leaves_stale_bit(self):
+    def test_owner_eviction_leaves_stale_remote_shared(self):
         sys_ = system()
         sys_.handle_write(1, 0x1000)
-        sys_.handle_read(0, 0x1000)  # 0: S bit=1, 1: O
+        sys_.handle_read(0, 0x1000)  # 0: Remote-Shared, 1: Owner
         assert evict(sys_, 1, 0x1000).writeback is True
-        # the bit is stale by design
-        assert state_of(sys_, 0, 0x1000) == (MoesiState.SHARED, True)
+        # the Remote-Shared state is stale by design
+        assert state_of(sys_, 0, 0x1000) is MoesiState.REMOTE_SHARED
 
 
 class TestInvariants:
@@ -183,31 +183,38 @@ class TestInvariants:
         violations = sys_.check_global_invariants()
         assert violations
 
-    # socket 0 writes 0x1000 and socket 1 may read it (0 becomes Owner, 1
-    # Shared); then socket 1's copy is set to a state that breaks MOESI
-    # name -> (socket 1 reads, socket 1's corrupt state, violations)
+    # socket 0 writes 0x1000 ("W") or reads it ("R", Exclusive), and socket 1
+    # may read it after a write ("WR": 0 becomes Owner, 1 Remote-Shared);
+    # then socket 1's copy is set to a state that breaks MOESI, or not
+    # name -> (accesses, socket 1's corrupt state, violations)
     CROSS_SOCKET = {
-        "me-with-other-copy": (False, MoesiState.SHARED, [
+        "me-with-other-copy": ("W", MoesiState.SHARED, [
             "line 0x1000: M/E at socket 0 coexists with other copies"]),
-        "two-me-holders": (False, MoesiState.EXCLUSIVE, [
+        "two-me-holders": ("W", MoesiState.EXCLUSIVE, [
             "line 0x1000: M/E at socket 0 coexists with other copies",
             "line 0x1000: multiple M/E holders"]),
-        "two-owners": (True, MoesiState.OWNER, [
+        "two-owners": ("WR", MoesiState.OWNER, [
             "line 0x1000: multiple Owner holders"]),
-        "owner-beside-non-shared": (True, MoesiState.MODIFIED, [
+        "owner-beside-non-shared": ("WR", MoesiState.MODIFIED, [
             "line 0x1000: M/E at socket 1 coexists with other copies",
             "line 0x1000: Owner coexists with a non-Shared copy"]),
+        # a Remote-Shared copy counts as Shared: legal beside an Owner,
+        # flagged beside a Modified or an Exclusive copy
+        "remote-shared-beside-owner": ("WR", MoesiState.REMOTE_SHARED, []),
+        "remote-shared-beside-modified": ("W", MoesiState.REMOTE_SHARED, [
+            "line 0x1000: M/E at socket 0 coexists with other copies"]),
+        "remote-shared-beside-exclusive": ("R", MoesiState.REMOTE_SHARED, [
+            "line 0x1000: M/E at socket 0 coexists with other copies"]),
     }
 
     @pytest.mark.parametrize("case", list(CROSS_SOCKET))
     def test_cross_socket_corruption_detected(self, case):
-        reads, state, expected = self.CROSS_SOCKET[case]
+        accesses, state, expected = self.CROSS_SOCKET[case]
         sys_ = system()
-        sys_.handle_write(0, 0x1000)
-        if reads:
-            sys_.handle_read(1, 0x1000)
+        for socket, op in enumerate(accesses):
+            (sys_.handle_write if op == "W" else sys_.handle_read)(socket, 0x1000)
         assert sys_.check_global_invariants() == []
-        sys_.llcs[1][0].lines[0x10] = (state, False)
+        sys_.llcs[1][0].lines[0x10] = state
         assert sys_.check_global_invariants() == expected
 
     def test_overfull_set_detected(self):
@@ -215,17 +222,9 @@ class TestInvariants:
         for i in range(4):
             sys_.handle_read(0, i * 0x100)
         # corrupt: a fifth line in a 4-way set
-        sys_.llcs[0][0].lines[0x40] = (MoesiState.SHARED, False)
+        sys_.llcs[0][0].lines[0x40] = MoesiState.SHARED
         assert sys_.check_global_invariants() == [
             "socket 0 set 0: 5 lines exceed associativity 4"
-        ]
-
-    def test_stray_remote_shared_detected(self):
-        sys_ = system()
-        sys_.handle_write(0, 0x1000)
-        sys_.llcs[0][0].lines[0x10] = (MoesiState.MODIFIED, True)
-        assert sys_.check_global_invariants() == [
-            "socket 0 set 0: remote_shared on M line"
         ]
 
     def test_address_out_of_range(self):

@@ -19,12 +19,12 @@ ONE_SET = TopologyConfig(num_sockets=2, llc_sets=1, llc_assoc=4,
 
 
 def full_set(assoc, shared_tags=()):
-    """Set holding tags 0..A-1 with tag 0 at MRU and tag A-1 at LRU."""
+    """Set holding tags 0..A-1 with tag 0 at MRU and tag A-1 at LRU; the
+    tags in `shared_tags` are Remote-Shared, the others Exclusive."""
     cset = CacheSet()
     for tag in reversed(range(assoc)):
-        shared = tag in shared_tags
-        cset.lines[tag] = (MoesiState.SHARED if shared else MoesiState.EXCLUSIVE,
-                           shared)
+        cset.lines[tag] = (MoesiState.REMOTE_SHARED if tag in shared_tags
+                           else MoesiState.EXCLUSIVE)
     return cset
 
 
@@ -69,18 +69,18 @@ class TestTouch:
 
 
 class TestFill:
-    def test_fill_shared_with_bit(self):
+    def test_fill_remote_shared(self):
         sys_ = CoherenceSystem(ONE_SET)
         sys_.handle_write(1, 0x1C0)
         sys_.handle_read(0, 0x1C0)  # Modified at socket 1 supplies
         lines = sys_.llcs[0][0].lines
-        assert lines[7] == (MoesiState.SHARED, True)
+        assert lines[7] is MoesiState.REMOTE_SHARED
         assert list(lines)[-1] == 7
 
-    def test_fill_exclusive_forces_bit_clear(self):
+    def test_cold_fill_exclusive(self):
         sys_ = CoherenceSystem(ONE_SET)
         sys_.handle_read(1, 0x1C0)
-        assert sys_.llcs[1][0].lines[7] == (MoesiState.EXCLUSIVE, False)
+        assert sys_.llcs[1][0].lines[7] is MoesiState.EXCLUSIVE
 
     def test_filled_line_ages_to_lru(self):
         sys_ = filled_system(4)
@@ -114,7 +114,7 @@ class TestSelectVictim:
         assert d == (2, True, False)
         assert cset.counters == [1, 0]
 
-    def test_lru_only_ignores_bit(self):
+    def test_lru_only_ignores_remote_shared(self):
         # the LRU policy evicts the remote-shared LRU line even when the
         # caller leaves the bias enabled
         sys_ = CoherenceSystem(ONE_SET, PolicyConfig())
@@ -153,9 +153,8 @@ def test_counter_bounds_fuzz(seed):
     cset = full_set(assoc)
     for _ in range(50):
         for tag in cset.lines:
-            shared = rng.random() < 0.5
-            cset.lines[tag] = (MoesiState.SHARED if shared else MoesiState.EXCLUSIVE,
-                               shared)
+            cset.lines[tag] = (MoesiState.REMOTE_SHARED if rng.random() < 0.5
+                               else MoesiState.EXCLUSIVE)
         homes = [rng.randrange(2) for _ in range(assoc)]
         before = list(cset.counters)
         victim, biased, reset = select_victim(
@@ -166,4 +165,4 @@ def test_counter_bounds_fuzz(seed):
             home_class = homes[victim] != 0
             assert before[home_class] == thresholds[home_class]
         if biased:
-            assert not cset.lines[victim][1]
+            assert cset.lines[victim] is not MoesiState.REMOTE_SHARED

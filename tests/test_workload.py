@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from numacache import reader
 from numacache.address_map import ConfigError, TopologyConfig
 from numacache.coherence import CoherenceSystem
+from numacache.replacement import MoesiState
 from numacache.workload import (
     AccessRecord,
     GeneratorKind,
@@ -221,15 +222,16 @@ class TestGenerate:
                              working_set_lines=2, iterations=2)
         recs = generate(spec, TOPO)
         system = CoherenceSystem(TOPO)
-        saw_bit = False
+        saw_remote_shared = False
         for r in recs:
             if r.op is Op.READ:
                 system.handle_read(r.socket, r.addr)
             else:
                 system.handle_write(r.socket, r.addr)
             set_id, tag = (r.addr >> 6) & 3, r.addr >> 8  # TOPO's layout
-            saw_bit = saw_bit or system.llcs[r.socket][set_id].lines[tag][1]
-        assert saw_bit
+            state = system.llcs[r.socket][set_id].lines[tag]
+            saw_remote_shared = saw_remote_shared or state is MoesiState.REMOTE_SHARED
+        assert saw_remote_shared
 
     def test_negative_sockets_rejected(self):
         for spec in (
