@@ -10,7 +10,7 @@ import enum
 from typing import NamedTuple, Optional
 
 from .address_map import ConfigError, TopologyConfig
-from .replacement import CacheSet, MoesiState, PolicyConfig, PolicyKind, select_victim
+from .replacement import MoesiState, PolicyConfig, select_victim
 
 
 class ServiceSource(enum.IntEnum):
@@ -53,8 +53,12 @@ class CoherenceSystem:
 
     A line can only sit in one set index, so its holders are the sockets
     whose LLC holds its tag in that set: a miss probes the same set of
-    every socket, O(sockets) per miss. `_columns[set_id][socket]` is that
-    set's `lines` dict in each socket, bound once.
+    every socket, O(sockets) per miss. `columns[set_id][socket]` is that
+    set's lines in one socket's LLC, a dict of tag -> MoesiState, least
+    recently used first: a hit pops the tag and re-inserts it at the MRU
+    end, while assigning a new state to a held tag keeps its position.
+    `counters[set_id][socket]` is the same set's [local-home, remote-home]
+    pair of bias counters (see `select_victim`).
 
     Each handler decodes its address inline, after the one range check of
     an address: the set index is the `set_bits` bits above the line offset,
@@ -66,14 +70,9 @@ class CoherenceSystem:
     def __init__(self, topo: TopologyConfig, policy: Optional[PolicyConfig] = None):
         policy = policy if policy is not None else PolicyConfig()
         self.thresholds = policy.thresholds(topo.llc_assoc)
-        self.llcs = [
-            [CacheSet() for _ in range(topo.llc_sets)]
-            for _ in range(topo.num_sockets)
-        ]
-        self._columns = [
-            [llc[set_id].lines for llc in self.llcs]
-            for set_id in range(topo.llc_sets)
-        ]
+        sockets, sets = range(topo.num_sockets), range(topo.llc_sets)
+        self.columns = [[{} for _ in sockets] for _ in sets]
+        self.counters = [[[0, 0] for _ in sockets] for _ in sets]
         self._width = topo.address_width
         self._offset_bits = topo.offset_bits
         self._set_mask = topo.llc_sets - 1
@@ -82,18 +81,17 @@ class CoherenceSystem:
         # tag -> tag >> home shift, the home socket, as a builtin method
         self._home_of = self._home_shift.__rrshift__
         self._assoc = topo.llc_assoc
-        self._can_bias = policy.kind is not PolicyKind.LRU_ONLY
 
     # -- accesses ---------------------------------------------------------
 
     def handle_read(
-        self, requestor: int, addr: int, bias_enabled: bool = True
+        self, requestor: int, addr: int, bias_enabled: bool = False
     ) -> FillOutcome:
         if addr < 0 or addr >> self._width:
             raise ConfigError(f"address {addr:#x} does not fit in {self._width} bits")
         set_id = (addr >> self._offset_bits) & self._set_mask
         tag = addr >> self._tag_shift
-        column = self._columns[set_id]
+        column = self.columns[set_id]
         lines = column[requestor]
         if tag in lines:
             lines[tag] = lines.pop(tag)
@@ -127,8 +125,8 @@ class CoherenceSystem:
             lines[tag] = state
             return _MISS[source]
         victim, biased, reset = select_victim(
-            self.llcs[requestor][set_id], requestor, self._home_of,
-            self.thresholds, bias_enabled and self._can_bias,
+            lines, self.counters[set_id][requestor], requestor, self._home_of,
+            self.thresholds, bias_enabled,
         )
         # REMOTE_SHARED copies elsewhere of an evicted Owner line stay so,
         # stale by design (silent write-back)
@@ -137,13 +135,13 @@ class CoherenceSystem:
         return _EVICTING[source][writeback][biased][reset]
 
     def handle_write(
-        self, requestor: int, addr: int, bias_enabled: bool = True
+        self, requestor: int, addr: int, bias_enabled: bool = False
     ) -> FillOutcome:
         if addr < 0 or addr >> self._width:
             raise ConfigError(f"address {addr:#x} does not fit in {self._width} bits")
         set_id = (addr >> self._offset_bits) & self._set_mask
         tag = addr >> self._tag_shift
-        column = self._columns[set_id]
+        column = self.columns[set_id]
         lines = column[requestor]
         if tag in lines:
             if lines.pop(tag) not in _EXCLUSIVE:
@@ -171,8 +169,8 @@ class CoherenceSystem:
             lines[tag] = MODIFIED
             return _MISS[source]
         victim, biased, reset = select_victim(
-            self.llcs[requestor][set_id], requestor, self._home_of,
-            self.thresholds, bias_enabled and self._can_bias,
+            lines, self.counters[set_id][requestor], requestor, self._home_of,
+            self.thresholds, bias_enabled,
         )
         writeback = lines.pop(victim) in _DIRTY
         lines[tag] = MODIFIED
@@ -191,14 +189,16 @@ class CoherenceSystem:
         assoc = self._assoc
         t_local, t_remote = self.thresholds
 
-        for socket, llc in enumerate(self.llcs):
-            for set_id, cset in enumerate(llc):
-                if len(cset.lines) > assoc:
+        sets = list(enumerate(zip(self.columns, self.counters)))
+        for socket in range(len(self.columns[0])):  # socket-major
+            for set_id, (column, counters) in sets:
+                lines = column[socket]
+                if len(lines) > assoc:
                     violations.append(
-                        f"socket {socket} set {set_id}: {len(cset.lines)} lines "
+                        f"socket {socket} set {set_id}: {len(lines)} lines "
                         f"exceed associativity {assoc}"
                     )
-                local_count, remote_count = cset.counters
+                local_count, remote_count = counters[socket]
                 if not 0 <= local_count <= t_local:
                     violations.append(
                         f"socket {socket} set {set_id}: local-home counter "
@@ -209,7 +209,7 @@ class CoherenceSystem:
                         f"socket {socket} set {set_id}: remote-home counter "
                         f"{remote_count} out of [0, {t_remote}]"
                     )
-                for tag, state in cset.lines.items():
+                for tag, state in lines.items():
                     addr = (tag << self._tag_shift) | (set_id << self._offset_bits)
                     holders.setdefault(addr, []).append((socket, state))
 

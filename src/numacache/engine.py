@@ -101,10 +101,11 @@ def run(
 ) -> SimStats:
     """Drive a trace through a fresh system and count its accesses.
 
-    The trace is any iterable of (socket, core, op, addr, seq) tuples,
-    `AccessRecord`s among them. Each socket's windows of `window_size`
-    misses are counted for every policy kind (it is pure bookkeeping); only
-    BIASED_ADAPTIVE lets their watermarks steer the bias.
+    The trace is any iterable of (socket, core, op, addr) tuples,
+    `AccessRecord`s among them; record N is its N-th, counting from 0.
+    Each socket's windows of `window_size` misses are counted for every
+    policy kind (it is pure bookkeeping); only BIASED_ADAPTIVE lets their
+    watermarks steer the bias, and only the biased kinds enable it.
     """
     adaptive = adaptive if adaptive is not None else AdaptiveConfig()
 
@@ -129,10 +130,10 @@ def run(
     # Enum members bound once: attribute access on an Enum class is slow.
     read, write, hit = Op.READ, Op.WRITE, ServiceSource.LOCAL_HIT
 
-    record = _NO_RECORD  # the record in the loop, for an error's message
+    seq, record = 0, _NO_RECORD  # the loop's record and its index, for an error
     try:
-        for record in trace:
-            socket, core, op, addr, seq = record
+        for seq, record in enumerate(trace):
+            socket, core, op, addr = record
             if not 0 <= socket < num_sockets:
                 raise ConfigError(f"record {seq}: socket {socket} out of range")
             if not 0 <= core < num_cores:
@@ -176,8 +177,7 @@ def run(
     except (TypeError, ValueError) as exc:
         # a malformed record fails somewhere in the loop: name it; any
         # other error (a trace's own, an internal one) passes unchanged
-        simulated = sum(sum(count[:4]) for count in counts)
-        problem = _record_problem(record, simulated, topo)
+        problem = _record_problem(record, seq, topo)
         if problem is None:
             raise
         raise ConfigError(problem) from exc
@@ -185,18 +185,15 @@ def run(
     return SimStats(counts, fractions, toggles)
 
 
-def _record_problem(record, index: int, topo: TopologyConfig) -> Optional[str]:
-    """The error message for a record that `run` cannot simulate, or None.
-
-    The record is named by its seq, or by its index in the trace when it
-    is not a (socket, core, op, addr, seq) record.
-    """
+def _record_problem(record, seq: int, topo: TopologyConfig) -> Optional[str]:
+    """The error message for record `seq` if `run` cannot simulate it,
+    else None."""
     if record is _NO_RECORD:
         return None
     try:
-        socket, core, op, addr, seq = record
+        socket, core, op, addr = record
     except (TypeError, ValueError):
-        return f"record {index}: expected (socket, core, op, addr, seq), got {record!r}"
+        return f"record {seq}: expected (socket, core, op, addr), got {record!r}"
     for name, value in (("socket", socket), ("core", core), ("address", addr)):
         if not isinstance(value, int):
             return f"record {seq}: {name} {value!r} is not an integer"

@@ -4,11 +4,10 @@ The main process takes the first _FORK_AFTER blocks of records itself.
 When the source goes on past them and a second CPU is usable, one forked
 reader process iterates it on and sends each block down a pipe as one
 message: a 4-byte length, then the `marshal` bytes of (kind, payload).
-A block of records travels as columns
-(socket, core, ops as one string of R and W, addr, seq), which the main
-process zips back into (socket, core, op, addr, seq) tuples without
-running Python code per record. The last message is the end marker or the
-error that stopped the source.
+A block of records travels as columns (socket, core, ops as one string
+of R and W, addr), which the main process zips back into (socket, core,
+op, addr) tuples without running Python code per record. The last
+message is the end marker or the error that stopped the source.
 """
 
 import marshal
@@ -24,7 +23,7 @@ from .workload import _BLOCK, Op, TraceError
 
 
 def read_ahead(records: Iterator, files: ExitStack) -> Iterator:
-    """The (socket, core, op, addr, seq) tuples of `records`, then the
+    """The (socket, core, op, addr) tuples of `records`, then the
     TraceError or OSError that stopped it, read ahead by a reader process
     that lives until `files` closes."""
     return chain.from_iterable(_blocks(records, files))
@@ -83,8 +82,8 @@ def _blocks(records: Iterator, files: ExitStack) -> Iterator:
     while True:
         kind, payload = _receive(pipe)
         if kind == "columns":
-            socket, core, ops, addr, seq = payload
-            yield zip(socket, core, map(_OP_OF, ops), addr, seq)
+            socket, core, ops, addr = payload
+            yield zip(socket, core, map(_OP_OF, ops), addr)
         elif kind == "trace error":
             raise TraceError(*payload)
         elif kind == "io error":
@@ -120,9 +119,8 @@ def _ship(records: Iterator, out) -> None:
     while True:
         block, error = _take(records)
         if block:
-            socket, core, ops, addr, seq = zip(*block)
-            _send(out, ("columns", (socket, core, "".join(map(_LETTER, ops)),
-                                    addr, seq)))
+            socket, core, ops, addr = zip(*block)
+            _send(out, ("columns", (socket, core, "".join(map(_LETTER, ops)), addr)))
         if error is not None or len(block) < _BLOCK:
             break
     if error is None:

@@ -43,47 +43,30 @@ class PolicyConfig:
         return t_local, t_remote
 
 
-class CacheSet:
-    """One set of an LLC: its lines in recency order plus two bias counters.
-
-    `lines` maps tag -> MoesiState, least recently used first. A hit pops
-    the tag and re-inserts it at the MRU end, while assigning a new state
-    to a held tag keeps its position. `counters` holds the biased
-    replacements whose protected line's home was local (index 0) or
-    remote (index 1).
-    """
-
-    __slots__ = ("lines", "counters")
-
-    def __init__(self):
-        self.lines: dict[int, MoesiState] = {}
-        self.counters = [0, 0]
-
-
 def select_victim(
-    cset: CacheSet,
+    lines: dict[int, MoesiState],
+    counters: list[int],
     local_socket: int,
     home_of: Callable[[int], int],
     thresholds: tuple[int, int],
     bias: bool,
 ) -> tuple[int, bool, bool]:
-    """Pick the victim tag of a full set, updating the bias counters.
+    """Pick the victim tag of a full set, updating its bias counters.
 
-    Returns (victim tag, biased, counter reset). The LRU line is the
-    default. When the bias is active and the LRU line is remote-shared,
-    the counter of its home class (local or remote to `local_socket`, via
-    `home_of(tag)`) decides: below its threshold we protect the shared line
-    and evict the least recent non-shared line instead (the counter
-    increments); at the threshold the shared line goes after all and the
-    counter resets.
+    `lines` maps tag -> MoesiState, least recently used first; `counters`
+    is the set's [local-home, remote-home] pair. Returns (victim tag,
+    biased, counter reset). The LRU line is the default. When the bias is
+    active and the LRU line is remote-shared, the counter of its home
+    class (local or remote to `local_socket`, via `home_of(tag)`) decides:
+    below its threshold we protect the shared line and evict the least
+    recent non-shared line instead (the counter increments); at the
+    threshold the shared line goes after all and the counter resets.
     """
-    lines = cset.lines
     lru = next(iter(lines))
     if not bias or lines[lru] is not REMOTE_SHARED:
         return lru, False, False
 
     home_class = 0 if home_of(lru) == local_socket else 1
-    counters = cset.counters
     if counters[home_class] >= thresholds[home_class]:
         counters[home_class] = 0
         return lru, False, True

@@ -10,7 +10,6 @@ Fields are ASCII: decimal socket and core, hex digits after `0x`.
 """
 
 import enum
-import math
 import random
 import re
 from dataclasses import dataclass, field
@@ -42,7 +41,6 @@ class AccessRecord(NamedTuple):
     core: int
     op: Op
     addr: int
-    seq: int
 
 
 # lines read per block; a block of canonical records takes the fast path
@@ -56,10 +54,8 @@ _RECORD = r"[0-9]+ [0-9]+ [RW] 0x[0-9a-fA-F]+\n"
 _CANONICAL = re.compile(f"{_RECORD}(?:\t{_RECORD})*", re.A).fullmatch
 
 
-def parse_trace(
-    lines: Iterable[str], topo: Optional[TopologyConfig] = None
-) -> Iterator[AccessRecord]:
-    """Stream records from trace text, validating against topo if given.
+def parse_trace(lines: Iterable[str], topo: TopologyConfig) -> Iterator[AccessRecord]:
+    """Stream records from trace text, each checked against topo.
 
     Lines are read a block at a time. A block whose every element is one
     canonical record line, all in range, is matched by one regex and
@@ -68,14 +64,11 @@ def parse_trace(
     first bad line and raises its error, so both paths give the same
     records and errors.
     """
-    if topo is not None:
-        sockets, cores = topo.num_sockets, topo.cores_per_socket
-        addr_end = 1 << topo.address_width
-    else:
-        sockets = cores = addr_end = math.inf
+    sockets, cores = topo.num_sockets, topo.cores_per_socket
+    addr_end = 1 << topo.address_width
     new, op_of = tuple.__new__, _OPS.__getitem__
     lines = iter(lines)
-    lineno = seq = 0  # the lines and records before the block
+    lineno = 0  # the lines before the block
     while block := list(islice(lines, _BLOCK)):
         n = len(block)
         text = "\t".join(block)
@@ -87,23 +80,19 @@ def parse_trace(
             if max(socket) < sockets and max(core) < cores and max(addr) < addr_end:
                 # the NamedTuple's own __new__ is a Python-level call
                 yield from map(new, repeat(AccessRecord), zip(
-                    socket, core, map(op_of, fields[2::4]), addr,
-                    range(seq, seq + n)))
+                    socket, core, map(op_of, fields[2::4]), addr))
                 lineno += n
-                seq += n
                 continue
-        seq = yield from _parse_lines(block, topo, lineno + 1, seq)
+        yield from _parse_lines(block, topo, lineno + 1)
         lineno += n
 
 
 def _parse_lines(
-    lines: Iterable[str], topo: Optional[TopologyConfig], first: int = 1, seq: int = 0
+    lines: Iterable[str], topo: TopologyConfig, first: int = 1
 ) -> Iterator[AccessRecord]:
-    """Parse and check `lines` one at a time, numbering them from `first`
-    and the records from `seq`; returns the next record's seq."""
-    if topo is not None:
-        sockets, cores = topo.num_sockets, topo.cores_per_socket
-        width = topo.address_width
+    """Parse and check `lines` one at a time, numbering them from `first`."""
+    sockets, cores = topo.num_sockets, topo.cores_per_socket
+    width = topo.address_width
     for lineno, raw in enumerate(lines, start=first):
         text = raw.strip()
         if not text or text[0] == "#":
@@ -128,20 +117,17 @@ def _parse_lines(
             addr = int(a_text, 16)
         except ValueError:
             raise TraceError(lineno, f"bad address {a_text!r}") from None
-        if topo is not None:
-            if socket >= sockets:
-                raise TraceError(lineno, f"socket {socket} out of range")
-            if core >= cores:
-                raise TraceError(lineno, f"core {core} out of range")
-            if addr >> width:
-                raise TraceError(lineno, f"address {addr:#x} exceeds address width")
-        yield AccessRecord(socket, core, op, addr, seq)
-        seq += 1
-    return seq
+        if socket >= sockets:
+            raise TraceError(lineno, f"socket {socket} out of range")
+        if core >= cores:
+            raise TraceError(lineno, f"core {core} out of range")
+        if addr >> width:
+            raise TraceError(lineno, f"address {addr:#x} exceeds address width")
+        yield AccessRecord(socket, core, op, addr)
 
 
 def format_trace(records: Iterable[AccessRecord]) -> Iterator[str]:
-    """Inverse of parse_trace (modulo seq renumbering)."""
+    """Inverse of parse_trace."""
     for rec in records:
         yield f"{rec.socket} {rec.core} {rec.op.value} 0x{rec.addr:x}"
 
@@ -201,8 +187,8 @@ def generate(spec: GeneratorSpec, topo: TopologyConfig) -> Iterator[AccessRecord
     rng = random.Random(spec.rng_seed)
     cores = topo.cores_per_socket
     return (
-        AccessRecord(socket, rng.randrange(cores), op, addr, seq)
-        for seq, (socket, op, addr) in enumerate(_accesses(spec, topo))
+        AccessRecord(socket, rng.randrange(cores), op, addr)
+        for socket, op, addr in _accesses(spec, topo)
     )
 
 

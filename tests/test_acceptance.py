@@ -14,7 +14,6 @@ from numacache.address_map import TopologyConfig
 from numacache.cli import main
 from numacache.engine import run
 from numacache.replacement import (
-    CacheSet,
     MoesiState,
     PolicyConfig,
     PolicyKind,
@@ -46,8 +45,8 @@ def random_accesses(n, seed, sockets=2, lines=64, write_frac=0.4):
 
 
 def to_records(accesses):
-    return [AccessRecord(s, 0, Op.READ if o == "R" else Op.WRITE, a, q)
-            for s, o, a, q in accesses]
+    return [AccessRecord(s, 0, Op.READ if o == "R" else Op.WRITE, a)
+            for s, o, a, _ in accesses]
 
 
 def test_criterion_1_oracle_equivalence():
@@ -154,7 +153,7 @@ def test_criterion_5_adaptive_hysteresis():
                          initial_bias=False)
     stats = run(to_records(accesses), TOPO,
                 PolicyConfig(PolicyKind.BIASED_ADAPTIVE), cfg)
-    # socket 0's 10th miss is seq 19 (on), its 20th is seq 29 (off);
+    # socket 0's 10th miss is record 19 (on), its 20th is record 29 (off);
     # socket 1's windows stay all-local and never toggle its off flag
     assert stats.adaptive_toggles == [(19, 0, True), (29, 0, False)]
     assert stats.window_fractions[0] == [1.0, 0.0]
@@ -177,26 +176,25 @@ def test_criterion_6_threshold_defaults_and_counter_bounds(capsys):
     for trial in range(100):
         assoc = rng.choice([2, 4, 8, 16])
         thresholds = cfg.thresholds(assoc)
-        cset = CacheSet()
-        for tag in range(assoc):  # tag 0 is the LRU line
-            cset.lines[tag] = MoesiState.EXCLUSIVE
+        lines = dict.fromkeys(range(assoc))  # tag 0 is the LRU line
+        counters = [0, 0]
         for _ in range(100):
-            for tag in cset.lines:
-                cset.lines[tag] = (MoesiState.REMOTE_SHARED if rng.random() < 0.5
-                                   else MoesiState.EXCLUSIVE)
+            for tag in lines:
+                lines[tag] = (MoesiState.REMOTE_SHARED if rng.random() < 0.5
+                              else MoesiState.EXCLUSIVE)
             homes = [rng.randrange(2) for _ in range(assoc)]
-            before = list(cset.counters)
+            before = list(counters)
             victim, biased, reset = select_victim(
-                cset, 0, lambda tag: homes[tag], thresholds, True)
+                lines, counters, 0, lambda tag: homes[tag], thresholds, True)
             fired, resets = fired + biased, resets + reset
-            for count, limit in zip(cset.counters, thresholds):
+            for count, limit in zip(counters, thresholds):
                 assert 0 <= count <= limit
             if reset:
                 # only the LRU line's home-class counter resets, and only
                 # from its threshold
                 home_class = homes[victim] != 0
                 assert before[home_class] == thresholds[home_class]
-                assert cset.counters[home_class] == 0
+                assert counters[home_class] == 0
     assert fired and resets  # the bias and the resets were exercised
     print("ACCEPTANCE 6 (threshold defaults and counter bounds): PASS")
 

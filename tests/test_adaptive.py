@@ -20,7 +20,7 @@ def on(socket, kinds):
 
 
 def trace(steps):
-    """One record per (socket, kind) step, its seq the step's index.
+    """One record per (socket, kind) step.
 
     Kind "r" reads a fresh line homed at the other socket (a remote-DRAM
     miss), "l" a fresh line homed at the reader (a local-DRAM miss), "w"
@@ -36,7 +36,7 @@ def trace(steps):
             home = 1 - socket if kind == "r" else socket
             last[socket] = home << 31 | seq << 6
         op = Op.WRITE if kind == "w" else Op.READ
-        records.append(AccessRecord(socket, 0, op, last[socket], seq))
+        records.append(AccessRecord(socket, 0, op, last[socket]))
     return records
 
 
@@ -51,7 +51,7 @@ def flags(monkeypatch):
     """The bias flag each read was handed, in trace order."""
     seen, read = [], CoherenceSystem.handle_read
 
-    def spy(self, requestor, addr, bias_enabled=True):
+    def spy(self, requestor, addr, bias_enabled=False):
         seen.append(bias_enabled)
         return read(self, requestor, addr, bias_enabled)
 
@@ -108,7 +108,7 @@ class TestWindows:
     def test_window_closes_at_its_last_miss(self, flags):
         stats = simulate(on(0, "rrrrrrllll" + "l"), initial=False)
         assert stats.window_fractions == [[0.6], []]
-        # the toggle carries the seq of the record that closed the window
+        # the toggle carries the index of the record that closed the window
         assert stats.adaptive_toggles == [(9, 0, True)]
         # every record of the window ran with the old flag, the next with the new
         assert flags == [False] * 10 + [True]

@@ -15,8 +15,8 @@ def decode(addr, topo):
     name the home."""
     system = CoherenceSystem(topo)
     system.handle_read(0, addr)
-    [(set_id, tag)] = [(set_id, tag) for set_id, cset in enumerate(system.llcs[0])
-                       for tag in cset.lines]
+    [(set_id, tag)] = [(set_id, tag) for set_id, column in enumerate(system.columns)
+                       for tag in column[0]]
     home = addr >> (topo.address_width - topo.socket_bits)
     return addr & -topo.line_size_bytes, set_id, tag, home
 

@@ -373,8 +373,8 @@ class TestReader:
         main_pid = os.getpid()
 
         def fails_in_the_reader(fh, topo):
-            for record in parse_trace(fh, topo):
-                if record.seq == IN_PROCESS + 500 and os.getpid() != main_pid:
+            for seq, record in enumerate(parse_trace(fh, topo)):
+                if seq == IN_PROCESS + 500 and os.getpid() != main_pid:
                     if failure == "killed":
                         os.kill(os.getpid(), signal.SIGKILL)
                     if failure == "bug":

@@ -19,7 +19,7 @@ def system(policy=None):
 
 def state_of(sys_, socket, addr):
     """The MoesiState of a socket's copy of addr, or None."""
-    return sys_.llcs[socket][(addr >> 6) & 3].lines.get(addr >> 8)
+    return sys_.columns[(addr >> 6) & 3][socket].get(addr >> 8)
 
 
 class TestRead:
@@ -164,21 +164,21 @@ class TestInvariants:
     def test_random_trace_clean(self):
         sys_ = system(PolicyConfig(PolicyKind.BIASED_ALWAYS))
         rng = random.Random(42)
+        biased = 0
         for _ in range(10_000):
             socket = rng.randrange(2)
             addr = rng.randrange(64) * 64 | (rng.randrange(2) << 31)
-            if rng.random() < 0.5:
-                sys_.handle_read(socket, addr)
-            else:
-                sys_.handle_write(socket, addr)
+            handle = sys_.handle_read if rng.random() < 0.5 else sys_.handle_write
+            biased += handle(socket, addr, bias_enabled=True).biased
         assert sys_.check_global_invariants() == []
+        assert biased  # the bias fired
 
     def test_injected_double_owner_detected(self):
         sys_ = system()
         sys_.handle_write(0, 0x1000)
         # corrupt: a second Modified copy of the same line at socket 1
         sys_.handle_write(1, 0x2000)
-        lines = sys_.llcs[1][0].lines
+        lines = sys_.columns[0][1]
         lines[0x10] = lines.pop(0x20)
         violations = sys_.check_global_invariants()
         assert violations
@@ -214,7 +214,7 @@ class TestInvariants:
         for socket, op in enumerate(accesses):
             (sys_.handle_write if op == "W" else sys_.handle_read)(socket, 0x1000)
         assert sys_.check_global_invariants() == []
-        sys_.llcs[1][0].lines[0x10] = state
+        sys_.columns[0][1][0x10] = state
         assert sys_.check_global_invariants() == expected
 
     def test_overfull_set_detected(self):
@@ -222,9 +222,21 @@ class TestInvariants:
         for i in range(4):
             sys_.handle_read(0, i * 0x100)
         # corrupt: a fifth line in a 4-way set
-        sys_.llcs[0][0].lines[0x40] = MoesiState.SHARED
+        sys_.columns[0][0][0x40] = MoesiState.SHARED
         assert sys_.check_global_invariants() == [
             "socket 0 set 0: 5 lines exceed associativity 4"
+        ]
+
+    def test_counter_out_of_range_detected(self):
+        sys_ = system()  # thresholds (1, 2) at associativity 4
+        sys_.counters[0][1][:] = [2, 0]
+        sys_.counters[3][0][:] = [0, -1]
+        sys_.counters[2][1][:] = [1, 3]
+        # socket-major: every set of socket 0, then every set of socket 1
+        assert sys_.check_global_invariants() == [
+            "socket 0 set 3: remote-home counter -1 out of [0, 2]",
+            "socket 1 set 0: local-home counter 2 out of [0, 1]",
+            "socket 1 set 2: remote-home counter 3 out of [0, 2]",
         ]
 
     def test_address_out_of_range(self):

@@ -63,8 +63,8 @@ def scenarios(draw):
 @given(scenarios())
 def test_engine_equals_reference_model(scenario):
     topo, (t_local, t_remote), adaptive, lat, accesses = scenario
-    records = [AccessRecord(socket, 0, Op(op), addr, seq)
-               for socket, op, addr, seq in accesses]
+    records = [AccessRecord(socket, 0, Op(op), addr)
+               for socket, op, addr, _ in accesses]
     config = AdaptiveConfig(adaptive["window"], adaptive["high"],
                             adaptive["low"], adaptive["initial_bias"],
                             adaptive["count_remote_dram"])

@@ -31,7 +31,7 @@ def random_trace(n, seed, sockets=2, lines=64, write_frac=0.4):
     for i in range(n):
         addr = rng.randrange(lines) * 64 | (rng.randrange(sockets) << 31)
         op = Op.WRITE if rng.random() < write_frac else Op.READ
-        recs.append(AccessRecord(rng.randrange(sockets), 0, op, addr, i))
+        recs.append(AccessRecord(rng.randrange(sockets), 0, op, addr))
     return recs
 
 
@@ -67,7 +67,7 @@ class TestRun:
         assert stats["adaptive_toggles"] == []
 
     def test_single_cold_read_local_home(self):
-        stats = run([AccessRecord(0, 0, Op.READ, 0x1000, 0)], TOPO,
+        stats = run([AccessRecord(0, 0, Op.READ, 0x1000)], TOPO,
                     PolicyConfig()).to_dict(LAT)
         assert stats["misses"] == 1
         assert stats["per_socket"][0]["misses_by_source"]["local_dram"] == 1
@@ -108,51 +108,51 @@ class TestRun:
 
     def test_out_of_range_socket_rejected(self):
         with pytest.raises(ConfigError):
-            run([AccessRecord(7, 0, Op.READ, 0x0, 0)], TOPO, PolicyConfig())
+            run([AccessRecord(7, 0, Op.READ, 0x0)], TOPO, PolicyConfig())
 
     def test_negative_socket_or_core_rejected(self):
         # a negative index would otherwise alias the last socket
         for socket, core in ((-1, -1), (-1, 0), (0, -1)):
             with pytest.raises(ConfigError):
-                run([AccessRecord(socket, core, Op.READ, 0x0, 0)], TOPO,
+                run([AccessRecord(socket, core, Op.READ, 0x0)], TOPO,
                     PolicyConfig())
 
     def test_op_other_than_read_or_write_rejected(self):
         # a string op would otherwise be simulated as a write
         topo = TopologyConfig(num_sockets=1, llc_sets=1, llc_assoc=4)
-        reads = [AccessRecord(0, 0, Op.READ, i * 64, i) for i in range(5)]
+        reads = [AccessRecord(0, 0, Op.READ, i * 64) for i in range(5)]
         assert run(reads, topo, PolicyConfig()).to_dict()["writebacks"] == 0
         for op in ("R", "W", None):
-            trace = [AccessRecord(0, 0, op, 0x40, 0)] + reads[1:]
+            trace = [AccessRecord(0, 0, op, 0x40)] + reads[1:]
             with pytest.raises(ConfigError, match="record 0"):
                 run(trace, topo, PolicyConfig())
 
     # id -> (the malformed record, the error that names it)
     MALFORMED = {
-        "str-address": (AccessRecord(0, 0, Op.READ, "0x40", 7),
-                        "record 7: address '0x40' is not an integer"),
-        "float-address": (AccessRecord(0, 0, Op.WRITE, 64.0, 7),
-                          "record 7: address 64.0 is not an integer"),
-        "none-socket": (AccessRecord(None, 0, Op.READ, 0x40, 7),
-                        "record 7: socket None is not an integer"),
-        "float-socket": (AccessRecord(1.0, 0, Op.READ, 0x40, 7),
-                         "record 7: socket 1.0 is not an integer"),
-        "str-core": (AccessRecord(0, "0", Op.READ, 0x40, 7),
-                     "record 7: core '0' is not an integer"),
+        "str-address": (AccessRecord(0, 0, Op.READ, "0x40"),
+                        "record 2: address '0x40' is not an integer"),
+        "float-address": (AccessRecord(0, 0, Op.WRITE, 64.0),
+                          "record 2: address 64.0 is not an integer"),
+        "none-socket": (AccessRecord(None, 0, Op.READ, 0x40),
+                        "record 2: socket None is not an integer"),
+        "float-socket": (AccessRecord(1.0, 0, Op.READ, 0x40),
+                         "record 2: socket 1.0 is not an integer"),
+        "str-core": (AccessRecord(0, "0", Op.READ, 0x40),
+                     "record 2: core '0' is not an integer"),
         # a float core in range: only the record check reads the core
-        "fraction-core": (AccessRecord(0, 0.5, Op.READ, 0x40, 7),
-                          "record 7: core 0.5 is not an integer"),
-        "float-core": (AccessRecord(0, 0.0, Op.WRITE, 0x40, 7),
-                       "record 7: core 0.0 is not an integer"),
-        "wide-address": (AccessRecord(0, 0, Op.READ, 1 << 32, 7),
-                         "record 7: address 0x100000000 does not fit in 32 bits"),
-        "negative-address": (AccessRecord(0, 0, Op.WRITE, -64, 7),
-                             "record 7: address -0x40 does not fit in 32 bits"),
-        # a record without a seq is named by its index in the trace
-        "4-tuple": ((0, 0, Op.READ, 0x40),
-                    "record 2: expected (socket, core, op, addr, seq), "
-                    "got (0, 0, <Op.READ: 'R'>, 64)"),
-        "none": (None, "record 2: expected (socket, core, op, addr, seq), got None"),
+        "fraction-core": (AccessRecord(0, 0.5, Op.READ, 0x40),
+                          "record 2: core 0.5 is not an integer"),
+        "float-core": (AccessRecord(0, 0.0, Op.WRITE, 0x40),
+                       "record 2: core 0.0 is not an integer"),
+        "wide-address": (AccessRecord(0, 0, Op.READ, 1 << 32),
+                         "record 2: address 0x100000000 does not fit in 32 bits"),
+        "negative-address": (AccessRecord(0, 0, Op.WRITE, -64),
+                             "record 2: address -0x40 does not fit in 32 bits"),
+        # a record is named by its index in the trace, whatever its shape
+        "5-tuple": ((0, 0, Op.READ, 0x40, 2),
+                    "record 2: expected (socket, core, op, addr), "
+                    "got (0, 0, <Op.READ: 'R'>, 64, 2)"),
+        "none": (None, "record 2: expected (socket, core, op, addr), got None"),
     }
 
     @pytest.mark.parametrize("case", list(MALFORMED))
@@ -177,12 +177,12 @@ class TestRun:
                 run(parse_trace(lines, TOPO), TOPO, PolicyConfig())
 
     def test_internal_type_error_passes_unchanged(self, monkeypatch):
-        def broken(self, requestor, addr, bias_enabled=True):
+        def broken(self, requestor, addr, bias_enabled=False):
             raise TypeError("internal")
 
         monkeypatch.setattr(CoherenceSystem, "handle_read", broken)
         with pytest.raises(TypeError, match="^internal$"):
-            run([AccessRecord(0, 0, Op.READ, 0x40, 0)], TOPO, PolicyConfig())
+            run([AccessRecord(0, 0, Op.READ, 0x40)], TOPO, PolicyConfig())
 
 
 def test_python_calls_per_record_stay_at_the_layer_boundaries():

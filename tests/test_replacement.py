@@ -5,13 +5,14 @@ from hypothesis import given, strategies as st
 
 from numacache.address_map import TopologyConfig
 from numacache.coherence import CoherenceSystem, ServiceSource
+from numacache.engine import run
 from numacache.replacement import (
-    CacheSet,
     MoesiState,
     PolicyConfig,
     PolicyKind,
     select_victim,
 )
+from numacache.workload import AccessRecord, Op
 
 # one set per socket, so every line of a socket competes for the same ways
 ONE_SET = TopologyConfig(num_sockets=2, llc_sets=1, llc_assoc=4,
@@ -19,13 +20,11 @@ ONE_SET = TopologyConfig(num_sockets=2, llc_sets=1, llc_assoc=4,
 
 
 def full_set(assoc, shared_tags=()):
-    """Set holding tags 0..A-1 with tag 0 at MRU and tag A-1 at LRU; the
-    tags in `shared_tags` are Remote-Shared, the others Exclusive."""
-    cset = CacheSet()
-    for tag in reversed(range(assoc)):
-        cset.lines[tag] = (MoesiState.REMOTE_SHARED if tag in shared_tags
-                           else MoesiState.EXCLUSIVE)
-    return cset
+    """Lines of a set holding tags 0..A-1 with tag 0 at MRU and tag A-1 at
+    LRU; the tags in `shared_tags` are Remote-Shared, the others Exclusive."""
+    return {tag: (MoesiState.REMOTE_SHARED if tag in shared_tags
+                  else MoesiState.EXCLUSIVE)
+            for tag in reversed(range(assoc))}
 
 
 def filled_system(lines, assoc=4):
@@ -40,7 +39,7 @@ def filled_system(lines, assoc=4):
 
 def order(sys_, socket=0):
     """Tags of a socket's only set, least recently used first."""
-    return list(sys_.llcs[socket][0].lines)
+    return list(sys_.columns[0][socket])
 
 
 class TestTouch:
@@ -73,14 +72,14 @@ class TestFill:
         sys_ = CoherenceSystem(ONE_SET)
         sys_.handle_write(1, 0x1C0)
         sys_.handle_read(0, 0x1C0)  # Modified at socket 1 supplies
-        lines = sys_.llcs[0][0].lines
+        lines = sys_.columns[0][0]
         assert lines[7] is MoesiState.REMOTE_SHARED
         assert list(lines)[-1] == 7
 
     def test_cold_fill_exclusive(self):
         sys_ = CoherenceSystem(ONE_SET)
         sys_.handle_read(1, 0x1C0)
-        assert sys_.llcs[1][0].lines[7] is MoesiState.EXCLUSIVE
+        assert sys_.columns[0][1][7] is MoesiState.EXCLUSIVE
 
     def test_filled_line_ages_to_lru(self):
         sys_ = filled_system(4)
@@ -93,48 +92,50 @@ class TestFill:
 class TestSelectVictim:
     def test_reset_at_threshold(self):
         # A=16: defaults t_local=4, t_remote=8; remote-home counter at 8
-        cset = full_set(16, shared_tags={15})
-        cset.counters[1] = 8
+        counters = [0, 8]
         cfg = PolicyConfig(PolicyKind.BIASED_ALWAYS)
         assert cfg.thresholds(16) == (4, 8)
-        d = select_victim(cset, 0, lambda t: 1, cfg.thresholds(16), True)
+        d = select_victim(full_set(16, shared_tags={15}), counters, 0,
+                          lambda t: 1, cfg.thresholds(16), True)
         assert d == (15, False, True)
-        assert cset.counters == [0, 0]
+        assert counters == [0, 0]
 
     def test_bias_disabled_is_pure_lru(self):
-        cset = full_set(4, shared_tags={3})
-        d = select_victim(cset, 0, lambda t: 0, (1, 2), False)
+        d = select_victim(full_set(4, shared_tags={3}), [0, 0], 0,
+                          lambda t: 0, (1, 2), False)
         assert d == (3, False, False)
 
     def test_bias_protects_shared_local_home(self):
         # A=4, t_local=1, counter 0: LRU tag 3 shared, tag 2 is the least
         # recent non-shared line and gets evicted instead
-        cset = full_set(4, shared_tags={3})
-        d = select_victim(cset, 0, lambda t: 0, (1, 2), True)
+        counters = [0, 0]
+        d = select_victim(full_set(4, shared_tags={3}), counters, 0,
+                          lambda t: 0, (1, 2), True)
         assert d == (2, True, False)
-        assert cset.counters == [1, 0]
+        assert counters == [1, 0]
 
-    def test_lru_only_ignores_remote_shared(self):
-        # the LRU policy evicts the remote-shared LRU line even when the
-        # caller leaves the bias enabled
-        sys_ = CoherenceSystem(ONE_SET, PolicyConfig())
-        sys_.handle_write(1, 0)
-        sys_.handle_read(0, 0)  # tag 0 remote-shared at socket 0
-        for i in range(1, 4):
-            sys_.handle_read(0, i * 64)
-        out = sys_.handle_read(0, 4 * 64, bias_enabled=True)
-        assert not out.biased and not out.counter_reset
-        assert order(sys_) == [1, 2, 3, 4]
+    @pytest.mark.parametrize("kind, bias_events, hits", [
+        (PolicyKind.LRU_ONLY, 0, 0),
+        (PolicyKind.BIASED_ALWAYS, 1, 1),
+    ])
+    def test_only_biased_policies_protect_remote_shared(self, kind, bias_events, hits):
+        # socket 0 holds tag 0 Remote-Shared at LRU when a fifth line comes
+        # in, then reads tag 0 again: a hit only if the bias protected it
+        trace = [AccessRecord(1, 0, Op.WRITE, 0)] + [
+            AccessRecord(0, 0, Op.READ, tag * 64) for tag in (0, 1, 2, 3, 4, 0)]
+        socket0 = run(trace, ONE_SET, PolicyConfig(kind)).to_dict()["per_socket"][0]
+        assert (socket0["bias_events"], socket0["hits"]) == (bias_events, hits)
 
     def test_all_shared_fallback(self):
-        cset = full_set(4, shared_tags={0, 1, 2, 3})
-        d = select_victim(cset, 0, lambda t: 0, (1, 2), True)
+        counters = [0, 0]
+        d = select_victim(full_set(4, shared_tags={0, 1, 2, 3}), counters, 0,
+                          lambda t: 0, (1, 2), True)
         assert d == (3, False, False)
-        assert cset.counters == [0, 0]
+        assert counters == [0, 0]
 
     def test_nonshared_victim_is_deepest(self):
-        cset = full_set(8, shared_tags={7, 6, 5})
-        d = select_victim(cset, 0, lambda t: 1, (2, 4), True)
+        d = select_victim(full_set(8, shared_tags={7, 6, 5}), [0, 0], 0,
+                          lambda t: 1, (2, 4), True)
         assert d[0] == 4  # least recent among non-shared
 
     def test_threshold_bounds_validated(self):
@@ -146,23 +147,31 @@ class TestSelectVictim:
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_counter_bounds_fuzz(seed):
-    """Counters stay in [0, threshold]; resets fire only at the threshold."""
+    """Counters stay in [0, threshold]; resets fire only at the threshold.
+
+    200 selections with a Remote-Shared LRU line about every other time
+    make both a biased selection and a reset all but certain, and the
+    test checks that both happened."""
     rng = random.Random(seed)
     assoc = rng.choice([2, 4, 8, 16])
     thresholds = PolicyConfig(PolicyKind.BIASED_ALWAYS).thresholds(assoc)
-    cset = full_set(assoc)
-    for _ in range(50):
-        for tag in cset.lines:
-            cset.lines[tag] = (MoesiState.REMOTE_SHARED if rng.random() < 0.5
-                               else MoesiState.EXCLUSIVE)
+    lines, counters = full_set(assoc), [0, 0]
+    fired = resets = 0
+    for _ in range(200):
+        for tag in lines:
+            lines[tag] = (MoesiState.REMOTE_SHARED if rng.random() < 0.5
+                          else MoesiState.EXCLUSIVE)
         homes = [rng.randrange(2) for _ in range(assoc)]
-        before = list(cset.counters)
+        before = list(counters)
         victim, biased, reset = select_victim(
-            cset, 0, lambda t: homes[t], thresholds, True)
-        for count, limit in zip(cset.counters, thresholds):
+            lines, counters, 0, lambda t: homes[t], thresholds, True)
+        fired, resets = fired + biased, resets + reset
+        for count, limit in zip(counters, thresholds):
             assert 0 <= count <= limit
         if reset:
             home_class = homes[victim] != 0
             assert before[home_class] == thresholds[home_class]
+            assert counters[home_class] == 0
         if biased:
-            assert cset.lines[victim] is not MoesiState.REMOTE_SHARED
+            assert lines[victim] is not MoesiState.REMOTE_SHARED
+    assert fired and resets  # the bias and the resets were exercised
