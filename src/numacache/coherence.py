@@ -7,7 +7,7 @@ store; only coherence state is tracked, not data.
 """
 
 import enum
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .address_map import ConfigError, TopologyConfig
 from .replacement import MoesiState, PolicyConfig, select_victim
@@ -22,30 +22,13 @@ class ServiceSource(enum.IntEnum):
     REMOTE_DRAM = 3
 
 
-class FillOutcome(NamedTuple):
-    service_source: ServiceSource
-    writeback: bool = False      # the evicted victim was dirty (M/O)
-    biased: bool = False         # a non-shared victim replaced the LRU shared line
-    counter_reset: bool = False  # a bias counter reached its threshold
-
-
-# Enum members bound once: attribute access on an Enum class is slow.
+# Enum members bound once: attribute access on an Enum class is slow; the
+# sources as plain ints, which index a list faster than an IntEnum does.
 MODIFIED, OWNER, EXCLUSIVE, SHARED, REMOTE_SHARED = MoesiState
-LOCAL_HIT, REMOTE_C2C, LOCAL_DRAM, REMOTE_DRAM = ServiceSource
+LOCAL_HIT, REMOTE_C2C, LOCAL_DRAM, REMOTE_DRAM = map(int, ServiceSource)
 _DIRTY = (MODIFIED, OWNER)  # the states whose eviction writes back
 _SHARED = (SHARED, REMOTE_SHARED)  # the states that ship no line
 _EXCLUSIVE = (MODIFIED, EXCLUSIVE)  # the states that need no upgrade
-
-_HIT = FillOutcome(LOCAL_HIT)
-# the outcome of a miss that evicts nothing, by source
-_MISS = [FillOutcome(source) for source in ServiceSource]
-# the outcome of a miss that evicts, [source][writeback][biased][counter_reset]
-_EVICTING = [
-    [[[FillOutcome(source, writeback, biased, reset) for reset in (False, True)]
-      for biased in (False, True)]
-     for writeback in (False, True)]
-    for source in ServiceSource
-]
 
 
 class CoherenceSystem:
@@ -65,6 +48,13 @@ class CoherenceSystem:
     and the tag is every bit above the set index, so the home bits are part
     of it, and the line address and home socket follow from (set index,
     tag).
+
+    Each handler adds its access into `count`, the requestor's 7-slot count
+    list (`engine.SimStats.counts`): one at the access's ServiceSource and,
+    when it evicts, one at slot 4 for a write-back, 5 for a bias event and
+    6 for a counter reset. It returns whether the access missed. A full
+    set evicts its LRU line unless the bias is on and that line is
+    remote-shared; only then does `select_victim` decide.
     """
 
     def __init__(self, topo: TopologyConfig, policy: Optional[PolicyConfig] = None):
@@ -85,8 +75,8 @@ class CoherenceSystem:
     # -- accesses ---------------------------------------------------------
 
     def handle_read(
-        self, requestor: int, addr: int, bias_enabled: bool = False
-    ) -> FillOutcome:
+        self, requestor: int, addr: int, count: list[int], bias_enabled: bool = False
+    ) -> bool:
         if addr < 0 or addr >> self._width:
             raise ConfigError(f"address {addr:#x} does not fit in {self._width} bits")
         set_id = (addr >> self._offset_bits) & self._set_mask
@@ -95,7 +85,8 @@ class CoherenceSystem:
         lines = column[requestor]
         if tag in lines:
             lines[tag] = lines.pop(tag)
-            return _HIT
+            count[LOCAL_HIT] += 1
+            return False
 
         # the requestor holds no copy, so every copy found is another's
         state = EXCLUSIVE
@@ -119,24 +110,28 @@ class CoherenceSystem:
             # local iff the line's home is the requestor
             home = tag >> self._home_shift
             source = LOCAL_DRAM if home == requestor else REMOTE_DRAM
+        count[source] += 1
 
         # install at MRU, first evicting a victim if the set is full
-        if len(lines) < self._assoc:
-            lines[tag] = state
-            return _MISS[source]
-        victim, biased, reset = select_victim(
-            lines, self.counters[set_id][requestor], requestor, self._home_of,
-            self.thresholds, bias_enabled,
-        )
-        # REMOTE_SHARED copies elsewhere of an evicted Owner line stay so,
-        # stale by design (silent write-back)
-        writeback = lines.pop(victim) in _DIRTY
+        if len(lines) >= self._assoc:
+            victim = next(iter(lines))
+            if bias_enabled and lines[victim] is REMOTE_SHARED:
+                victim, biased, reset = select_victim(
+                    lines, self.counters[set_id][requestor], requestor,
+                    self._home_of, self.thresholds,
+                )
+                count[5] += biased
+                count[6] += reset
+            # REMOTE_SHARED copies elsewhere of an evicted Owner line stay
+            # so, stale by design (silent write-back)
+            if lines.pop(victim) in _DIRTY:
+                count[4] += 1
         lines[tag] = state
-        return _EVICTING[source][writeback][biased][reset]
+        return True
 
     def handle_write(
-        self, requestor: int, addr: int, bias_enabled: bool = False
-    ) -> FillOutcome:
+        self, requestor: int, addr: int, count: list[int], bias_enabled: bool = False
+    ) -> bool:
         if addr < 0 or addr >> self._width:
             raise ConfigError(f"address {addr:#x} does not fit in {self._width} bits")
         set_id = (addr >> self._offset_bits) & self._set_mask
@@ -149,7 +144,8 @@ class CoherenceSystem:
                 for other in column:
                     other.pop(tag, None)
             lines[tag] = MODIFIED
-            return _HIT
+            count[LOCAL_HIT] += 1
+            return False
 
         # every copy is invalidated; a Modified, Owner or Exclusive one
         # ships the line, else memory does, as for a read
@@ -162,19 +158,23 @@ class CoherenceSystem:
         else:
             home = tag >> self._home_shift
             source = LOCAL_DRAM if home == requestor else REMOTE_DRAM
+        count[source] += 1
 
         # install at MRU, first evicting a victim if the set is full, as
         # for a read
-        if len(lines) < self._assoc:
-            lines[tag] = MODIFIED
-            return _MISS[source]
-        victim, biased, reset = select_victim(
-            lines, self.counters[set_id][requestor], requestor, self._home_of,
-            self.thresholds, bias_enabled,
-        )
-        writeback = lines.pop(victim) in _DIRTY
+        if len(lines) >= self._assoc:
+            victim = next(iter(lines))
+            if bias_enabled and lines[victim] is REMOTE_SHARED:
+                victim, biased, reset = select_victim(
+                    lines, self.counters[set_id][requestor], requestor,
+                    self._home_of, self.thresholds,
+                )
+                count[5] += biased
+                count[6] += reset
+            if lines.pop(victim) in _DIRTY:
+                count[4] += 1
         lines[tag] = MODIFIED
-        return _EVICTING[source][writeback][biased][reset]
+        return True
 
     # -- invariant checking -----------------------------------------------
 

@@ -5,7 +5,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .adaptive import AdaptiveConfig
 from .address_map import ConfigError, TopologyConfig
-from .coherence import CoherenceSystem, ServiceSource
+from .coherence import CoherenceSystem
 from .replacement import PolicyConfig, PolicyKind
 from .workload import AccessRecord, Op
 
@@ -128,7 +128,7 @@ def run(
         bias = [policy.kind is PolicyKind.BIASED_ALWAYS] * num_sockets
     handle_read, handle_write = system.handle_read, system.handle_write
     # Enum members bound once: attribute access on an Enum class is slow.
-    read, write, hit = Op.READ, Op.WRITE, ServiceSource.LOCAL_HIT
+    read, write = Op.READ, Op.WRITE
 
     seq, record = 0, _NO_RECORD  # the loop's record and its index, for an error
     try:
@@ -140,20 +140,15 @@ def run(
                 raise ConfigError(f"record {seq}: core {core} out of range")
             cores[core]  # a TypeError unless the core is an integer
 
+            count = counts[socket]  # the handler adds the access into it
             if op is read:
-                outcome = handle_read(socket, addr, bias[socket])
+                missed = handle_read(socket, addr, count, bias[socket])
             elif op is write:
-                outcome = handle_write(socket, addr, bias[socket])
+                missed = handle_write(socket, addr, count, bias[socket])
             else:
                 raise ConfigError(f"record {seq}: op {op!r} is not an Op")
 
-            source, writeback, biased, reset = outcome
-            count = counts[socket]
-            count[source] += 1
-            if source is not hit:
-                count[4] += writeback
-                count[5] += biased
-                count[6] += reset
+            if missed:
                 misses_left = left[socket] - 1
                 if misses_left:
                     left[socket] = misses_left

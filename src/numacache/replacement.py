@@ -49,21 +49,22 @@ def select_victim(
     local_socket: int,
     home_of: Callable[[int], int],
     thresholds: tuple[int, int],
-    bias: bool,
 ) -> tuple[int, bool, bool]:
-    """Pick the victim tag of a full set, updating its bias counters.
+    """Pick the victim tag of a full set under the bias, updating its bias
+    counters.
 
     `lines` maps tag -> MoesiState, least recently used first; `counters`
     is the set's [local-home, remote-home] pair. Returns (victim tag,
-    biased, counter reset). The LRU line is the default. When the bias is
-    active and the LRU line is remote-shared, the counter of its home
-    class (local or remote to `local_socket`, via `home_of(tag)`) decides:
-    below its threshold we protect the shared line and evict the least
-    recent non-shared line instead (the counter increments); at the
-    threshold the shared line goes after all and the counter resets.
+    biased, counter reset). The LRU line is the default, and the only
+    choice with the bias off, so the handlers call this only with the bias
+    on. When the LRU line is remote-shared, the counter of its home class
+    (local or remote to `local_socket`, via `home_of(tag)`) decides: below
+    its threshold we protect the shared line and evict the least recent
+    non-shared line instead (the counter increments); at the threshold the
+    shared line goes after all and the counter resets.
     """
     lru = next(iter(lines))
-    if not bias or lines[lru] is not REMOTE_SHARED:
+    if lines[lru] is not REMOTE_SHARED:
         return lru, False, False
 
     home_class = 0 if home_of(lru) == local_socket else 1

@@ -185,7 +185,7 @@ def test_criterion_6_threshold_defaults_and_counter_bounds(capsys):
             homes = [rng.randrange(2) for _ in range(assoc)]
             before = list(counters)
             victim, biased, reset = select_victim(
-                lines, counters, 0, lambda tag: homes[tag], thresholds, True)
+                lines, counters, 0, lambda tag: homes[tag], thresholds)
             fired, resets = fired + biased, resets + reset
             for count, limit in zip(counters, thresholds):
                 assert 0 <= count <= limit

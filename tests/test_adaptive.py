@@ -51,9 +51,9 @@ def flags(monkeypatch):
     """The bias flag each read was handed, in trace order."""
     seen, read = [], CoherenceSystem.handle_read
 
-    def spy(self, requestor, addr, bias_enabled=False):
+    def spy(self, requestor, addr, count, bias_enabled=False):
         seen.append(bias_enabled)
-        return read(self, requestor, addr, bias_enabled)
+        return read(self, requestor, addr, count, bias_enabled)
 
     monkeypatch.setattr(CoherenceSystem, "handle_read", spy)
     return seen

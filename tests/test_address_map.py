@@ -14,7 +14,7 @@ def decode(addr, topo):
     address; the line address masks off the line offset and the top bits
     name the home."""
     system = CoherenceSystem(topo)
-    system.handle_read(0, addr)
+    system.handle_read(0, addr, [0] * 7)
     [(set_id, tag)] = [(set_id, tag) for set_id, column in enumerate(system.columns)
                        for tag in column[0]]
     home = addr >> (topo.address_width - topo.socket_bits)

@@ -22,113 +22,136 @@ def state_of(sys_, socket, addr):
     return sys_.columns[(addr >> 6) & 3][socket].get(addr >> 8)
 
 
+def access(handle, socket, addr, bias_enabled=False):
+    """One access through a handler; its 7-slot count list, which counts
+    it once by ServiceSource and agrees with the handler's missed flag."""
+    count = [0] * 7
+    missed = handle(socket, addr, count, bias_enabled)
+    assert sum(count[:4]) == 1
+    assert missed is (count[ServiceSource.LOCAL_HIT] == 0)
+    return count
+
+
+def read(sys_, socket, addr, bias_enabled=False):
+    return access(sys_.handle_read, socket, addr, bias_enabled)
+
+
+def write(sys_, socket, addr, bias_enabled=False):
+    return access(sys_.handle_write, socket, addr, bias_enabled)
+
+
+def source(count):
+    """The ServiceSource an access's count list counts."""
+    return ServiceSource(count.index(1))
+
+
 class TestRead:
     def test_cold_fill_local_home(self):
         sys_ = system()
-        out = sys_.handle_read(0, 0x1000)
-        assert out.service_source is ServiceSource.LOCAL_DRAM
+        out = read(sys_, 0, 0x1000)
+        assert source(out) is ServiceSource.LOCAL_DRAM
         assert state_of(sys_, 0, 0x1000) is MoesiState.EXCLUSIVE
 
     def test_cold_fill_remote_home(self):
         sys_ = system()
-        out = sys_.handle_read(0, HOME1 | 0x1000)
-        assert out.service_source is ServiceSource.REMOTE_DRAM
+        out = read(sys_, 0, HOME1 | 0x1000)
+        assert source(out) is ServiceSource.REMOTE_DRAM
         assert state_of(sys_, 0, HOME1 | 0x1000) is MoesiState.EXCLUSIVE
 
     def test_modified_supplier_becomes_owner(self):
         sys_ = system()
-        sys_.handle_write(1, 0x1000)
-        out = sys_.handle_read(0, 0x1000)
-        assert out.service_source is ServiceSource.REMOTE_C2C
+        write(sys_, 1, 0x1000)
+        out = read(sys_, 0, 0x1000)
+        assert source(out) is ServiceSource.REMOTE_C2C
         assert state_of(sys_, 0, 0x1000) is MoesiState.REMOTE_SHARED
         assert state_of(sys_, 1, 0x1000) is MoesiState.OWNER
 
     def test_owner_supplier_stays_owner(self):
         sys_ = system()
-        sys_.handle_write(1, 0x1000)
-        sys_.handle_read(0, 0x1000)  # 1 -> Owner
+        write(sys_, 1, 0x1000)
+        read(sys_, 0, 0x1000)  # 1 -> Owner
         # evict socket 0's copy by filling its set, then re-read
         for i in range(1, 5):
-            sys_.handle_read(0, 0x1000 + i * 0x100)
+            read(sys_, 0, 0x1000 + i * 0x100)
         assert state_of(sys_, 0, 0x1000) is None
-        out = sys_.handle_read(0, 0x1000)
-        assert out.service_source is ServiceSource.REMOTE_C2C
+        out = read(sys_, 0, 0x1000)
+        assert source(out) is ServiceSource.REMOTE_C2C
         assert state_of(sys_, 0, 0x1000) is MoesiState.REMOTE_SHARED
         assert state_of(sys_, 1, 0x1000) is MoesiState.OWNER
 
     def test_exclusive_supplier_degrades_to_plain_shared(self):
         sys_ = system()
-        sys_.handle_read(1, 0x1000)  # Exclusive at socket 1
-        out = sys_.handle_read(0, 0x1000)
-        assert out.service_source is ServiceSource.REMOTE_C2C
+        read(sys_, 1, 0x1000)  # Exclusive at socket 1
+        out = read(sys_, 0, 0x1000)
+        assert source(out) is ServiceSource.REMOTE_C2C
         assert state_of(sys_, 0, 0x1000) is MoesiState.SHARED
         assert state_of(sys_, 1, 0x1000) is MoesiState.SHARED
 
     def test_only_shared_copies_memory_supplies(self):
         sys_ = system()
-        sys_.handle_read(1, 0x1000)       # E at 1
-        sys_.handle_read(0, 0x1000)       # E degrades, both S
+        read(sys_, 1, 0x1000)       # E at 1
+        read(sys_, 0, 0x1000)       # E degrades, both S
         # evict socket 0's copy, then read from socket 0 again
         for i in range(1, 5):
-            sys_.handle_read(0, 0x1000 + i * 0x100)
-        out = sys_.handle_read(0, 0x1000)
-        assert out.service_source is ServiceSource.LOCAL_DRAM
+            read(sys_, 0, 0x1000 + i * 0x100)
+        out = read(sys_, 0, 0x1000)
+        assert source(out) is ServiceSource.LOCAL_DRAM
         assert state_of(sys_, 0, 0x1000) is MoesiState.SHARED
 
     def test_local_hit(self):
         sys_ = system()
-        sys_.handle_read(0, 0x1000)
-        out = sys_.handle_read(0, 0x1000)
-        assert out.service_source is ServiceSource.LOCAL_HIT
-        assert not out.writeback
+        read(sys_, 0, 0x1000)
+        out = read(sys_, 0, 0x1000)
+        assert source(out) is ServiceSource.LOCAL_HIT
+        assert out[4] == 0  # no write-back
 
 
 class TestWrite:
     def test_exclusive_upgrades_silently(self):
         sys_ = system()
-        sys_.handle_read(0, 0x1000)
-        out = sys_.handle_write(0, 0x1000)
-        assert out.service_source is ServiceSource.LOCAL_HIT
+        read(sys_, 0, 0x1000)
+        out = write(sys_, 0, 0x1000)
+        assert source(out) is ServiceSource.LOCAL_HIT
         assert state_of(sys_, 0, 0x1000) is MoesiState.MODIFIED
 
     def test_upgrade_invalidates_remote_owner(self):
         sys_ = system()
-        sys_.handle_write(1, 0x1000)
-        sys_.handle_read(0, 0x1000)  # 0: Remote-Shared, 1: Owner
-        out = sys_.handle_write(0, 0x1000)
-        assert out.service_source is ServiceSource.LOCAL_HIT
+        write(sys_, 1, 0x1000)
+        read(sys_, 0, 0x1000)  # 0: Remote-Shared, 1: Owner
+        out = write(sys_, 0, 0x1000)
+        assert source(out) is ServiceSource.LOCAL_HIT
         assert state_of(sys_, 0, 0x1000) is MoesiState.MODIFIED
         assert state_of(sys_, 1, 0x1000) is None
 
     def test_cold_write_remote_home(self):
         sys_ = system()
-        out = sys_.handle_write(0, HOME1 | 0x2000)
-        assert out.service_source is ServiceSource.REMOTE_DRAM
+        out = write(sys_, 0, HOME1 | 0x2000)
+        assert source(out) is ServiceSource.REMOTE_DRAM
         assert state_of(sys_, 0, HOME1 | 0x2000) is MoesiState.MODIFIED
 
     def test_write_miss_remote_modified_supplies(self):
         sys_ = system()
-        sys_.handle_write(1, 0x1000)
-        out = sys_.handle_write(0, 0x1000)
-        assert out.service_source is ServiceSource.REMOTE_C2C
+        write(sys_, 1, 0x1000)
+        out = write(sys_, 0, 0x1000)
+        assert source(out) is ServiceSource.REMOTE_C2C
         assert state_of(sys_, 1, 0x1000) is None
 
     def test_write_miss_shared_copies_invalidated(self):
         sys_ = system()
-        sys_.handle_read(1, 0x1000)
-        sys_.handle_read(0, 0x1000)
-        out = sys_.handle_write(1, 0x1000)
+        read(sys_, 1, 0x1000)
+        read(sys_, 0, 0x1000)
+        out = write(sys_, 1, 0x1000)
         # socket 1 already holds it Shared -> upgrade hit
-        assert out.service_source is ServiceSource.LOCAL_HIT
+        assert source(out) is ServiceSource.LOCAL_HIT
         assert state_of(sys_, 0, 0x1000) is None
 
 
 def evict(sys_, socket, addr):
     """Read new lines into the set of addr, the LRU line of that set in
-    `socket`, until the last read evicts it; return that read's outcome."""
+    `socket`, until the last read evicts it; return that read's count list."""
     for way in range(1, TOPO.llc_assoc + 1):
         assert state_of(sys_, socket, addr) is not None
-        out = sys_.handle_read(socket, addr + way * 0x100)  # same set
+        out = read(sys_, socket, addr + way * 0x100)  # same set
     assert state_of(sys_, socket, addr) is None
     return out
 
@@ -137,22 +160,22 @@ class TestEvict:
     def test_modified_writes_back_home(self):
         sys_ = system()
         addr = HOME1 | 0x1000
-        sys_.handle_write(0, addr)
-        assert evict(sys_, 0, addr).writeback  # dirty: writes back to its home
+        write(sys_, 0, addr)
+        assert evict(sys_, 0, addr)[4] == 1  # dirty: writes back to its home
         assert addr >> (TOPO.address_width - TOPO.socket_bits) == 1
 
     def test_shared_drops_silently(self):
         sys_ = system()
-        sys_.handle_read(1, 0x1000)
-        sys_.handle_read(0, 0x1000)
-        assert evict(sys_, 0, 0x1000).writeback is False
+        read(sys_, 1, 0x1000)
+        read(sys_, 0, 0x1000)
+        assert evict(sys_, 0, 0x1000)[4] == 0  # no write-back
         assert state_of(sys_, 1, 0x1000) is MoesiState.SHARED
 
     def test_owner_eviction_leaves_stale_remote_shared(self):
         sys_ = system()
-        sys_.handle_write(1, 0x1000)
-        sys_.handle_read(0, 0x1000)  # 0: Remote-Shared, 1: Owner
-        assert evict(sys_, 1, 0x1000).writeback is True
+        write(sys_, 1, 0x1000)
+        read(sys_, 0, 0x1000)  # 0: Remote-Shared, 1: Owner
+        assert evict(sys_, 1, 0x1000)[4] == 1  # a write-back
         # the Remote-Shared state is stale by design
         assert state_of(sys_, 0, 0x1000) is MoesiState.REMOTE_SHARED
 
@@ -168,16 +191,16 @@ class TestInvariants:
         for _ in range(10_000):
             socket = rng.randrange(2)
             addr = rng.randrange(64) * 64 | (rng.randrange(2) << 31)
-            handle = sys_.handle_read if rng.random() < 0.5 else sys_.handle_write
-            biased += handle(socket, addr, bias_enabled=True).biased
+            op = read if rng.random() < 0.5 else write
+            biased += op(sys_, socket, addr, bias_enabled=True)[5]  # bias events
         assert sys_.check_global_invariants() == []
         assert biased  # the bias fired
 
     def test_injected_double_owner_detected(self):
         sys_ = system()
-        sys_.handle_write(0, 0x1000)
+        write(sys_, 0, 0x1000)
         # corrupt: a second Modified copy of the same line at socket 1
-        sys_.handle_write(1, 0x2000)
+        write(sys_, 1, 0x2000)
         lines = sys_.columns[0][1]
         lines[0x10] = lines.pop(0x20)
         violations = sys_.check_global_invariants()
@@ -212,7 +235,7 @@ class TestInvariants:
         accesses, state, expected = self.CROSS_SOCKET[case]
         sys_ = system()
         for socket, op in enumerate(accesses):
-            (sys_.handle_write if op == "W" else sys_.handle_read)(socket, 0x1000)
+            (write if op == "W" else read)(sys_, socket, 0x1000)
         assert sys_.check_global_invariants() == []
         sys_.columns[0][1][0x10] = state
         assert sys_.check_global_invariants() == expected
@@ -220,7 +243,7 @@ class TestInvariants:
     def test_overfull_set_detected(self):
         sys_ = system()
         for i in range(4):
-            sys_.handle_read(0, i * 0x100)
+            read(sys_, 0, i * 0x100)
         # corrupt: a fifth line in a 4-way set
         sys_.columns[0][0][0x40] = MoesiState.SHARED
         assert sys_.check_global_invariants() == [
@@ -241,4 +264,4 @@ class TestInvariants:
 
     def test_address_out_of_range(self):
         with pytest.raises(ConfigError):
-            system().handle_read(0, 1 << 32)
+            read(system(), 0, 1 << 32)

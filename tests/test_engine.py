@@ -177,7 +177,7 @@ class TestRun:
                 run(parse_trace(lines, TOPO), TOPO, PolicyConfig())
 
     def test_internal_type_error_passes_unchanged(self, monkeypatch):
-        def broken(self, requestor, addr, bias_enabled=False):
+        def broken(self, requestor, addr, count, bias_enabled=False):
             raise TypeError("internal")
 
         monkeypatch.setattr(CoherenceSystem, "handle_read", broken)
@@ -188,8 +188,9 @@ class TestRun:
 def test_python_calls_per_record_stay_at_the_layer_boundaries():
     """A record costs Python-level calls only at the layer boundaries: one
     resume of `parse_trace`, one handler call and, on a miss that finds
-    its set full, one `select_victim`. The adaptive window is counted in
-    the loop, which calls out only when a window closes."""
+    its set full with the bias on and a remote-shared LRU line, one
+    `select_victim`. The adaptive window is counted in the loop, which
+    calls out only when a window closes."""
     spec = GeneratorSpec(GeneratorKind.PRODUCER_CONSUMER, working_set_lines=24,
                          iterations=40, sharing_socket_pairs=[(0, 1), (1, 0)])
     lines = [line + "\n" for line in format_trace(generate(spec, TOPO))]
@@ -210,7 +211,7 @@ def test_python_calls_per_record_stay_at_the_layer_boundaries():
     assert d["misses"] == len(lines) == 3840
     assert d["writebacks"] > 1000 and d["bias_events"] > 1000
     assert d["counter_resets"] > 500
-    assert calls / len(lines) <= 3.1  # 3.01 when measured
+    assert calls / len(lines) <= 2.97  # 2.88 when measured
 
 
 class TestCompare:

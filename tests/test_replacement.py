@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from numacache.address_map import TopologyConfig
-from numacache.coherence import CoherenceSystem, ServiceSource
+from numacache.coherence import CoherenceSystem
 from numacache.engine import run
 from numacache.replacement import (
     MoesiState,
@@ -33,7 +33,7 @@ def filled_system(lines, assoc=4):
                           line_size_bytes=64, address_width=32)
     sys_ = CoherenceSystem(topo)
     for i in range(lines):
-        sys_.handle_read(0, i * 64)
+        sys_.handle_read(0, i * 64, [0] * 7)
     return sys_
 
 
@@ -45,13 +45,14 @@ def order(sys_, socket=0):
 class TestTouch:
     def test_lru_to_mru(self):
         sys_ = filled_system(4)
-        out = sys_.handle_read(0, 0)
-        assert out.service_source is ServiceSource.LOCAL_HIT
+        count = [0] * 7
+        assert sys_.handle_read(0, 0, count) is False
+        assert count == [1, 0, 0, 0, 0, 0, 0]  # one LOCAL_HIT
         assert order(sys_) == [1, 2, 3, 0]
 
     def test_touch_mru_is_noop(self):
         sys_ = filled_system(4)
-        sys_.handle_read(0, 3 * 64)
+        sys_.handle_read(0, 3 * 64, [0] * 7)
         assert order(sys_) == [0, 1, 2, 3]
 
     def test_random_touches_keep_permutation(self):
@@ -60,9 +61,9 @@ class TestTouch:
         for _ in range(1000):
             tag = rng.randrange(8)
             if rng.random() < 0.5:
-                sys_.handle_read(0, tag * 64)
+                sys_.handle_read(0, tag * 64, [0] * 7)
             else:
-                sys_.handle_write(0, tag * 64)
+                sys_.handle_write(0, tag * 64, [0] * 7)
             assert sorted(order(sys_)) == list(range(8))
             assert order(sys_)[-1] == tag
 
@@ -70,22 +71,22 @@ class TestTouch:
 class TestFill:
     def test_fill_remote_shared(self):
         sys_ = CoherenceSystem(ONE_SET)
-        sys_.handle_write(1, 0x1C0)
-        sys_.handle_read(0, 0x1C0)  # Modified at socket 1 supplies
+        sys_.handle_write(1, 0x1C0, [0] * 7)
+        sys_.handle_read(0, 0x1C0, [0] * 7)  # Modified at socket 1 supplies
         lines = sys_.columns[0][0]
         assert lines[7] is MoesiState.REMOTE_SHARED
         assert list(lines)[-1] == 7
 
     def test_cold_fill_exclusive(self):
         sys_ = CoherenceSystem(ONE_SET)
-        sys_.handle_read(1, 0x1C0)
+        sys_.handle_read(1, 0x1C0, [0] * 7)
         assert sys_.columns[0][1][7] is MoesiState.EXCLUSIVE
 
     def test_filled_line_ages_to_lru(self):
         sys_ = filled_system(4)
         # lines 1..3 filled after line 0; touch them again
         for tag in (1, 2, 3):
-            sys_.handle_read(0, tag * 64)
+            sys_.handle_read(0, tag * 64, [0] * 7)
         assert order(sys_)[0] == 0
 
 
@@ -96,21 +97,31 @@ class TestSelectVictim:
         cfg = PolicyConfig(PolicyKind.BIASED_ALWAYS)
         assert cfg.thresholds(16) == (4, 8)
         d = select_victim(full_set(16, shared_tags={15}), counters, 0,
-                          lambda t: 1, cfg.thresholds(16), True)
+                          lambda t: 1, cfg.thresholds(16))
         assert d == (15, False, True)
         assert counters == [0, 0]
 
     def test_bias_disabled_is_pure_lru(self):
-        d = select_victim(full_set(4, shared_tags={3}), [0, 0], 0,
-                          lambda t: 0, (1, 2), False)
-        assert d == (3, False, False)
+        # socket 0 holds tag 0 Remote-Shared at LRU when a fifth line comes
+        # in with the bias off: the LRU line goes, unbiased, and the bias
+        # counters stay as they were
+        sys_ = CoherenceSystem(ONE_SET)
+        sys_.handle_write(1, 0, [0] * 7)
+        for tag in range(4):
+            sys_.handle_read(0, tag * 64, [0] * 7)
+        assert sys_.columns[0][0][0] is MoesiState.REMOTE_SHARED
+        count = [0] * 7
+        assert sys_.handle_read(0, 4 * 64, count, False) is True
+        assert order(sys_) == [1, 2, 3, 4]
+        assert count == [0, 0, 1, 0, 0, 0, 0]  # LOCAL_DRAM, no bias event
+        assert sys_.counters[0][0] == [0, 0]
 
     def test_bias_protects_shared_local_home(self):
         # A=4, t_local=1, counter 0: LRU tag 3 shared, tag 2 is the least
         # recent non-shared line and gets evicted instead
         counters = [0, 0]
         d = select_victim(full_set(4, shared_tags={3}), counters, 0,
-                          lambda t: 0, (1, 2), True)
+                          lambda t: 0, (1, 2))
         assert d == (2, True, False)
         assert counters == [1, 0]
 
@@ -129,13 +140,13 @@ class TestSelectVictim:
     def test_all_shared_fallback(self):
         counters = [0, 0]
         d = select_victim(full_set(4, shared_tags={0, 1, 2, 3}), counters, 0,
-                          lambda t: 0, (1, 2), True)
+                          lambda t: 0, (1, 2))
         assert d == (3, False, False)
         assert counters == [0, 0]
 
     def test_nonshared_victim_is_deepest(self):
         d = select_victim(full_set(8, shared_tags={7, 6, 5}), [0, 0], 0,
-                          lambda t: 1, (2, 4), True)
+                          lambda t: 1, (2, 4))
         assert d[0] == 4  # least recent among non-shared
 
     def test_threshold_bounds_validated(self):
@@ -164,7 +175,7 @@ def test_counter_bounds_fuzz(seed):
         homes = [rng.randrange(2) for _ in range(assoc)]
         before = list(counters)
         victim, biased, reset = select_victim(
-            lines, counters, 0, lambda t: homes[t], thresholds, True)
+            lines, counters, 0, lambda t: homes[t], thresholds)
         fired, resets = fired + biased, resets + reset
         for count, limit in zip(counters, thresholds):
             assert 0 <= count <= limit
