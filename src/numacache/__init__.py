@@ -9,7 +9,6 @@ from .workload import (
     AccessRecord,
     GeneratorKind,
     GeneratorSpec,
-    Op,
     TraceError,
     format_trace,
     generate,
@@ -24,7 +23,6 @@ __all__ = [
     "GeneratorSpec",
     "InvariantError",
     "LatencyModel",
-    "Op",
     "PolicyConfig",
     "PolicyKind",
     "SimStats",

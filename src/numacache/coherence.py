@@ -6,26 +6,16 @@ eviction happen before the next access starts. DRAM is an infinite backing
 store; only coherence state is tracked, not data.
 """
 
-import enum
 from typing import Optional
 
 from .address_map import ConfigError, TopologyConfig
 from .replacement import MoesiState, PolicyConfig, select_victim
 
-
-class ServiceSource(enum.IntEnum):
-    """Where an access was served from; indexes `LatencyModel.costs`."""
-
-    LOCAL_HIT = 0
-    REMOTE_C2C = 1
-    LOCAL_DRAM = 2
-    REMOTE_DRAM = 3
-
-
-# Enum members bound once: attribute access on an Enum class is slow; the
-# sources as plain ints, which index a list faster than an IntEnum does.
+# Enum members bound once: attribute access on an Enum class is slow.
 MODIFIED, OWNER, EXCLUSIVE, SHARED, REMOTE_SHARED = MoesiState
-LOCAL_HIT, REMOTE_C2C, LOCAL_DRAM, REMOTE_DRAM = map(int, ServiceSource)
+# Where an access was served from: its slot in a count list
+# (`engine.SimStats.counts`) and its index into `LatencyModel.costs`.
+LOCAL_HIT, REMOTE_C2C, LOCAL_DRAM, REMOTE_DRAM = range(4)
 _DIRTY = (MODIFIED, OWNER)  # the states whose eviction writes back
 _SHARED = (SHARED, REMOTE_SHARED)  # the states that ship no line
 _EXCLUSIVE = (MODIFIED, EXCLUSIVE)  # the states that need no upgrade
@@ -50,11 +40,12 @@ class CoherenceSystem:
     tag).
 
     Each handler adds its access into `count`, the requestor's 7-slot count
-    list (`engine.SimStats.counts`): one at the access's ServiceSource and,
-    when it evicts, one at slot 4 for a write-back, 5 for a bias event and
-    6 for a counter reset. It returns whether the access missed. A full
-    set evicts its LRU line unless the bias is on and that line is
-    remote-shared; only then does `select_victim` decide.
+    list (`engine.SimStats.counts`): one at its source's slot (LOCAL_HIT to
+    REMOTE_DRAM) and, when it evicts a dirty line, one at slot 4 for the
+    write-back. It returns whether the access missed. A full set evicts
+    its LRU line unless the bias is on and that line is remote-shared;
+    only then does `select_victim` decide, and it counts a bias event at
+    slot 5 or a counter reset at slot 6.
     """
 
     def __init__(self, topo: TopologyConfig, policy: Optional[PolicyConfig] = None):
@@ -68,8 +59,6 @@ class CoherenceSystem:
         self._set_mask = topo.llc_sets - 1
         self._tag_shift = topo.offset_bits + topo.set_bits
         self._home_shift = topo.address_width - topo.socket_bits - self._tag_shift
-        # tag -> tag >> home shift, the home socket, as a builtin method
-        self._home_of = self._home_shift.__rrshift__
         self._assoc = topo.llc_assoc
 
     # -- accesses ---------------------------------------------------------
@@ -116,12 +105,9 @@ class CoherenceSystem:
         if len(lines) >= self._assoc:
             victim = next(iter(lines))
             if bias_enabled and lines[victim] is REMOTE_SHARED:
-                victim, biased, reset = select_victim(
-                    lines, self.counters[set_id][requestor], requestor,
-                    self._home_of, self.thresholds,
-                )
-                count[5] += biased
-                count[6] += reset
+                victim = select_victim(
+                    lines, victim, self.counters[set_id][requestor],
+                    victim >> self._home_shift != requestor, self.thresholds, count)
             # REMOTE_SHARED copies elsewhere of an evicted Owner line stay
             # so, stale by design (silent write-back)
             if lines.pop(victim) in _DIRTY:
@@ -165,12 +151,9 @@ class CoherenceSystem:
         if len(lines) >= self._assoc:
             victim = next(iter(lines))
             if bias_enabled and lines[victim] is REMOTE_SHARED:
-                victim, biased, reset = select_victim(
-                    lines, self.counters[set_id][requestor], requestor,
-                    self._home_of, self.thresholds,
-                )
-                count[5] += biased
-                count[6] += reset
+                victim = select_victim(
+                    lines, victim, self.counters[set_id][requestor],
+                    victim >> self._home_shift != requestor, self.thresholds, count)
             if lines.pop(victim) in _DIRTY:
                 count[4] += 1
         lines[tag] = MODIFIED

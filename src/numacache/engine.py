@@ -7,7 +7,7 @@ from .adaptive import AdaptiveConfig
 from .address_map import ConfigError, TopologyConfig
 from .coherence import CoherenceSystem
 from .replacement import PolicyConfig, PolicyKind
-from .workload import AccessRecord, Op
+from .workload import AccessRecord
 
 
 class InvariantError(RuntimeError):
@@ -38,15 +38,15 @@ class LatencyModel:
 
     @property
     def costs(self) -> tuple[int, int, int, int]:
-        """Cycle cost of each service source, indexed by ServiceSource."""
+        """Cycle cost of each service source, indexed by its count slot."""
         return (self.llc_hit, self.remote_c2c, self.local_dram, self.remote_dram)
 
 
 class SimStats(NamedTuple):
     """What `run` counted; `to_dict` costs it under a latency model."""
 
-    # per socket: accesses by ServiceSource, then write-backs, bias events
-    # and counter resets
+    # per socket: accesses by service source (slots 0-3, named in
+    # `coherence`), then write-backs, bias events and counter resets
     counts: list[list[int]]
     window_fractions: list[list[float]]  # per socket
     # (seq, socket, new flag) for every actual bias flip
@@ -101,8 +101,8 @@ def run(
 ) -> SimStats:
     """Drive a trace through a fresh system and count its accesses.
 
-    The trace is any iterable of (socket, core, op, addr) tuples,
-    `AccessRecord`s among them; record N is its N-th, counting from 0.
+    The trace is any iterable of (socket, core, op, addr) tuples, op "R"
+    or "W", `AccessRecord`s among them; record N is its N-th, from 0.
     Each socket's windows of `window_size` misses are counted for every
     policy kind (it is pure bookkeeping); only BIASED_ADAPTIVE lets their
     watermarks steer the bias, and only the biased kinds enable it.
@@ -127,8 +127,6 @@ def run(
     else:
         bias = [policy.kind is PolicyKind.BIASED_ALWAYS] * num_sockets
     handle_read, handle_write = system.handle_read, system.handle_write
-    # Enum members bound once: attribute access on an Enum class is slow.
-    read, write = Op.READ, Op.WRITE
 
     seq, record = 0, _NO_RECORD  # the loop's record and its index, for an error
     try:
@@ -141,12 +139,12 @@ def run(
             cores[core]  # a TypeError unless the core is an integer
 
             count = counts[socket]  # the handler adds the access into it
-            if op is read:
+            if op == "R":
                 missed = handle_read(socket, addr, count, bias[socket])
-            elif op is write:
+            elif op == "W":
                 missed = handle_write(socket, addr, count, bias[socket])
             else:
-                raise ConfigError(f"record {seq}: op {op!r} is not an Op")
+                raise ConfigError(f"record {seq}: op {op!r} is not R or W")
 
             if missed:
                 misses_left = left[socket] - 1
@@ -195,6 +193,9 @@ def _record_problem(record, seq: int, topo: TopologyConfig) -> Optional[str]:
     width = topo.address_width
     if addr < 0 or addr >> width:
         return f"record {seq}: address {addr:#x} does not fit in {width} bits"
+    # only a str is compared: another type's == may raise again
+    if type(op) is not str or op not in ("R", "W"):
+        return f"record {seq}: op {op!r} is not R or W"
     return None
 
 

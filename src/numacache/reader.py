@@ -4,10 +4,10 @@ The main process takes the first _FORK_AFTER blocks of records itself.
 When the source goes on past them and a second CPU is usable, one forked
 reader process iterates it on and sends each block down a pipe as one
 message: a 4-byte length, then the `marshal` bytes of (kind, payload).
-A block of records travels as columns (socket, core, ops as one string
-of R and W, addr), which the main process zips back into (socket, core,
-op, addr) tuples without running Python code per record. The last
-message is the end marker or the error that stopped the source.
+A block of records travels as columns (socket, core, ops, addr), its op
+letters, R and W, joined into one string; the main process zips them back
+into (socket, core, op, addr) tuples without running Python code per
+record. The last message is the end or the error that stopped the source.
 """
 
 import marshal
@@ -16,10 +16,9 @@ import struct
 import sys
 from contextlib import ExitStack
 from itertools import chain, islice
-from operator import attrgetter
 from typing import Iterator
 
-from .workload import _BLOCK, Op, TraceError
+from .workload import _BLOCK, TraceError
 
 
 def read_ahead(records: Iterator, files: ExitStack) -> Iterator:
@@ -36,8 +35,6 @@ def read_ahead(records: Iterator, files: ExitStack) -> Iterator:
 _FORK_AFTER = 8
 # a message's length, ahead of its marshal bytes
 _HEADER = struct.Struct("<I")
-_OP_OF = {op.value: op for op in Op}.__getitem__
-_LETTER = attrgetter("_value_")  # an Op's letter, without the enum property
 
 
 def _blocks(records: Iterator, files: ExitStack) -> Iterator:
@@ -83,7 +80,7 @@ def _blocks(records: Iterator, files: ExitStack) -> Iterator:
         kind, payload = _receive(pipe)
         if kind == "columns":
             socket, core, ops, addr = payload
-            yield zip(socket, core, map(_OP_OF, ops), addr)
+            yield zip(socket, core, ops, addr)
         elif kind == "trace error":
             raise TraceError(*payload)
         elif kind == "io error":
@@ -115,12 +112,12 @@ def _take(records: Iterator) -> tuple:
 
 def _ship(records: Iterator, out) -> None:
     """The reader process's work: send each block of `records` as columns,
-    ops as one string of R and W, then the end or the source's error."""
+    op letters joined into one string, then the end or the source's error."""
     while True:
         block, error = _take(records)
         if block:
             socket, core, ops, addr = zip(*block)
-            _send(out, ("columns", (socket, core, "".join(map(_LETTER, ops)), addr)))
+            _send(out, ("columns", (socket, core, "".join(ops), addr)))
         if error is not None or len(block) < _BLOCK:
             break
     if error is None:

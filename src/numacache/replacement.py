@@ -6,7 +6,7 @@ split by whether the protected line's home node was local or remote.
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 
 class MoesiState(enum.Enum):
@@ -45,35 +45,34 @@ class PolicyConfig:
 
 def select_victim(
     lines: dict[int, MoesiState],
+    lru: int,
     counters: list[int],
-    local_socket: int,
-    home_of: Callable[[int], int],
+    home_class: int,
     thresholds: tuple[int, int],
-) -> tuple[int, bool, bool]:
+    count: list[int],
+) -> int:
     """Pick the victim tag of a full set under the bias, updating its bias
     counters.
 
+    The handlers call this only with the bias on and `lru`, the least
+    recently used line, remote-shared; otherwise `lru` is the victim.
     `lines` maps tag -> MoesiState, least recently used first; `counters`
-    is the set's [local-home, remote-home] pair. Returns (victim tag,
-    biased, counter reset). The LRU line is the default, and the only
-    choice with the bias off, so the handlers call this only with the bias
-    on. When the LRU line is remote-shared, the counter of its home class
-    (local or remote to `local_socket`, via `home_of(tag)`) decides: below
-    its threshold we protect the shared line and evict the least recent
-    non-shared line instead (the counter increments); at the threshold the
-    shared line goes after all and the counter resets.
+    is the set's [local-home, remote-home] pair, and `home_class` is 0 if
+    `lru`'s home is the requesting socket, else 1. The counter of that class
+    decides: below its threshold we protect the shared line and evict the
+    least recent non-shared line instead (the counter increments and slot
+    5 of `count`, the requestor's count list, counts a bias event); at the
+    threshold the shared line goes after all, the counter resets and slot
+    6 counts the reset.
     """
-    lru = next(iter(lines))
-    if lines[lru] is not REMOTE_SHARED:
-        return lru, False, False
-
-    home_class = 0 if home_of(lru) == local_socket else 1
     if counters[home_class] >= thresholds[home_class]:
         counters[home_class] = 0
-        return lru, False, True
+        count[6] += 1
+        return lru
     for tag, state in lines.items():
         if state is not REMOTE_SHARED:
             counters[home_class] += 1
-            return tag, True, False
+            count[5] += 1
+            return tag
     # every line is remote-shared: nothing to protect against
-    return lru, False, False
+    return lru

@@ -28,18 +28,10 @@ class TraceError(ValueError):
         self.message = message
 
 
-class Op(enum.Enum):
-    READ = "R"
-    WRITE = "W"
-
-
-_OPS = {op.value: op for op in Op}
-
-
 class AccessRecord(NamedTuple):
     socket: int
     core: int
-    op: Op
+    op: str  # "R" or "W", the trace's own letter
     addr: int
 
 
@@ -66,7 +58,7 @@ def parse_trace(lines: Iterable[str], topo: TopologyConfig) -> Iterator[AccessRe
     """
     sockets, cores = topo.num_sockets, topo.cores_per_socket
     addr_end = 1 << topo.address_width
-    new, op_of = tuple.__new__, _OPS.__getitem__
+    new = tuple.__new__
     lines = iter(lines)
     lineno = 0  # the lines before the block
     while block := list(islice(lines, _BLOCK)):
@@ -80,7 +72,7 @@ def parse_trace(lines: Iterable[str], topo: TopologyConfig) -> Iterator[AccessRe
             if max(socket) < sockets and max(core) < cores and max(addr) < addr_end:
                 # the NamedTuple's own __new__ is a Python-level call
                 yield from map(new, repeat(AccessRecord), zip(
-                    socket, core, map(op_of, fields[2::4]), addr))
+                    socket, core, fields[2::4], addr))
                 lineno += n
                 continue
         yield from _parse_lines(block, topo, lineno + 1)
@@ -107,8 +99,7 @@ def _parse_lines(
             raise TraceError(lineno, f"bad socket/core in {text!r}")
         socket = int(s_text)
         core = int(c_text)
-        op = _OPS.get(op_text)
-        if op is None:
+        if op_text not in ("R", "W"):
             raise TraceError(lineno, f"operation must be R or W, got {op_text!r}")
         # int() would also accept `_` digit separators
         if a_text[:2] not in ("0x", "0X") or "_" in a_text:
@@ -123,13 +114,13 @@ def _parse_lines(
             raise TraceError(lineno, f"core {core} out of range")
         if addr >> width:
             raise TraceError(lineno, f"address {addr:#x} exceeds address width")
-        yield AccessRecord(socket, core, op, addr)
+        yield AccessRecord(socket, core, op_text, addr)
 
 
 def format_trace(records: Iterable[AccessRecord]) -> Iterator[str]:
     """Inverse of parse_trace."""
     for rec in records:
-        yield f"{rec.socket} {rec.core} {rec.op.value} 0x{rec.addr:x}"
+        yield f"{rec.socket} {rec.core} {rec.op} 0x{rec.addr:x}"
 
 
 class GeneratorKind(enum.Enum):
@@ -202,27 +193,27 @@ def _accesses(spec: GeneratorSpec, topo: TopologyConfig) -> Iterator[tuple]:
             for pi, (producer, consumer) in enumerate(spec.sharing_socket_pairs):
                 for l in range(spec.working_set_lines):
                     addr = _line_addr(pi * spec.working_set_lines + l, default_home, topo)
-                    yield producer, Op.WRITE, addr
-                    yield consumer, Op.READ, addr
+                    yield producer, "W", addr
+                    yield consumer, "R", addr
     elif kind is GeneratorKind.MIGRATORY:
         for _ in range(spec.iterations):
             for socket in range(topo.num_sockets):
                 for l in range(spec.working_set_lines):
                     addr = _line_addr(l, default_home, topo)
-                    yield socket, Op.READ, addr
-                    yield socket, Op.WRITE, addr
+                    yield socket, "R", addr
+                    yield socket, "W", addr
     elif kind is GeneratorKind.PRIVATE_STREAM:
         for _ in range(spec.iterations):
             for socket in range(topo.num_sockets):
                 home = spec.home_socket if spec.home_socket is not None else socket
                 for l in range(spec.working_set_lines):
                     addr = _line_addr(socket * spec.working_set_lines + l, home, topo)
-                    yield socket, Op.READ, addr
+                    yield socket, "R", addr
     else:  # SHARED_READ_ONLY
         init_socket = spec.sharing_socket_pairs[0][0] if spec.sharing_socket_pairs else 0
         for l in range(spec.working_set_lines):
-            yield init_socket, Op.WRITE, _line_addr(l, default_home, topo)
+            yield init_socket, "W", _line_addr(l, default_home, topo)
         for _ in range(spec.iterations):
             for socket in range(topo.num_sockets):
                 for l in range(spec.working_set_lines):
-                    yield socket, Op.READ, _line_addr(l, default_home, topo)
+                    yield socket, "R", _line_addr(l, default_home, topo)

@@ -19,7 +19,7 @@ from numacache.replacement import (
     PolicyKind,
     select_victim,
 )
-from numacache.workload import AccessRecord, Op
+from numacache.workload import AccessRecord
 
 from reference_model import RefModel
 
@@ -45,8 +45,7 @@ def random_accesses(n, seed, sockets=2, lines=64, write_frac=0.4):
 
 
 def to_records(accesses):
-    return [AccessRecord(s, 0, Op.READ if o == "R" else Op.WRITE, a)
-            for s, o, a, _ in accesses]
+    return [AccessRecord(s, 0, o, a) for s, o, a, _ in accesses]
 
 
 def test_criterion_1_oracle_equivalence():
@@ -182,17 +181,19 @@ def test_criterion_6_threshold_defaults_and_counter_bounds(capsys):
             for tag in lines:
                 lines[tag] = (MoesiState.REMOTE_SHARED if rng.random() < 0.5
                               else MoesiState.EXCLUSIVE)
-            homes = [rng.randrange(2) for _ in range(assoc)]
+            # the handlers select only when the LRU line is remote-shared
+            lines[0] = MoesiState.REMOTE_SHARED
+            home_class = rng.randrange(2)
             before = list(counters)
-            victim, biased, reset = select_victim(
-                lines, counters, 0, lambda tag: homes[tag], thresholds)
-            fired, resets = fired + biased, resets + reset
-            for count, limit in zip(counters, thresholds):
-                assert 0 <= count <= limit
-            if reset:
+            count = [0] * 7  # slot 5 counts a bias event, slot 6 a reset
+            victim = select_victim(lines, 0, counters, home_class, thresholds, count)
+            fired, resets = fired + count[5], resets + count[6]
+            for held, limit in zip(counters, thresholds):
+                assert 0 <= held <= limit
+            if count[6]:
                 # only the LRU line's home-class counter resets, and only
                 # from its threshold
-                home_class = homes[victim] != 0
+                assert victim == 0
                 assert before[home_class] == thresholds[home_class]
                 assert counters[home_class] == 0
     assert fired and resets  # the bias and the resets were exercised

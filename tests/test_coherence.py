@@ -3,7 +3,13 @@ import random
 import pytest
 
 from numacache.address_map import ConfigError, TopologyConfig
-from numacache.coherence import CoherenceSystem, ServiceSource
+from numacache.coherence import (
+    LOCAL_DRAM,
+    LOCAL_HIT,
+    REMOTE_C2C,
+    REMOTE_DRAM,
+    CoherenceSystem,
+)
 from numacache.replacement import MoesiState, PolicyConfig, PolicyKind
 
 TOPO = TopologyConfig(num_sockets=2, llc_sets=4, llc_assoc=4,
@@ -24,11 +30,11 @@ def state_of(sys_, socket, addr):
 
 def access(handle, socket, addr, bias_enabled=False):
     """One access through a handler; its 7-slot count list, which counts
-    it once by ServiceSource and agrees with the handler's missed flag."""
+    it once at its source's slot and agrees with the handler's missed flag."""
     count = [0] * 7
     missed = handle(socket, addr, count, bias_enabled)
     assert sum(count[:4]) == 1
-    assert missed is (count[ServiceSource.LOCAL_HIT] == 0)
+    assert missed is (count[LOCAL_HIT] == 0)
     return count
 
 
@@ -41,28 +47,28 @@ def write(sys_, socket, addr, bias_enabled=False):
 
 
 def source(count):
-    """The ServiceSource an access's count list counts."""
-    return ServiceSource(count.index(1))
+    """The source slot an access's count list counts."""
+    return count.index(1)
 
 
 class TestRead:
     def test_cold_fill_local_home(self):
         sys_ = system()
         out = read(sys_, 0, 0x1000)
-        assert source(out) is ServiceSource.LOCAL_DRAM
+        assert source(out) == LOCAL_DRAM
         assert state_of(sys_, 0, 0x1000) is MoesiState.EXCLUSIVE
 
     def test_cold_fill_remote_home(self):
         sys_ = system()
         out = read(sys_, 0, HOME1 | 0x1000)
-        assert source(out) is ServiceSource.REMOTE_DRAM
+        assert source(out) == REMOTE_DRAM
         assert state_of(sys_, 0, HOME1 | 0x1000) is MoesiState.EXCLUSIVE
 
     def test_modified_supplier_becomes_owner(self):
         sys_ = system()
         write(sys_, 1, 0x1000)
         out = read(sys_, 0, 0x1000)
-        assert source(out) is ServiceSource.REMOTE_C2C
+        assert source(out) == REMOTE_C2C
         assert state_of(sys_, 0, 0x1000) is MoesiState.REMOTE_SHARED
         assert state_of(sys_, 1, 0x1000) is MoesiState.OWNER
 
@@ -75,7 +81,7 @@ class TestRead:
             read(sys_, 0, 0x1000 + i * 0x100)
         assert state_of(sys_, 0, 0x1000) is None
         out = read(sys_, 0, 0x1000)
-        assert source(out) is ServiceSource.REMOTE_C2C
+        assert source(out) == REMOTE_C2C
         assert state_of(sys_, 0, 0x1000) is MoesiState.REMOTE_SHARED
         assert state_of(sys_, 1, 0x1000) is MoesiState.OWNER
 
@@ -83,7 +89,7 @@ class TestRead:
         sys_ = system()
         read(sys_, 1, 0x1000)  # Exclusive at socket 1
         out = read(sys_, 0, 0x1000)
-        assert source(out) is ServiceSource.REMOTE_C2C
+        assert source(out) == REMOTE_C2C
         assert state_of(sys_, 0, 0x1000) is MoesiState.SHARED
         assert state_of(sys_, 1, 0x1000) is MoesiState.SHARED
 
@@ -95,14 +101,14 @@ class TestRead:
         for i in range(1, 5):
             read(sys_, 0, 0x1000 + i * 0x100)
         out = read(sys_, 0, 0x1000)
-        assert source(out) is ServiceSource.LOCAL_DRAM
+        assert source(out) == LOCAL_DRAM
         assert state_of(sys_, 0, 0x1000) is MoesiState.SHARED
 
     def test_local_hit(self):
         sys_ = system()
         read(sys_, 0, 0x1000)
         out = read(sys_, 0, 0x1000)
-        assert source(out) is ServiceSource.LOCAL_HIT
+        assert source(out) == LOCAL_HIT
         assert out[4] == 0  # no write-back
 
 
@@ -111,7 +117,7 @@ class TestWrite:
         sys_ = system()
         read(sys_, 0, 0x1000)
         out = write(sys_, 0, 0x1000)
-        assert source(out) is ServiceSource.LOCAL_HIT
+        assert source(out) == LOCAL_HIT
         assert state_of(sys_, 0, 0x1000) is MoesiState.MODIFIED
 
     def test_upgrade_invalidates_remote_owner(self):
@@ -119,21 +125,21 @@ class TestWrite:
         write(sys_, 1, 0x1000)
         read(sys_, 0, 0x1000)  # 0: Remote-Shared, 1: Owner
         out = write(sys_, 0, 0x1000)
-        assert source(out) is ServiceSource.LOCAL_HIT
+        assert source(out) == LOCAL_HIT
         assert state_of(sys_, 0, 0x1000) is MoesiState.MODIFIED
         assert state_of(sys_, 1, 0x1000) is None
 
     def test_cold_write_remote_home(self):
         sys_ = system()
         out = write(sys_, 0, HOME1 | 0x2000)
-        assert source(out) is ServiceSource.REMOTE_DRAM
+        assert source(out) == REMOTE_DRAM
         assert state_of(sys_, 0, HOME1 | 0x2000) is MoesiState.MODIFIED
 
     def test_write_miss_remote_modified_supplies(self):
         sys_ = system()
         write(sys_, 1, 0x1000)
         out = write(sys_, 0, 0x1000)
-        assert source(out) is ServiceSource.REMOTE_C2C
+        assert source(out) == REMOTE_C2C
         assert state_of(sys_, 1, 0x1000) is None
 
     def test_write_miss_shared_copies_invalidated(self):
@@ -142,7 +148,7 @@ class TestWrite:
         read(sys_, 0, 0x1000)
         out = write(sys_, 1, 0x1000)
         # socket 1 already holds it Shared -> upgrade hit
-        assert source(out) is ServiceSource.LOCAL_HIT
+        assert source(out) == LOCAL_HIT
         assert state_of(sys_, 0, 0x1000) is None
 
 

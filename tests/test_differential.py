@@ -9,7 +9,7 @@ from numacache.adaptive import AdaptiveConfig
 from numacache.address_map import TopologyConfig
 from numacache.engine import LatencyModel, run
 from numacache.replacement import PolicyConfig, PolicyKind
-from numacache.workload import AccessRecord, Op
+from numacache.workload import AccessRecord
 
 from reference_model import RefModel
 
@@ -63,7 +63,7 @@ def scenarios(draw):
 @given(scenarios())
 def test_engine_equals_reference_model(scenario):
     topo, (t_local, t_remote), adaptive, lat, accesses = scenario
-    records = [AccessRecord(socket, 0, Op(op), addr)
+    records = [AccessRecord(socket, 0, op, addr)
                for socket, op, addr, _ in accesses]
     config = AdaptiveConfig(adaptive["window"], adaptive["high"],
                             adaptive["low"], adaptive["initial_bias"],

@@ -12,7 +12,7 @@ from numacache.replacement import (
     PolicyKind,
     select_victim,
 )
-from numacache.workload import AccessRecord, Op
+from numacache.workload import AccessRecord
 
 # one set per socket, so every line of a socket competes for the same ways
 ONE_SET = TopologyConfig(num_sockets=2, llc_sets=1, llc_assoc=4,
@@ -35,6 +35,17 @@ def filled_system(lines, assoc=4):
     for i in range(lines):
         sys_.handle_read(0, i * 64, [0] * 7)
     return sys_
+
+
+def select(lines, counters, home_class, thresholds):
+    """`select_victim` on a full set whose LRU line is Remote-Shared, as
+    the handlers call it: (victim, biased, counter reset), the last two
+    read from slots 5 and 6 of the count list it adds into."""
+    count = [0] * 7
+    victim = select_victim(lines, next(iter(lines)), counters, home_class,
+                           thresholds, count)
+    assert count[:5] == [0] * 5 and count[5] + count[6] <= 1
+    return victim, count[5], count[6]
 
 
 def order(sys_, socket=0):
@@ -96,8 +107,7 @@ class TestSelectVictim:
         counters = [0, 8]
         cfg = PolicyConfig(PolicyKind.BIASED_ALWAYS)
         assert cfg.thresholds(16) == (4, 8)
-        d = select_victim(full_set(16, shared_tags={15}), counters, 0,
-                          lambda t: 1, cfg.thresholds(16))
+        d = select(full_set(16, shared_tags={15}), counters, 1, cfg.thresholds(16))
         assert d == (15, False, True)
         assert counters == [0, 0]
 
@@ -120,8 +130,7 @@ class TestSelectVictim:
         # A=4, t_local=1, counter 0: LRU tag 3 shared, tag 2 is the least
         # recent non-shared line and gets evicted instead
         counters = [0, 0]
-        d = select_victim(full_set(4, shared_tags={3}), counters, 0,
-                          lambda t: 0, (1, 2))
+        d = select(full_set(4, shared_tags={3}), counters, 0, (1, 2))
         assert d == (2, True, False)
         assert counters == [1, 0]
 
@@ -132,21 +141,19 @@ class TestSelectVictim:
     def test_only_biased_policies_protect_remote_shared(self, kind, bias_events, hits):
         # socket 0 holds tag 0 Remote-Shared at LRU when a fifth line comes
         # in, then reads tag 0 again: a hit only if the bias protected it
-        trace = [AccessRecord(1, 0, Op.WRITE, 0)] + [
-            AccessRecord(0, 0, Op.READ, tag * 64) for tag in (0, 1, 2, 3, 4, 0)]
+        trace = [AccessRecord(1, 0, "W", 0)] + [
+            AccessRecord(0, 0, "R", tag * 64) for tag in (0, 1, 2, 3, 4, 0)]
         socket0 = run(trace, ONE_SET, PolicyConfig(kind)).to_dict()["per_socket"][0]
         assert (socket0["bias_events"], socket0["hits"]) == (bias_events, hits)
 
     def test_all_shared_fallback(self):
         counters = [0, 0]
-        d = select_victim(full_set(4, shared_tags={0, 1, 2, 3}), counters, 0,
-                          lambda t: 0, (1, 2))
+        d = select(full_set(4, shared_tags={0, 1, 2, 3}), counters, 0, (1, 2))
         assert d == (3, False, False)
         assert counters == [0, 0]
 
     def test_nonshared_victim_is_deepest(self):
-        d = select_victim(full_set(8, shared_tags={7, 6, 5}), [0, 0], 0,
-                          lambda t: 1, (2, 4))
+        d = select(full_set(8, shared_tags={7, 6, 5}), [0, 0], 1, (2, 4))
         assert d[0] == 4  # least recent among non-shared
 
     def test_threshold_bounds_validated(self):
@@ -160,9 +167,9 @@ class TestSelectVictim:
 def test_counter_bounds_fuzz(seed):
     """Counters stay in [0, threshold]; resets fire only at the threshold.
 
-    200 selections with a Remote-Shared LRU line about every other time
-    make both a biased selection and a reset all but certain, and the
-    test checks that both happened."""
+    200 selections, each with a Remote-Shared LRU line as the handlers
+    call it, make both a biased selection and a reset all but certain,
+    and the test checks that both happened."""
     rng = random.Random(seed)
     assoc = rng.choice([2, 4, 8, 16])
     thresholds = PolicyConfig(PolicyKind.BIASED_ALWAYS).thresholds(assoc)
@@ -172,15 +179,16 @@ def test_counter_bounds_fuzz(seed):
         for tag in lines:
             lines[tag] = (MoesiState.REMOTE_SHARED if rng.random() < 0.5
                           else MoesiState.EXCLUSIVE)
-        homes = [rng.randrange(2) for _ in range(assoc)]
+        lru = next(iter(lines))
+        lines[lru] = MoesiState.REMOTE_SHARED
+        home_class = rng.randrange(2)
         before = list(counters)
-        victim, biased, reset = select_victim(
-            lines, counters, 0, lambda t: homes[t], thresholds)
+        victim, biased, reset = select(lines, counters, home_class, thresholds)
         fired, resets = fired + biased, resets + reset
         for count, limit in zip(counters, thresholds):
             assert 0 <= count <= limit
         if reset:
-            home_class = homes[victim] != 0
+            assert victim == lru
             assert before[home_class] == thresholds[home_class]
             assert counters[home_class] == 0
         if biased:

@@ -1,7 +1,8 @@
-"""Pinned sha256 digests of whole CLI reports.
+"""Pinned sha256 digests of whole CLI reports and generated traces.
 
 Every report here comes from a generator source, so no file path is echoed
-and the bytes depend only on the simulator. A digest moves when anything in
+and the bytes depend only on the simulator. Each `gen` case draws cores
+from three per socket, so the seeded core draw shows in its bytes. A digest moves when anything in
 the report moves: a stat, the config echo, key order or formatting. A change
 that is meant to alter reports must say so and re-pin these.
 """
@@ -55,6 +56,30 @@ CASES = {
          "--assoc", "3", "--working-set", "8", "--iterations", "5",
          "--window", "4", "--seed", "1"],
         "6eab6c8affbf1d91bb536af9c156ae32230dbff0c88e217c5ca9cd4f20094eb2",
+    ),
+    "gen-producer-consumer": (
+        ["gen", "--gen-kind", "producer-consumer", "--sockets", "4",
+         "--cores-per-socket", "3", "--pairs", "0:1,2:3,1:2",
+         "--working-set", "10", "--iterations", "3", "--seed", "7"],
+        "bbf99f45157f584f8ea932485b4e33fb2fae9c00ac29543230b7aaffcb34a2c9",
+    ),
+    "gen-migratory": (
+        ["gen", "--gen-kind", "migratory", "--sockets", "2",
+         "--cores-per-socket", "3", "--working-set", "9", "--iterations", "2",
+         "--seed", "11"],
+        "9a7b11e89f5ae4cc723cf0f2f78ece5cb309156afd898b734add26a6c1d12acd",
+    ),
+    "gen-private": (
+        ["gen", "--gen-kind", "private", "--sockets", "2",
+         "--cores-per-socket", "3", "--working-set", "12", "--iterations", "2",
+         "--home-socket", "1", "--seed", "5"],
+        "7a1a75f05e0da2d13a6dc707a532bc21c68a4a3fb8a751d10d98b4eab7d929e9",
+    ),
+    "gen-shared-readonly": (
+        ["gen", "--gen-kind", "shared-readonly", "--sockets", "4",
+         "--cores-per-socket", "3", "--pairs", "2:0", "--working-set", "8",
+         "--iterations", "2", "--seed", "13"],
+        "0fbbb896ba49b1e4316f0648546c358449b154dc8b5e6182c0ea312055f3cd0e",
     ),
 }
 

@@ -14,7 +14,6 @@ from numacache.workload import (
     AccessRecord,
     GeneratorKind,
     GeneratorSpec,
-    Op,
     TraceError,
     _parse_lines,
     format_trace,
@@ -32,16 +31,22 @@ WIDE = TopologyConfig(num_sockets=1 << 70, cores_per_socket=1 << 70,
 class TestParse:
     def test_basic_record(self):
         recs = list(parse_trace(["0 0 R 0x1040"], TOPO))
-        assert recs == [AccessRecord(0, 0, Op.READ, 0x1040)]
+        assert recs == [AccessRecord(0, 0, "R", 0x1040)]
 
     def test_comments_and_blanks_skipped(self):
         recs = list(parse_trace(["# comment", "", "1 2 W 0xFF00"], TOPO))
-        assert recs == [AccessRecord(1, 2, Op.WRITE, 0xFF00)]
+        assert recs == [AccessRecord(1, 2, "W", 0xFF00)]
 
     def test_bad_op_reports_line(self):
         with pytest.raises(TraceError) as exc:
             list(parse_trace(["0 0 X 0x10"], TOPO))
         assert exc.value.lineno == 1
+        # an op is exactly one of the letters R and W, in upper case
+        for op in ("r", "w", "RW", "RR"):
+            lines = ["0 0 R 0x40", f"0 0 {op} 0x10", "0 0 W 0x40"]
+            with pytest.raises(TraceError) as exc:
+                list(parse_trace(lines, TOPO))
+            assert str(exc.value) == f"line 2: operation must be R or W, got {op!r}"
 
     def test_wrong_field_count(self):
         with pytest.raises(TraceError):
@@ -70,8 +75,8 @@ class TestParse:
             list(parse_trace(["0 9 R 0x40"], TOPO))
 
     def test_roundtrip(self):
-        recs = [AccessRecord(0, 1, Op.READ, 0x40),
-                AccessRecord(1, 3, Op.WRITE, 0xDEADC0)]
+        recs = [AccessRecord(0, 1, "R", 0x40),
+                AccessRecord(1, 3, "W", 0xDEADC0)]
         assert list(parse_trace(format_trace(recs), TOPO)) == recs
 
 
@@ -200,7 +205,7 @@ class TestGenerate:
         spec = GeneratorSpec(GeneratorKind.PRODUCER_CONSUMER,
                              working_set_lines=1, iterations=1)
         recs = list(generate(spec, TOPO))
-        assert [(r.socket, r.op) for r in recs] == [(0, Op.WRITE), (1, Op.READ)]
+        assert [(r.socket, r.op) for r in recs] == [(0, "W"), (1, "R")]
         assert recs[0].addr == recs[1].addr
 
     def test_deterministic_for_seed(self):
@@ -227,7 +232,7 @@ class TestGenerate:
         system = CoherenceSystem(TOPO)
         saw_remote_shared = False
         for r in recs:
-            if r.op is Op.READ:
+            if r.op == "R":
                 system.handle_read(r.socket, r.addr, [0] * 7)
             else:
                 system.handle_write(r.socket, r.addr, [0] * 7)
@@ -274,6 +279,6 @@ class TestGenerate:
         spec = GeneratorSpec(GeneratorKind.SHARED_READ_ONLY,
                              working_set_lines=2, iterations=1)
         recs = list(generate(spec, TOPO))
-        assert [r.op for r in recs[:2]] == [Op.WRITE, Op.WRITE]
-        assert all(r.op is Op.READ for r in recs[2:])
+        assert [r.op for r in recs[:2]] == ["W", "W"]
+        assert all(r.op == "R" for r in recs[2:])
         assert len(recs) == 2 + 2 * TOPO.num_sockets
