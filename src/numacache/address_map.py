@@ -5,7 +5,7 @@ tag, the set index and the line offset: the tag is every bit above the set
 index. `CoherenceSystem` decodes and range-checks each access's address.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 
@@ -29,6 +29,10 @@ class TopologyConfig:
     address_width: int = 32
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{field.name} must be an int, got {value!r}")
         _log2_exact(self.num_sockets, "num_sockets")
         _log2_exact(self.llc_sets, "llc_sets")
         _log2_exact(self.line_size_bytes, "line_size_bytes")

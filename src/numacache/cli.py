@@ -181,7 +181,7 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
                 for name, (text, _) in _COMMANDS.items()}
     for opt in _OPTIONS:
         kwargs = dict(default=config.get(opt.dest, _default(opt)),
-                      help=opt.help, required=opt.required)
+                      help=opt.help, required=opt.required and opt.dest not in config)
         if opt.type is bool:
             kwargs["action"] = "store_true"
         else:

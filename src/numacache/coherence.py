@@ -33,13 +33,14 @@ class CoherenceSystem:
     `counters[set_id][socket]` is the same set's [local-home, remote-home]
     pair of bias counters (see `select_victim`).
 
-    Each handler decodes its address inline, after the one range check of
-    an address: the set index is the `set_bits` bits above the line offset,
-    and the tag is every bit above the set index, so the home bits are part
-    of it, and the line address and home socket follow from (set index,
-    tag).
+    `access` runs one read ("R") or write ("W"), refusing any other op
+    before any state changes; the op picks the hit path and the snoop, and
+    the rest is shared. It decodes the address inline, after the one range
+    check: the set index is the `set_bits` bits above the line offset, and
+    the tag is every bit above the set index, so the home bits are part of
+    it, and the line address and home socket follow from (set index, tag).
 
-    Each handler adds its access into `count`, the requestor's 7-slot count
+    It adds the access into `count`, the requestor's 7-slot count
     list (`engine.SimStats.counts`): one at its source's slot (LOCAL_HIT to
     REMOTE_DRAM) and, when it evicts a dirty line, one at slot 4 for the
     write-back. It returns whether the access missed. A full set evicts
@@ -63,8 +64,9 @@ class CoherenceSystem:
 
     # -- accesses ---------------------------------------------------------
 
-    def handle_read(
-        self, requestor: int, addr: int, count: list[int], bias_enabled: bool = False
+    def access(
+        self, requestor: int, op: str, addr: int, count: list[int],
+        bias_enabled: bool = False,
     ) -> bool:
         if addr < 0 or addr >> self._width:
             raise ConfigError(f"address {addr:#x} does not fit in {self._width} bits")
@@ -72,34 +74,53 @@ class CoherenceSystem:
         tag = addr >> self._tag_shift
         column = self.columns[set_id]
         lines = column[requestor]
-        if tag in lines:
-            lines[tag] = lines.pop(tag)
-            count[LOCAL_HIT] += 1
-            return False
-
-        # the requestor holds no copy, so every copy found is another's
-        state = EXCLUSIVE
-        for other in column:
-            if tag not in other:
-                continue
-            held = other[tag]
-            if held in _SHARED:
-                state = SHARED
-            elif held is EXCLUSIVE:
-                # the clean supplier degrades; nobody owns the line
-                other[tag] = SHARED
-                source, state = REMOTE_C2C, SHARED
-                break
-            else:  # a Modified supplier becomes Owner; an Owner stays
-                other[tag] = OWNER
-                source, state = REMOTE_C2C, REMOTE_SHARED
-                break
+        if op == "R":
+            if tag in lines:
+                lines[tag] = lines.pop(tag)
+                count[LOCAL_HIT] += 1
+                return False
+            # the requestor holds no copy, so every copy found is another's
+            state = EXCLUSIVE
+            for other in column:
+                if tag not in other:
+                    continue
+                held = other[tag]
+                if held in _SHARED:
+                    state = SHARED
+                elif held is EXCLUSIVE:
+                    # the clean supplier degrades; nobody owns the line
+                    other[tag] = SHARED
+                    state, shipped = SHARED, True
+                    break
+                else:  # a Modified supplier becomes Owner; an Owner stays
+                    other[tag] = OWNER
+                    state, shipped = REMOTE_SHARED, True
+                    break
+            else:  # no copy (a cold fill), or only Shared ones
+                shipped = False
+        elif op == "W":
+            if tag in lines:
+                if lines.pop(tag) not in _EXCLUSIVE:
+                    # upgrade: invalidate every other copy
+                    for other in column:
+                        other.pop(tag, None)
+                lines[tag] = MODIFIED
+                count[LOCAL_HIT] += 1
+                return False
+            # every copy is invalidated; a Modified, Owner or Exclusive one
+            # ships the line
+            state, shipped = MODIFIED, False
+            for other in column:
+                if tag in other and other.pop(tag) not in _SHARED:
+                    shipped = True
         else:
-            # no copy (a cold fill), or only Shared ones: memory supplies,
-            # local iff the line's home is the requestor
-            home = tag >> self._home_shift
-            source = LOCAL_DRAM if home == requestor else REMOTE_DRAM
-        count[source] += 1
+            raise ConfigError(f"op {op!r} is not R or W")
+
+        if shipped:
+            count[REMOTE_C2C] += 1
+        else:  # memory supplies, local iff the line's home is the requestor
+            count[LOCAL_DRAM if tag >> self._home_shift == requestor
+                  else REMOTE_DRAM] += 1
 
         # install at MRU, first evicting a victim if the set is full
         if len(lines) >= self._assoc:
@@ -113,50 +134,6 @@ class CoherenceSystem:
             if lines.pop(victim) in _DIRTY:
                 count[4] += 1
         lines[tag] = state
-        return True
-
-    def handle_write(
-        self, requestor: int, addr: int, count: list[int], bias_enabled: bool = False
-    ) -> bool:
-        if addr < 0 or addr >> self._width:
-            raise ConfigError(f"address {addr:#x} does not fit in {self._width} bits")
-        set_id = (addr >> self._offset_bits) & self._set_mask
-        tag = addr >> self._tag_shift
-        column = self.columns[set_id]
-        lines = column[requestor]
-        if tag in lines:
-            if lines.pop(tag) not in _EXCLUSIVE:
-                # upgrade: invalidate every other copy
-                for other in column:
-                    other.pop(tag, None)
-            lines[tag] = MODIFIED
-            count[LOCAL_HIT] += 1
-            return False
-
-        # every copy is invalidated; a Modified, Owner or Exclusive one
-        # ships the line, else memory does, as for a read
-        shipped = False
-        for other in column:
-            if tag in other and other.pop(tag) not in _SHARED:
-                shipped = True
-        if shipped:
-            source = REMOTE_C2C
-        else:
-            home = tag >> self._home_shift
-            source = LOCAL_DRAM if home == requestor else REMOTE_DRAM
-        count[source] += 1
-
-        # install at MRU, first evicting a victim if the set is full, as
-        # for a read
-        if len(lines) >= self._assoc:
-            victim = next(iter(lines))
-            if bias_enabled and lines[victim] is REMOTE_SHARED:
-                victim = select_victim(
-                    lines, victim, self.counters[set_id][requestor],
-                    victim >> self._home_shift != requestor, self.thresholds, count)
-            if lines.pop(victim) in _DIRTY:
-                count[4] += 1
-        lines[tag] = MODIFIED
         return True
 
     # -- invariant checking -----------------------------------------------

@@ -126,7 +126,7 @@ def run(
         bias = enabled
     else:
         bias = [policy.kind is PolicyKind.BIASED_ALWAYS] * num_sockets
-    handle_read, handle_write = system.handle_read, system.handle_write
+    access = system.access
 
     seq, record = 0, _NO_RECORD  # the loop's record and its index, for an error
     try:
@@ -138,15 +138,8 @@ def run(
                 raise ConfigError(f"record {seq}: core {core} out of range")
             cores[core]  # a TypeError unless the core is an integer
 
-            count = counts[socket]  # the handler adds the access into it
-            if op == "R":
-                missed = handle_read(socket, addr, count, bias[socket])
-            elif op == "W":
-                missed = handle_write(socket, addr, count, bias[socket])
-            else:
-                raise ConfigError(f"record {seq}: op {op!r} is not R or W")
-
-            if missed:
+            count = counts[socket]  # `access` adds the access into it
+            if access(socket, op, addr, count, bias[socket]):
                 misses_left = left[socket] - 1
                 if misses_left:
                     left[socket] = misses_left

@@ -54,8 +54,9 @@ def select_victim(
     """Pick the victim tag of a full set under the bias, updating its bias
     counters.
 
-    The handlers call this only with the bias on and `lru`, the least
-    recently used line, remote-shared; otherwise `lru` is the victim.
+    `CoherenceSystem.access` calls this only with the bias on and `lru`,
+    the least recently used line, remote-shared; otherwise `lru` is the
+    victim.
     `lines` maps tag -> MoesiState, least recently used first; `counters`
     is the set's [local-home, remote-home] pair, and `home_class` is 0 if
     `lru`'s home is the requesting socket, else 1. The counter of that class

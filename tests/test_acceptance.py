@@ -181,7 +181,7 @@ def test_criterion_6_threshold_defaults_and_counter_bounds(capsys):
             for tag in lines:
                 lines[tag] = (MoesiState.REMOTE_SHARED if rng.random() < 0.5
                               else MoesiState.EXCLUSIVE)
-            # the handlers select only when the LRU line is remote-shared
+            # `access` selects only when the LRU line is remote-shared
             lines[0] = MoesiState.REMOTE_SHARED
             home_class = rng.randrange(2)
             before = list(counters)

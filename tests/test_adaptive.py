@@ -48,14 +48,14 @@ def simulate(steps, cfg=CFG, kind=PolicyKind.BIASED_ADAPTIVE, *, initial=None):
 
 @pytest.fixture
 def flags(monkeypatch):
-    """The bias flag each read was handed, in trace order."""
-    seen, read = [], CoherenceSystem.handle_read
+    """The bias flag each access was handed, in trace order."""
+    seen, access = [], CoherenceSystem.access
 
-    def spy(self, requestor, addr, count, bias_enabled=False):
+    def spy(self, requestor, op, addr, count, bias_enabled=False):
         seen.append(bias_enabled)
-        return read(self, requestor, addr, count, bias_enabled)
+        return access(self, requestor, op, addr, count, bias_enabled)
 
-    monkeypatch.setattr(CoherenceSystem, "handle_read", spy)
+    monkeypatch.setattr(CoherenceSystem, "access", spy)
     return seen
 
 

@@ -14,7 +14,7 @@ def decode(addr, topo):
     address; the line address masks off the line offset and the top bits
     name the home."""
     system = CoherenceSystem(topo)
-    system.handle_read(0, addr, [0] * 7)
+    system.access(0, "R", addr, [0] * 7)
     [(set_id, tag)] = [(set_id, tag) for set_id, column in enumerate(system.columns)
                        for tag in column[0]]
     home = addr >> (topo.address_width - topo.socket_bits)
@@ -116,3 +116,11 @@ def test_invalid_topology(kwargs):
     base.update(kwargs)
     with pytest.raises(ConfigError):
         TopologyConfig(**base)
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, True, "2", None])
+@pytest.mark.parametrize("field", ["num_sockets", "cores_per_socket", "llc_sets",
+                                   "llc_assoc", "line_size_bytes", "address_width"])
+def test_non_integer_field_rejected(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be an int, got {value!r}$"):
+        TopologyConfig(**{field: value})

@@ -323,16 +323,14 @@ class TestReader:
     def interrupted_past_the_fork(self, monkeypatch, trace):
         calls = itertools.count()
 
-        def interrupting(handle):
-            def interrupted(self, *args):
-                if next(calls) == IN_PROCESS + 500:
-                    raise KeyboardInterrupt
-                return handle(self, *args)
-            return interrupted
+        access = CoherenceSystem.access
 
-        for name in ("handle_read", "handle_write"):
-            monkeypatch.setattr(CoherenceSystem, name,
-                                interrupting(getattr(CoherenceSystem, name)))
+        def interrupted(self, *args):
+            if next(calls) == IN_PROCESS + 500:
+                raise KeyboardInterrupt
+            return access(self, *args)
+
+        monkeypatch.setattr(CoherenceSystem, "access", interrupted)
 
     def broken_stdout(self, monkeypatch, trace):
         class Closed:
@@ -542,6 +540,18 @@ class TestValidateTrace:
         trace.write_text("0 0 R zzz\n")
         code, _, err = run_cli(capsys, "validate-trace", "--trace", str(trace))
         assert code != 0 and err
+
+    def test_trace_is_required(self, capsys, tmp_path):
+        # without the flag or a config file's `trace` key; another key in
+        # the file does not lift the requirement
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("sockets=2\n")
+        for config in ([], ["--config", str(cfg)]):
+            with pytest.raises(SystemExit) as exc:
+                main(config + ["validate-trace"])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "the following arguments are required: --trace" in err
 
 
 class TestConfigFile:

@@ -1,10 +1,11 @@
 """Every run option of the CLI, given as a flag and as a config-file key.
 
 Each case gives every option it names a non-default value. The flags and a
-`--config` file holding the same values must write the same bytes, and
-those bytes are pinned, so a flag that sets the wrong field, a config key
-that converts differently from its flag, or an echo key that moves fails
-here. The echoed `config` of two cases is also checked field by field.
+`--config` file holding the same values must write the same bytes (to
+`--out`, or to stdout for a command without it), and those bytes are
+pinned, so a flag that sets the wrong field, a config key that converts
+differently from its flag, or an echo key that moves fails here. The
+echoed `config` of two cases is also checked field by field.
 """
 
 import hashlib
@@ -102,6 +103,12 @@ CASES = {
         "gen", TOPOLOGY + GENERATOR,
         "383c1375f54cdaa269ca197942aa8de1012f854cd6b405e311df00c95faab121",
     ),
+    # stdout is "ok: 720 records"; the config file alone gives the
+    # required --trace
+    "validate-trace": (
+        "validate-trace", TOPOLOGY + FILE,
+        "fc5085786d52c03111f5d5e7282ec16ec142f9acfc7ac4211695cbb427f9fbf7",
+    ),
 }
 
 TOPOLOGY_ECHO = {"sockets": 4, "cores_per_socket": 2, "sets": 8, "assoc": 8,
@@ -156,18 +163,18 @@ def write_trace(path):
     path.write_text("".join(lines))
 
 
-def as_config(options, out):
+def as_config(options):
     """key=value lines for `options`, half of the keys spelt with `_`."""
     lines = []
-    for i, (flag, value) in enumerate(options + [("--out", out)]):
+    for i, (flag, value) in enumerate(options):
         key = flag[2:].replace("-", "_") if i % 2 else flag[2:]
         lines.append(f"{key}={'on' if value is None else value}\n")
     return "".join(lines)
 
 
-def as_flags(options, out):
+def as_flags(options):
     argv = []
-    for flag, value in options + [("--out", out)]:
+    for flag, value in options:
         argv += [flag] if value is None else [flag, value]
     return argv
 
@@ -179,21 +186,30 @@ def test_flags_and_config_file_write_pinned_bytes(capsys, tmp_path,
     # relative paths, so the echoed trace path and the bytes are fixed
     monkeypatch.chdir(tmp_path)
     write_trace(tmp_path / "t.txt")
-    (tmp_path / "run.cfg").write_text(as_config(options, "config.out"))
 
-    assert main([command] + as_flags(options, "flags.out")) == 0
-    assert main(["--config", "run.cfg", command]) == 0
-    assert capsys.readouterr().out == ""
-    flags_out = (tmp_path / "flags.out").read_bytes()
-    assert (tmp_path / "config.out").read_bytes() == flags_out
+    # a command without `--out` writes to stdout
+    to_file = "--out" in HELP_OPTIONS[command]
+
+    def output(argv, out):
+        """The bytes `numacache *argv` writes, to `--out out` if it can."""
+        assert main(argv + (["--out", out] if to_file else [])) == 0
+        stdout = capsys.readouterr().out
+        if not to_file:
+            return stdout.encode()
+        assert stdout == ""
+        return (tmp_path / out).read_bytes()
+
+    (tmp_path / "run.cfg").write_text(as_config(options))
+    flags_out = output([command] + as_flags(options), "flags.out")
+    assert output(["--config", "run.cfg", command], "config.out") == flags_out
     assert hashlib.sha256(flags_out).hexdigest() == digest
     if name in ECHOES:
         assert json.loads(flags_out)["config"] == ECHOES[name]
 
 
 def test_cases_cover_every_option():
-    covered = {command: {"-h", "--help", "--out"} for command, _, _ in
-               CASES.values()}
+    covered = {command: {"-h", "--help"} | {"--out"} & set(HELP_OPTIONS[command])
+               for command, _, _ in CASES.values()}
     for command, options, _ in CASES.values():
         covered[command] |= {flag for flag, _ in options}
     for command, options in covered.items():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -28,22 +29,22 @@ def state_of(sys_, socket, addr):
     return sys_.columns[(addr >> 6) & 3][socket].get(addr >> 8)
 
 
-def access(handle, socket, addr, bias_enabled=False):
-    """One access through a handler; its 7-slot count list, which counts
-    it once at its source's slot and agrees with the handler's missed flag."""
+def access(sys_, socket, op, addr, bias_enabled=False):
+    """One access; its 7-slot count list, which counts it once at its
+    source's slot and agrees with the returned missed flag."""
     count = [0] * 7
-    missed = handle(socket, addr, count, bias_enabled)
+    missed = sys_.access(socket, op, addr, count, bias_enabled)
     assert sum(count[:4]) == 1
     assert missed is (count[LOCAL_HIT] == 0)
     return count
 
 
 def read(sys_, socket, addr, bias_enabled=False):
-    return access(sys_.handle_read, socket, addr, bias_enabled)
+    return access(sys_, socket, "R", addr, bias_enabled)
 
 
 def write(sys_, socket, addr, bias_enabled=False):
-    return access(sys_.handle_write, socket, addr, bias_enabled)
+    return access(sys_, socket, "W", addr, bias_enabled)
 
 
 def source(count):
@@ -271,3 +272,27 @@ class TestInvariants:
     def test_address_out_of_range(self):
         with pytest.raises(ConfigError):
             read(system(), 0, 1 << 32)
+
+    @pytest.mark.parametrize("op", ["X", "r", "RW", None])
+    def test_unknown_op_changes_nothing(self, op):
+        # socket 0's set 0 is full, its LRU line Remote-Shared: a read or a
+        # write of a new line would evict with the bias on, and of a held
+        # line would re-touch it
+        sys_ = system(PolicyConfig(PolicyKind.BIASED_ALWAYS))
+        write(sys_, 1, 0x0)
+        for i in range(4):
+            read(sys_, 0, i * 0x100)
+
+        def snapshot():  # the lines in LRU order, and the counters
+            return ([[list(lines.items()) for lines in column]
+                     for column in sys_.columns],
+                    [[list(pair) for pair in column] for column in sys_.counters])
+
+        before = snapshot()
+        for addr in (0x400, 0x100):  # a new line, a held one
+            count = [0] * 7
+            message = f"^op {re.escape(repr(op))} is not R or W$"
+            with pytest.raises(ConfigError, match=message):
+                sys_.access(0, op, addr, count, True)
+            assert count == [0] * 7
+            assert snapshot() == before

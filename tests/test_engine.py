@@ -197,17 +197,17 @@ class TestRun:
                 run(parse_trace(lines, TOPO), TOPO, PolicyConfig())
 
     def test_internal_type_error_passes_unchanged(self, monkeypatch):
-        def broken(self, requestor, addr, count, bias_enabled=False):
+        def broken(self, requestor, op, addr, count, bias_enabled=False):
             raise TypeError("internal")
 
-        monkeypatch.setattr(CoherenceSystem, "handle_read", broken)
+        monkeypatch.setattr(CoherenceSystem, "access", broken)
         with pytest.raises(TypeError, match="^internal$"):
             run([AccessRecord(0, 0, "R", 0x40)], TOPO, PolicyConfig())
 
 
 def test_python_calls_per_record_stay_at_the_layer_boundaries():
     """A record costs Python-level calls only at the layer boundaries: one
-    resume of `parse_trace`, one handler call and, on a miss that finds
+    resume of `parse_trace`, one `access` call and, on a miss that finds
     its set full with the bias on and a remote-shared LRU line, one
     `select_victim`. The adaptive window is counted in the loop, which
     calls out only when a window closes."""

@@ -33,13 +33,13 @@ def filled_system(lines, assoc=4):
                           line_size_bytes=64, address_width=32)
     sys_ = CoherenceSystem(topo)
     for i in range(lines):
-        sys_.handle_read(0, i * 64, [0] * 7)
+        sys_.access(0, "R", i * 64, [0] * 7)
     return sys_
 
 
 def select(lines, counters, home_class, thresholds):
     """`select_victim` on a full set whose LRU line is Remote-Shared, as
-    the handlers call it: (victim, biased, counter reset), the last two
+    `access` calls it: (victim, biased, counter reset), the last two
     read from slots 5 and 6 of the count list it adds into."""
     count = [0] * 7
     victim = select_victim(lines, next(iter(lines)), counters, home_class,
@@ -57,13 +57,13 @@ class TestTouch:
     def test_lru_to_mru(self):
         sys_ = filled_system(4)
         count = [0] * 7
-        assert sys_.handle_read(0, 0, count) is False
+        assert sys_.access(0, "R", 0, count) is False
         assert count == [1, 0, 0, 0, 0, 0, 0]  # one LOCAL_HIT
         assert order(sys_) == [1, 2, 3, 0]
 
     def test_touch_mru_is_noop(self):
         sys_ = filled_system(4)
-        sys_.handle_read(0, 3 * 64, [0] * 7)
+        sys_.access(0, "R", 3 * 64, [0] * 7)
         assert order(sys_) == [0, 1, 2, 3]
 
     def test_random_touches_keep_permutation(self):
@@ -71,10 +71,7 @@ class TestTouch:
         rng = random.Random(1)
         for _ in range(1000):
             tag = rng.randrange(8)
-            if rng.random() < 0.5:
-                sys_.handle_read(0, tag * 64, [0] * 7)
-            else:
-                sys_.handle_write(0, tag * 64, [0] * 7)
+            sys_.access(0, "R" if rng.random() < 0.5 else "W", tag * 64, [0] * 7)
             assert sorted(order(sys_)) == list(range(8))
             assert order(sys_)[-1] == tag
 
@@ -82,22 +79,22 @@ class TestTouch:
 class TestFill:
     def test_fill_remote_shared(self):
         sys_ = CoherenceSystem(ONE_SET)
-        sys_.handle_write(1, 0x1C0, [0] * 7)
-        sys_.handle_read(0, 0x1C0, [0] * 7)  # Modified at socket 1 supplies
+        sys_.access(1, "W", 0x1C0, [0] * 7)
+        sys_.access(0, "R", 0x1C0, [0] * 7)  # Modified at socket 1 supplies
         lines = sys_.columns[0][0]
         assert lines[7] is MoesiState.REMOTE_SHARED
         assert list(lines)[-1] == 7
 
     def test_cold_fill_exclusive(self):
         sys_ = CoherenceSystem(ONE_SET)
-        sys_.handle_read(1, 0x1C0, [0] * 7)
+        sys_.access(1, "R", 0x1C0, [0] * 7)
         assert sys_.columns[0][1][7] is MoesiState.EXCLUSIVE
 
     def test_filled_line_ages_to_lru(self):
         sys_ = filled_system(4)
         # lines 1..3 filled after line 0; touch them again
         for tag in (1, 2, 3):
-            sys_.handle_read(0, tag * 64, [0] * 7)
+            sys_.access(0, "R", tag * 64, [0] * 7)
         assert order(sys_)[0] == 0
 
 
@@ -111,20 +108,30 @@ class TestSelectVictim:
         assert d == (15, False, True)
         assert counters == [0, 0]
 
-    def test_bias_disabled_is_pure_lru(self):
+    @pytest.mark.parametrize("op, state", [("R", MoesiState.EXCLUSIVE),
+                                           ("W", MoesiState.MODIFIED)])
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_full_set_with_shared_lru_line(self, op, state, bias):
         # socket 0 holds tag 0 Remote-Shared at LRU when a fifth line comes
-        # in with the bias off: the LRU line goes, unbiased, and the bias
-        # counters stay as they were
+        # in. Bias on: tag 1, the least recent non-shared line, goes and
+        # the local-home counter counts the bias event. Bias off: the LRU
+        # line goes, unbiased, and the bias counters stay as they were
         sys_ = CoherenceSystem(ONE_SET)
-        sys_.handle_write(1, 0, [0] * 7)
+        sys_.access(1, "W", 0, [0] * 7)
         for tag in range(4):
-            sys_.handle_read(0, tag * 64, [0] * 7)
+            sys_.access(0, "R", tag * 64, [0] * 7)
         assert sys_.columns[0][0][0] is MoesiState.REMOTE_SHARED
         count = [0] * 7
-        assert sys_.handle_read(0, 4 * 64, count, False) is True
-        assert order(sys_) == [1, 2, 3, 4]
-        assert count == [0, 0, 1, 0, 0, 0, 0]  # LOCAL_DRAM, no bias event
-        assert sys_.counters[0][0] == [0, 0]
+        assert sys_.access(0, op, 4 * 64, count, bias) is True
+        assert sys_.columns[0][0][4] is state
+        if bias:
+            assert order(sys_) == [0, 2, 3, 4]
+            assert count == [0, 0, 1, 0, 0, 1, 0]  # LOCAL_DRAM, a bias event
+            assert sys_.counters[0][0] == [1, 0]
+        else:
+            assert order(sys_) == [1, 2, 3, 4]
+            assert count == [0, 0, 1, 0, 0, 0, 0]  # LOCAL_DRAM, no bias event
+            assert sys_.counters[0][0] == [0, 0]
 
     def test_bias_protects_shared_local_home(self):
         # A=4, t_local=1, counter 0: LRU tag 3 shared, tag 2 is the least
@@ -167,8 +174,8 @@ class TestSelectVictim:
 def test_counter_bounds_fuzz(seed):
     """Counters stay in [0, threshold]; resets fire only at the threshold.
 
-    200 selections, each with a Remote-Shared LRU line as the handlers
-    call it, make both a biased selection and a reset all but certain,
+    200 selections, each with a Remote-Shared LRU line as `access`
+    calls it, make both a biased selection and a reset all but certain,
     and the test checks that both happened."""
     rng = random.Random(seed)
     assoc = rng.choice([2, 4, 8, 16])

@@ -219,7 +219,7 @@ class TestGenerate:
         recs = generate(spec, TOPO)
         system = CoherenceSystem(TOPO)
         for r in recs:
-            system.handle_read(r.socket, r.addr, [0] * 7)
+            system.access(r.socket, r.op, r.addr, [0] * 7)
         # no (set, tag) is held by two sockets
         held = [(set_id, tag) for set_id, column in enumerate(system.columns)
                 for lines in column for tag in lines]
@@ -232,10 +232,7 @@ class TestGenerate:
         system = CoherenceSystem(TOPO)
         saw_remote_shared = False
         for r in recs:
-            if r.op == "R":
-                system.handle_read(r.socket, r.addr, [0] * 7)
-            else:
-                system.handle_write(r.socket, r.addr, [0] * 7)
+            system.access(r.socket, r.op, r.addr, [0] * 7)
             set_id, tag = (r.addr >> 6) & 3, r.addr >> 8  # TOPO's layout
             state = system.columns[set_id][r.socket][tag]
             saw_remote_shared = saw_remote_shared or state is MoesiState.REMOTE_SHARED
