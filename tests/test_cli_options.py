@@ -190,17 +190,21 @@ def test_flags_and_config_file_write_pinned_bytes(capsys, tmp_path,
     # a command without `--out` writes to stdout
     to_file = "--out" in HELP_OPTIONS[command]
 
+    def with_out(out):
+        return options + ([("--out", out)] if to_file else [])
+
     def output(argv, out):
-        """The bytes `numacache *argv` writes, to `--out out` if it can."""
-        assert main(argv + (["--out", out] if to_file else [])) == 0
+        """The bytes `numacache *argv` writes, read from `out` if it has
+        `--out`, else from stdout."""
+        assert main(argv) == 0
         stdout = capsys.readouterr().out
         if not to_file:
             return stdout.encode()
         assert stdout == ""
         return (tmp_path / out).read_bytes()
 
-    (tmp_path / "run.cfg").write_text(as_config(options))
-    flags_out = output([command] + as_flags(options), "flags.out")
+    (tmp_path / "run.cfg").write_text(as_config(with_out("config.out")))
+    flags_out = output([command] + as_flags(with_out("flags.out")), "flags.out")
     assert output(["--config", "run.cfg", command], "config.out") == flags_out
     assert hashlib.sha256(flags_out).hexdigest() == digest
     if name in ECHOES:
