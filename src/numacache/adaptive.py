@@ -6,11 +6,12 @@ strictly above the high watermark, off strictly below the low watermark,
 and holds in between (hysteresis).
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
+
+from .address_map import Checked, check_ints
 
 
-@dataclass(frozen=True)
-class AdaptiveConfig:
+class _AdaptiveFields(NamedTuple):
     window_size: int = 1024
     high_water: float = 0.5
     low_water: float = 0.1
@@ -19,11 +20,13 @@ class AdaptiveConfig:
     # count only cache-to-cache supplies
     count_remote_dram: bool = True
 
-    def __post_init__(self):
-        window = self.window_size
-        if not isinstance(window, int) or isinstance(window, bool):
-            raise ValueError(f"window_size must be an int, got {window!r}")
-        if window < 1:
+
+class AdaptiveConfig(Checked, _AdaptiveFields):
+    __slots__ = ()
+
+    def _check(self) -> None:
+        check_ints(self, ("window_size",))
+        if self.window_size < 1:
             raise ValueError("window_size must be >= 1")
         if not 0.0 <= self.low_water <= self.high_water:
             raise ValueError("need 0 <= low_water <= high_water")

@@ -1,16 +1,53 @@
-"""Topology and physical address layout.
+"""Topology and physical address layout, and the base of the config records.
 
 From the top bit down, an address holds the home socket, the rest of the
 tag, the set index and the line offset: the tag is every bit above the set
 index. `CoherenceSystem` decodes and range-checks each access's address.
 """
 
-from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import wraps
+from typing import NamedTuple
 
 
 class ConfigError(ValueError):
     """Raised for invalid topology parameters or out-of-range addresses."""
+
+
+class Checked:
+    """Base of a config record, listed ahead of the `NamedTuple` of its
+    fields: `class Config(Checked, _ConfigFields)`. Every way of building
+    one checks it with the class's `_check`: the constructor, `_make`,
+    `_replace`, and copy and pickle, which call `__new__`."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        build = cls.__new__  # the NamedTuple's, whose signature is the fields'
+
+        @wraps(build)
+        def __new__(cls, *args, **kwargs):
+            self = build(cls, *args, **kwargs)
+            self._check()
+            return self
+
+        cls.__new__ = staticmethod(__new__)
+
+    @classmethod
+    def _make(cls, iterable):
+        # the NamedTuple's own `_make`, which `_replace` calls, skips __new__
+        return cls(*iterable)
+
+
+def check_ints(config: tuple, names, *, optional: bool = False) -> None:
+    """Refuse each field of `config` in `names` whose value is not an int
+    (a bool is not one); with `optional`, None passes too."""
+    for name in names:
+        value = getattr(config, name)
+        if optional and value is None:
+            continue
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigError(f"{name} must be an int, got {value!r}")
 
 
 def _log2_exact(n: int, name: str) -> int:
@@ -19,8 +56,7 @@ def _log2_exact(n: int, name: str) -> int:
     return n.bit_length() - 1
 
 
-@dataclass(frozen=True)
-class TopologyConfig:
+class _TopologyFields(NamedTuple):
     num_sockets: int = 2
     cores_per_socket: int = 1
     llc_sets: int = 16
@@ -28,11 +64,12 @@ class TopologyConfig:
     line_size_bytes: int = 64
     address_width: int = 32
 
-    def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{field.name} must be an int, got {value!r}")
+
+class TopologyConfig(Checked, _TopologyFields):
+    __slots__ = ()
+
+    def _check(self) -> None:
+        check_ints(self, self._fields)
         _log2_exact(self.num_sockets, "num_sockets")
         _log2_exact(self.llc_sets, "llc_sets")
         _log2_exact(self.line_size_bytes, "line_size_bytes")
@@ -45,15 +82,14 @@ class TopologyConfig:
                 "socket, set, and line-offset bits exceed the address width"
             )
 
-    @cached_property
+    @property
     def socket_bits(self) -> int:
         return self.num_sockets.bit_length() - 1
 
-    @cached_property
+    @property
     def set_bits(self) -> int:
         return self.llc_sets.bit_length() - 1
 
-    @cached_property
+    @property
     def offset_bits(self) -> int:
         return self.line_size_bytes.bit_length() - 1
-

@@ -1,7 +1,6 @@
 """Command-line front end: run/compare simulations, generate traces."""
 
 import argparse
-import dataclasses
 import io
 import json
 import math
@@ -74,7 +73,7 @@ class Option(NamedTuple):
 
     flag: str
     commands: tuple
-    owner: Optional[type] = None  # the dataclass whose `field` it sets
+    owner: Optional[type] = None  # the config record whose `field` it sets
     field: str = ""
     echo: str = ""  # dotted path in the report's `config`; "" = not echoed
     type: Callable = _parse_int  # `bool` makes a switch that takes no value
@@ -154,20 +153,26 @@ def _default(opt: Option):
     """The option's default, as its flag would give it."""
     if opt.owner is None:
         return opt.default
-    field, = (f for f in dataclasses.fields(opt.owner) if f.name == opt.field)
-    if field.default_factory is not dataclasses.MISSING:
-        return field.default_factory()
-    if field.default is dataclasses.MISSING:
+    defaults = opt.owner._field_defaults
+    if opt.field not in defaults:
         return None
+    default = defaults[opt.field]
     if isinstance(opt.choices, dict):
-        return next(k for k, v in opt.choices.items() if v == field.default)
-    return field.default
+        return next(k for k, v in opt.choices.items() if v == default)
+    return default
 
 
-def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
+def build_parser(config: Optional[dict] = None,
+                 command: Optional[str] = None) -> argparse.ArgumentParser:
     """The `numacache` parser; `config` maps option dests to config-file
-    values, which replace the defaults."""
+    values, which replace the defaults.
+
+    Every subcommand is listed, but when `command` names one, only its
+    options are added: a command line parses with one subcommand's options.
+    Otherwise every subcommand gets its options.
+    """
     config = config or {}
+    built = (command,) if command in _COMMANDS else tuple(_COMMANDS)
     parser = argparse.ArgumentParser(
         prog="numacache",
         description="Trace-driven multi-socket LLC simulator with "
@@ -188,7 +193,8 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
             kwargs.update(type=opt.type, metavar=opt.metavar,
                           choices=sorted(opt.choices) if opt.choices else None)
         for name in opt.commands:
-            commands[name].add_argument(opt.flag, **kwargs)
+            if name in built:
+                commands[name].add_argument(opt.flag, **kwargs)
     return parser
 
 
@@ -432,8 +438,11 @@ def main(argv: Optional[list] = None) -> int:
     try:
         argv, config = _split_config(argv)
         config = {} if config is None else _read_config(config)
+        # the first argument that is not an option names the subcommand:
+        # --config, the one top-level option that takes a value, is gone
+        command = next((arg for arg in argv if not arg.startswith("-")), None)
         args = build_parser(
-            {dest: value for dest, (_, value) in config.items()}
+            {dest: value for dest, (_, value) in config.items()}, command
         ).parse_args(argv)
         # the namespace holds only the subcommand's options; a key for any
         # other option is refused, as its flag would be

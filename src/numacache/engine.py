@@ -1,10 +1,9 @@
 """Trace-driven simulation loop, and the latency model that costs its counts."""
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 from .adaptive import AdaptiveConfig
-from .address_map import ConfigError, TopologyConfig
+from .address_map import Checked, ConfigError, TopologyConfig, check_ints
 from .coherence import CoherenceSystem
 from .replacement import PolicyConfig, PolicyKind
 from .workload import AccessRecord
@@ -17,18 +16,22 @@ class InvariantError(RuntimeError):
 _NO_RECORD = object()  # `run` has taken no record from its trace yet
 
 
-@dataclass
-class LatencyModel:
-    """Abstract per-access cycle costs. Defaults are configuration values,
-    not measurements; the only baked-in assumption is the ordering that
-    makes remote transfers expensive."""
-
+class _LatencyFields(NamedTuple):
     llc_hit: int = 30
     remote_c2c: int = 150
     local_dram: int = 200
     remote_dram: int = 350
 
-    def __post_init__(self):
+
+class LatencyModel(Checked, _LatencyFields):
+    """Abstract per-access cycle costs. Defaults are configuration values,
+    not measurements; the only baked-in assumption is the ordering that
+    makes remote transfers expensive."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
+        check_ints(self, self._fields)
         if min(self.costs) < 0:
             raise ConfigError("latency costs must be >= 0")
         if not self.llc_hit < self.remote_c2c <= self.remote_dram:

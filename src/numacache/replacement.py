@@ -5,8 +5,9 @@ split by whether the protected line's home node was local or remote.
 """
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
+
+from .address_map import Checked, check_ints
 
 
 class MoesiState(enum.Enum):
@@ -28,12 +29,18 @@ class PolicyKind(enum.Enum):
     BIASED_ADAPTIVE = "adaptive"
 
 
-@dataclass
-class PolicyConfig:
+class _PolicyFields(NamedTuple):
     kind: PolicyKind = PolicyKind.LRU_ONLY
     # None -> derive from associativity: floor(A/4) and floor(A/2), min 1
     t_local: Optional[int] = None
     t_remote: Optional[int] = None
+
+
+class PolicyConfig(Checked, _PolicyFields):
+    __slots__ = ()
+
+    def _check(self) -> None:
+        check_ints(self, ("t_local", "t_remote"), optional=True)
 
     def thresholds(self, assoc: int) -> tuple[int, int]:
         t_local = self.t_local if self.t_local is not None else max(1, assoc // 4)

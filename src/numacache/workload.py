@@ -12,11 +12,10 @@ Fields are ASCII: decimal socket and core, hex digits after `0x`.
 import enum
 import random
 import re
-from dataclasses import dataclass, field
 from itertools import islice, repeat
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .address_map import ConfigError, TopologyConfig
+from .address_map import Checked, ConfigError, TopologyConfig
 
 
 class TraceError(ValueError):
@@ -130,18 +129,21 @@ class GeneratorKind(enum.Enum):
     SHARED_READ_ONLY = "shared-readonly"
 
 
-@dataclass
-class GeneratorSpec:
+class _GeneratorFields(NamedTuple):
     kind: GeneratorKind
     working_set_lines: int = 8
     iterations: int = 4
-    sharing_socket_pairs: list = field(default_factory=lambda: [(0, 1)])
+    sharing_socket_pairs: Sequence[tuple[int, int]] = ((0, 1),)
     rng_seed: int = 0
     # pin the home node of generated lines by forcing the top address bits;
     # None leaves PRIVATE_STREAM homes local and everything else at socket 0
     home_socket: Optional[int] = None
 
-    def __post_init__(self):
+
+class GeneratorSpec(Checked, _GeneratorFields):
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not isinstance(self.kind, GeneratorKind):
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.working_set_lines < 1 or self.iterations < 1:

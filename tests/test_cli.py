@@ -646,6 +646,8 @@ class TestConfigFile:
         ("gen", "policy=adaptive"),
         ("validate-trace", "policy=adaptive"),
         ("validate-trace", "validate=on"),
+        ("run", "policies=lru"),
+        ("compare", "policy=adaptive"),
     ])
     def test_key_the_command_does_not_take_is_config_error(
             self, capsys, tmp_path, command, line):
@@ -654,8 +656,8 @@ class TestConfigFile:
         trace.write_text("0 0 R 0x40\n")
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(f"sockets=2\n{line}\n")
-        source = {"gen": ["--gen-kind", "private"],
-                  "validate-trace": ["--trace", str(trace)]}[command]
+        source = {"validate-trace": ["--trace", str(trace)]}.get(
+            command, ["--gen-kind", "private"])
         code, out, err = run_cli(capsys, "--config", str(cfg), command, *source)
         flag = "--" + line.partition("=")[0]
         assert (code, out) == (1, "")
@@ -730,3 +732,17 @@ def test_float_flag_with_a_leading_space_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--gen-kind", "migratory", "--low-water", " 0.1"])
     assert exc.value.code == 2
+
+
+def test_import_needs_no_dataclasses_or_inspect():
+    # `dataclasses` imports `inspect`, `ast`, `dis` and `tokenize`, which
+    # every command would pay for at start-up
+    src = os.path.dirname(os.path.dirname(numacache.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import numacache.cli; "
+            "print(numacache.cli.__file__); print(*sorted(sys.modules))")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    path, modules = done.stdout.splitlines()
+    assert path.startswith(src)
+    assert not {"dataclasses", "inspect"} & set(modules.split())

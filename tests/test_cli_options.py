@@ -14,6 +14,7 @@ import re
 
 import pytest
 
+from numacache import cli
 from numacache.cli import main
 
 # the option strings each `--help` listed when the parser was written by
@@ -63,6 +64,14 @@ def test_help_lists_pinned_options(capsys, command):
     code, options = help_options(capsys, command)
     assert code == 0
     assert options == set(HELP_OPTIONS[command])
+
+
+@pytest.mark.parametrize("argv", [["run", "--trace", "t.txt"], ["compare"],
+                                  ["gen", "--gen-kind", "private"],
+                                  ["validate-trace", "--trace", "-"]], ids=lambda a: a[0])
+def test_one_command_parser_parses_as_the_full_parser(argv):
+    args = cli.build_parser({}, argv[0]).parse_args(argv)
+    assert args == cli.build_parser().parse_args(argv)
 
 
 TOPOLOGY = [("--sockets", "4"), ("--cores-per-socket", "2"), ("--sets", "8"),

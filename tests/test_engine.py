@@ -68,6 +68,13 @@ class TestLatencyModel:
         with pytest.raises(ConfigError):
             LatencyModel(local_dram=-1)
 
+    @pytest.mark.parametrize("value", [1.5, 30.0, True, "30", None])
+    @pytest.mark.parametrize("field", ["llc_hit", "remote_c2c", "local_dram",
+                                       "remote_dram"])
+    def test_non_integer_cost_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be an int, got {value!r}$"):
+            LatencyModel(**{field: value})
+
     def test_costs_indexed_by_source(self):
         lat = LatencyModel(llc_hit=1, remote_c2c=2, local_dram=3, remote_dram=4)
         sources = (LOCAL_HIT, REMOTE_C2C, LOCAL_DRAM, REMOTE_DRAM)

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from numacache.address_map import TopologyConfig
+from numacache.address_map import ConfigError, TopologyConfig
 from numacache.coherence import CoherenceSystem
 from numacache.engine import run
 from numacache.replacement import (
@@ -168,6 +168,17 @@ class TestSelectVictim:
             PolicyConfig(t_local=0).thresholds(4)
         with pytest.raises(ValueError):
             PolicyConfig(t_remote=5).thresholds(4)
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "2"])
+    @pytest.mark.parametrize("field", ["t_local", "t_remote"])
+    def test_non_integer_threshold_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be an int, got {value!r}$"):
+            PolicyConfig(PolicyKind.BIASED_ALWAYS, **{field: value})
+
+    def test_thresholds_default_to_none(self):
+        cfg = PolicyConfig(PolicyKind.BIASED_ALWAYS, t_local=None, t_remote=None)
+        assert cfg == PolicyConfig(PolicyKind.BIASED_ALWAYS)
+        assert cfg.thresholds(8) == (2, 4)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
