@@ -20,7 +20,9 @@ from .workload import (
     TraceError,
     format_trace,
     generate,
+    parse_blocks,
     parse_trace,
+    record_blocks,
 )
 
 _POLICY_NAMES = {k.value: k for k in PolicyKind}
@@ -153,12 +155,9 @@ def _default(opt: Option):
     """The option's default, as its flag would give it."""
     if opt.owner is None:
         return opt.default
-    defaults = opt.owner._field_defaults
-    if opt.field not in defaults:
-        return None
-    default = defaults[opt.field]
+    default = opt.owner._field_defaults.get(opt.field)  # None without one
     if isinstance(opt.choices, dict):
-        return next(k for k, v in opt.choices.items() if v == default)
+        return next((k for k, v in opt.choices.items() if v == default), None)
     return default
 
 
@@ -274,7 +273,7 @@ def _build(cls: type, args, **given):
 def _open_trace(path: str) -> Iterator:
     """The trace file at `path`, or stdin (left open) for '-', as text.
 
-    A byte that is not UTF-8 decodes to a surrogate, which parse_trace
+    A byte that is not UTF-8 decodes to a surrogate, which the parser
     reports as a non-ASCII character of its line, from a file or stdin
     alike and in any locale.
     """
@@ -293,16 +292,16 @@ def _open_trace(path: str) -> Iterator:
 
 
 def _load_trace(args, topo: TopologyConfig, files: ExitStack) -> Iterator:
-    """The records of the run's one trace source, parsed or generated as
-    they are consumed (see `read_ahead`); a trace file and the reader
-    process last until `files` closes."""
+    """The records of the run's one trace source, parsed or generated a
+    block at a time as they are consumed (see `read_ahead`); a trace file
+    and the reader process last until `files` closes."""
     if (args.trace is None) == (args.gen_kind is None):
         raise ConfigError("give exactly one trace source: --trace or --gen-kind")
     if args.trace is not None:
-        records = parse_trace(files.enter_context(_open_trace(args.trace)), topo)
+        blocks = parse_blocks(files.enter_context(_open_trace(args.trace)), topo)
     else:
-        records = generate(_build(GeneratorSpec, args), topo)
-    return read_ahead(records, files)
+        blocks = record_blocks(generate(_build(GeneratorSpec, args), topo))
+    return read_ahead(blocks, files)
 
 
 def _config_echo(args, topo, policies) -> dict:
@@ -346,13 +345,11 @@ def _render_table(named_stats: list) -> str:
             value = len(value)
         return str(value)
 
-    names = [name for name, _ in named_stats]
     width0 = max(len(label) for label, _ in _TABLE_ROWS)
-    widths = []
-    for i, (name, stats) in enumerate(named_stats):
-        w = max([len(name)] + [len(cell(stats, p)) for _, p in _TABLE_ROWS])
-        widths.append(w)
-    lines = ["  ".join([" " * width0] + [n.rjust(w) for n, w in zip(names, widths)])]
+    widths = [max([len(name)] + [len(cell(stats, p)) for _, p in _TABLE_ROWS])
+              for name, stats in named_stats]
+    lines = ["  ".join([" " * width0] + [
+        name.rjust(w) for (name, _), w in zip(named_stats, widths)])]
     for label, path in _TABLE_ROWS:
         row = [label.ljust(width0)]
         for (_, stats), w in zip(named_stats, widths):
@@ -370,10 +367,9 @@ def _write_output(chunks: Iterable[str], out: Optional[str]) -> None:
 
 
 def _write_report(args, report: dict, named_stats: list) -> int:
-    if args.report == "json":
-        _write_output([json.dumps(report, indent=2) + "\n"], args.out)
-    else:
-        _write_output([_render_table(named_stats)], args.out)
+    text = (json.dumps(report, indent=2) + "\n" if args.report == "json"
+            else _render_table(named_stats))
+    _write_output([text], args.out)
     return 0
 
 

@@ -6,7 +6,6 @@ from .adaptive import AdaptiveConfig
 from .address_map import Checked, ConfigError, TopologyConfig, check_ints
 from .coherence import CoherenceSystem
 from .replacement import PolicyConfig, PolicyKind
-from .workload import AccessRecord
 
 
 class InvariantError(RuntimeError):
@@ -196,7 +195,7 @@ def _record_problem(record, seq: int, topo: TopologyConfig) -> Optional[str]:
 
 
 def compare(
-    trace: Iterable[AccessRecord],
+    trace: Iterable[tuple],
     topo: TopologyConfig,
     policies: list[PolicyConfig],
     adaptive: Optional[AdaptiveConfig] = None,

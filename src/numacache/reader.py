@@ -1,62 +1,55 @@
 """Read a trace ahead of the simulation, in a forked reader process.
 
-The main process takes the first _FORK_AFTER blocks of records itself.
-When the source goes on past them and a second CPU is usable, one forked
-reader process iterates it on and sends each block down a pipe as one
+The source yields column blocks, as `workload.parse_blocks` does; each is
+zipped into (socket, core, op, addr) tuples without running Python code
+per record. The main process takes the first blocks itself. When the
+source goes on past them and a second CPU is usable, one forked reader
+process iterates it on and sends each block down a pipe as it is, in one
 message: a 4-byte length, then the `marshal` bytes of (kind, payload).
-A block of records travels as columns (socket, core, ops, addr), its op
-letters, R and W, joined into one string; the main process zips them back
-into (socket, core, op, addr) tuples without running Python code per
-record. The last message is the end or the error that stopped the source.
+The last message is the end or the error that stopped the source.
 """
 
 import marshal
 import os
-import struct
 import sys
 from contextlib import ExitStack
-from itertools import chain, islice
+from itertools import chain
 from typing import Iterator
 
 from .workload import _BLOCK, TraceError
 
 
-def read_ahead(records: Iterator, files: ExitStack) -> Iterator:
-    """The (socket, core, op, addr) tuples of `records`, then the
-    TraceError or OSError that stopped it, read ahead by a reader process
-    that lives until `files` closes."""
-    return chain.from_iterable(_blocks(records, files))
+def read_ahead(blocks: Iterator, files: ExitStack) -> Iterator:
+    """The (socket, core, op, addr) tuples of `blocks`, column blocks as
+    `parse_blocks` yields them, then the TraceError or OSError that stopped
+    it, read ahead by a reader process that lives until `files` closes."""
+    return chain.from_iterable(_blocks(blocks, files))
 
 
-# blocks taken in process before a reader is forked. A fork, with its
-# pipe, copy-on-write faults and reaping, cost about 6 ms on a 2-vCPU VM,
-# about what parsing these 4096 records costs: a trace that ends soon
-# after them loses about that much, one three times as long gains.
+# records taken in process, in _FORK_AFTER blocks of _BLOCK, before a reader
+# is forked. A fork, with its pipe, copy-on-write faults and reaping, cost
+# about 6 ms on a 2-vCPU VM, about what parsing these 4096 records costs: a
+# trace that ends soon after them loses about that much, one three times as
+# long gains.
 _FORK_AFTER = 8
-# a message's length, ahead of its marshal bytes
-_HEADER = struct.Struct("<I")
+# the size in bytes of a message's length, which precedes its marshal bytes
+_HEADER = 4
 
 
-def _blocks(records: Iterator, files: ExitStack) -> Iterator:
-    """`records` a block at a time, each an iterable of tuples; the error
-    that stops the source comes after the records before it.
-
-    The first _FORK_AFTER blocks are taken in process. A source that goes
-    on past them is read on by a reader process, which `files` kills and
-    reaps, if `_can_fork()`; otherwise every block is taken in process.
-    The fork is safe because the caller runs no other thread.
+def _blocks(blocks: Iterator, files: ExitStack) -> Iterator:
+    """The records of `blocks`, a block at a time, each an iterable of
+    tuples, then the source's error. Past the first _FORK_AFTER * _BLOCK
+    records a reader process, which `files` kills and reaps, reads on if
+    `_can_fork()`; the fork is safe, as the caller runs no other thread.
     """
     taken = 0
-    while True:
-        block, error = _take(records)
-        yield block
-        if error is not None:
-            raise error
-        if len(block) < _BLOCK:  # the source has ended
-            return
-        taken += 1
-        if taken == _FORK_AFTER and _can_fork():
+    for block in blocks:
+        yield zip(*block)
+        taken += len(block[0])
+        if taken >= _FORK_AFTER * _BLOCK and _can_fork():
             break
+    else:  # the source has ended in process
+        return
     r, w = os.pipe()
     pipe = files.enter_context(os.fdopen(r, "rb"))
     with os.fdopen(w, "wb") as out:
@@ -65,7 +58,7 @@ def _blocks(records: Iterator, files: ExitStack) -> Iterator:
             status = 1
             try:
                 pipe.close()  # so its writes fail once this process is gone
-                _ship(records, out)
+                _ship(blocks, out)
                 status = 0
             except BrokenPipeError:  # the main process is gone
                 pass
@@ -78,9 +71,8 @@ def _blocks(records: Iterator, files: ExitStack) -> Iterator:
     files.callback(_stop, pid)
     while True:
         kind, payload = _receive(pipe)
-        if kind == "columns":
-            socket, core, ops, addr = payload
-            yield zip(socket, core, ops, addr)
+        if kind == "block":
+            yield zip(*payload)
         elif kind == "trace error":
             raise TraceError(*payload)
         elif kind == "io error":
@@ -92,53 +84,38 @@ def _blocks(records: Iterator, files: ExitStack) -> Iterator:
 def _can_fork() -> bool:
     """Whether a reader process can run beside this one: `os.fork` exists
     and this process may use more than one CPU."""
-    if not hasattr(os, "fork"):
-        return False
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) > 1
-    return (os.cpu_count() or 1) > 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return hasattr(os, "fork") and cpus > 1
 
 
-def _take(records: Iterator) -> tuple:
-    """The next _BLOCK records of `records`, fewer at its end, and the
-    TraceError or OSError that cut them short, or None."""
-    block = []
+def _ship(blocks: Iterator, out) -> None:
+    """The reader process's work: send each of `blocks` as it is, then the
+    end or the source's error."""
     try:
-        block.extend(islice(records, _BLOCK))  # keeps what came first
-    except (TraceError, OSError) as exc:
-        return block, exc
-    return block, None
-
-
-def _ship(records: Iterator, out) -> None:
-    """The reader process's work: send each block of `records` as columns,
-    op letters joined into one string, then the end or the source's error."""
-    while True:
-        block, error = _take(records)
-        if block:
-            socket, core, ops, addr = zip(*block)
-            _send(out, ("columns", (socket, core, "".join(ops), addr)))
-        if error is not None or len(block) < _BLOCK:
-            break
-    if error is None:
+        for block in blocks:
+            _send(out, ("block", block))
+    except BrokenPipeError:  # from `_send`: the main process is gone
+        raise
+    except TraceError as exc:
+        _send(out, ("trace error", (exc.lineno, exc.message)))
+    except OSError as exc:  # its text is all that the CLI reports of it
+        _send(out, ("io error", str(exc)))
+    else:
         _send(out, ("end", None))
-    elif isinstance(error, TraceError):
-        _send(out, ("trace error", (error.lineno, error.message)))
-    else:  # an OSError: its text is all that the CLI reports of it
-        _send(out, ("io error", str(error)))
 
 
 def _send(out, message) -> None:
     data = marshal.dumps(message)
-    out.write(_HEADER.pack(len(data)) + data)
+    out.write(len(data).to_bytes(_HEADER, "little") + data)
     out.flush()
 
 
 def _receive(pipe) -> tuple:
     """The reader process's next (kind, payload) message."""
-    header = pipe.read(_HEADER.size)
-    if len(header) == _HEADER.size:
-        size, = _HEADER.unpack(header)
+    header = pipe.read(_HEADER)
+    if len(header) == _HEADER:
+        size = int.from_bytes(header, "little")
         data = pipe.read(size)
         if len(data) == size:
             return marshal.loads(data)

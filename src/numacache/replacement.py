@@ -7,7 +7,7 @@ split by whether the protected line's home node was local or remote.
 import enum
 from typing import NamedTuple, Optional
 
-from .address_map import Checked, check_ints
+from .address_map import Checked, ConfigError, check_ints
 
 
 class MoesiState(enum.Enum):
@@ -40,6 +40,8 @@ class PolicyConfig(Checked, _PolicyFields):
     __slots__ = ()
 
     def _check(self) -> None:
+        if not isinstance(self.kind, PolicyKind):
+            raise ConfigError(f"unknown policy kind {self.kind!r}")
         check_ints(self, ("t_local", "t_remote"), optional=True)
 
     def thresholds(self, assoc: int) -> tuple[int, int]:

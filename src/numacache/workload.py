@@ -12,10 +12,10 @@ Fields are ASCII: decimal socket and core, hex digits after `0x`.
 import enum
 import random
 import re
-from itertools import islice, repeat
+from itertools import count, islice, repeat
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .address_map import Checked, ConfigError, TopologyConfig
+from .address_map import Checked, ConfigError, TopologyConfig, check_ints
 
 
 class TraceError(ValueError):
@@ -45,37 +45,53 @@ _RECORD = r"[0-9]+ [0-9]+ [RW] 0x[0-9a-fA-F]+\n"
 _CANONICAL = re.compile(f"{_RECORD}(?:\t{_RECORD})*", re.A).fullmatch
 
 
-def parse_trace(lines: Iterable[str], topo: TopologyConfig) -> Iterator[AccessRecord]:
-    """Stream records from trace text, each checked against topo.
+def parse_blocks(lines: Iterable[str], topo: TopologyConfig) -> Iterator[tuple]:
+    """Stream trace text as blocks of records, each checked against topo.
 
-    Lines are read a block at a time. A block whose every element is one
-    canonical record line, all in range, is matched by one regex and
-    converted column by column with builtins. Any other block is parsed
-    line by line by `_parse_lines`, which yields the records before the
-    first bad line and raises its error, so both paths give the same
-    records and errors.
+    A block holds the records of up to _BLOCK lines as columns (socket,
+    core, ops, addr), the op letters, R and W, joined into one string:
+    `zip(*block)` gives its (socket, core, op, addr) tuples. A block whose
+    every element is one canonical record line, all in range, is matched
+    by one regex and converted column by column with builtins. Any other
+    is parsed line by line by `_parse_lines`: its records before the first
+    bad line make one block, then that line's error is raised, so both
+    paths give the same records and errors.
     """
     sockets, cores = topo.num_sockets, topo.cores_per_socket
     addr_end = 1 << topo.address_width
-    new = tuple.__new__
     lines = iter(lines)
-    lineno = 0  # the lines before the block
-    while block := list(islice(lines, _BLOCK)):
-        n = len(block)
+    blocks = iter(lambda: list(islice(lines, _BLOCK)), [])
+    for first, block in zip(count(1, _BLOCK), blocks):  # first: its line number
         text = "\t".join(block)
         fields = text.split() if _CANONICAL(text) else ()
-        if len(fields) == 4 * n:
+        if len(fields) == 4 * len(block):
             socket = list(map(int, fields[0::4]))
             core = list(map(int, fields[1::4]))
             addr = list(map(int, fields[3::4], repeat(16)))
             if max(socket) < sockets and max(core) < cores and max(addr) < addr_end:
-                # the NamedTuple's own __new__ is a Python-level call
-                yield from map(new, repeat(AccessRecord), zip(
-                    socket, core, fields[2::4], addr))
-                lineno += n
+                yield socket, core, "".join(fields[2::4]), addr
                 continue
-        yield from _parse_lines(block, topo, lineno + 1)
-        lineno += n
+        records = []
+        try:
+            records.extend(_parse_lines(block, topo, first))  # keeps what came first
+        finally:  # the records before a bad line come before its error
+            yield from record_blocks(records)
+
+
+def parse_trace(lines: Iterable[str], topo: TopologyConfig) -> Iterator[AccessRecord]:
+    """The records of `parse_blocks(lines, topo)`, then its error."""
+    new = tuple.__new__  # the NamedTuple's own __new__ is a Python-level call
+    for block in parse_blocks(lines, topo):
+        yield from map(new, repeat(AccessRecord), zip(*block))
+
+
+def record_blocks(records: Iterable[tuple]) -> Iterator[tuple]:
+    """(socket, core, op, addr) records, such as `generate`'s, as the
+    column blocks of `parse_blocks`, _BLOCK records each."""
+    records = iter(records)
+    while block := list(islice(records, _BLOCK)):
+        socket, core, ops, addr = zip(*block)
+        yield socket, core, "".join(ops), addr
 
 
 def _parse_lines(
@@ -146,6 +162,8 @@ class GeneratorSpec(Checked, _GeneratorFields):
     def _check(self) -> None:
         if not isinstance(self.kind, GeneratorKind):
             raise ValueError(f"unknown generator kind {self.kind!r}")
+        check_ints(self, ("working_set_lines", "iterations", "rng_seed"))
+        check_ints(self, ("home_socket",), optional=True)
         if self.working_set_lines < 1 or self.iterations < 1:
             raise ValueError("working_set_lines and iterations must be >= 1")
 
@@ -177,12 +195,9 @@ def generate(spec: GeneratorSpec, topo: TopologyConfig) -> Iterator[AccessRecord
     if blocks * spec.working_set_lines > 1 << body_bits:
         raise ConfigError("working set does not fit in the address space")
 
-    rng = random.Random(spec.rng_seed)
-    cores = topo.cores_per_socket
-    return (
-        AccessRecord(socket, rng.randrange(cores), op, addr)
-        for socket, op, addr in _accesses(spec, topo)
-    )
+    rng, cores = random.Random(spec.rng_seed), topo.cores_per_socket
+    return (AccessRecord(socket, rng.randrange(cores), op, addr)
+            for socket, op, addr in _accesses(spec, topo))
 
 
 def _accesses(spec: GeneratorSpec, topo: TopologyConfig) -> Iterator[tuple]:

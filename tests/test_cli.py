@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+from contextlib import ExitStack
 
 import pytest
 
@@ -19,7 +20,15 @@ from numacache.cli import main
 from numacache.coherence import CoherenceSystem
 from numacache.engine import compare, run
 from numacache.replacement import PolicyConfig, PolicyKind
-from numacache.workload import _BLOCK, parse_trace
+from numacache.workload import (
+    _BLOCK,
+    GeneratorKind,
+    GeneratorSpec,
+    generate,
+    parse_blocks,
+    parse_trace,
+    record_blocks,
+)
 
 from reference_model import RefModel
 
@@ -292,6 +301,18 @@ class TestReader:
             assert run_cli(capsys, "run", "--trace", str(trace))[0] == 0
             assert len(forks) == (records >= IN_PROCESS)
 
+    def test_a_generated_source_is_read_past_the_fork(self, forks):
+        topo = TopologyConfig(num_sockets=4)
+        spec = GeneratorSpec(GeneratorKind.PRODUCER_CONSUMER, working_set_lines=64,
+                             iterations=20,
+                             sharing_socket_pairs=((0, 1), (1, 2), (2, 3), (3, 0)))
+        expected = list(generate(spec, topo))
+        assert len(expected) > IN_PROCESS
+        with ExitStack() as files:
+            blocks = record_blocks(generate(spec, topo))
+            assert list(reader.read_ahead(blocks, files)) == expected
+        assert len(forks) == 1
+
     @pytest.mark.parametrize("host", ["no fork", "one CPU", "one CPU, no affinity"])
     def test_every_block_is_read_in_process_without_a_second_cpu(
             self, capsys, monkeypatch, tmp_path, forks, host):
@@ -369,20 +390,20 @@ class TestReader:
         assert len(forks) == 1
 
     def fail_in_the_reader(self, monkeypatch, failure):
-        """Make the reader process fail at record IN_PROCESS + 500."""
+        """Make the reader process fail at the block of record IN_PROCESS + 500."""
         main_pid = os.getpid()
 
         def fails_in_the_reader(fh, topo):
-            for seq, record in enumerate(parse_trace(fh, topo)):
-                if seq == IN_PROCESS + 500 and os.getpid() != main_pid:
+            for seq, block in enumerate(parse_blocks(fh, topo)):
+                if seq == (IN_PROCESS + 500) // _BLOCK and os.getpid() != main_pid:
                     if failure == "killed":
                         os.kill(os.getpid(), signal.SIGKILL)
                     if failure == "bug":
                         raise ZeroDivisionError("a fault of the parser")
                     raise OSError(errno.EIO, os.strerror(errno.EIO))
-                yield record
+                yield block
 
-        monkeypatch.setattr(cli, "parse_trace", fails_in_the_reader)
+        monkeypatch.setattr(cli, "parse_blocks", fails_in_the_reader)
 
     @pytest.mark.parametrize("failure, message", [
         ("killed", "the trace reader process ended before the trace did"),

@@ -32,6 +32,14 @@ REFUSED = [
     (AdaptiveConfig(), "window_size", 2.5, "window_size must be an int, got 2.5"),
     (AdaptiveConfig(), "high_water", 0.05, "need 0 <= low_water <= high_water"),
     (AdaptiveConfig(), "low_water", -0.1, "need 0 <= low_water <= high_water"),
+    (AdaptiveConfig(), "high_water", "x", "high_water must be a finite number, got 'x'"),
+    (AdaptiveConfig(), "high_water", float("inf"),
+     "high_water must be a finite number, got inf"),
+    (AdaptiveConfig(), "low_water", True, "low_water must be a finite number, got True"),
+    (AdaptiveConfig(), "initial_bias", "off", "initial_bias must be a bool, got 'off'"),
+    (AdaptiveConfig(), "count_remote_dram", "no",
+     "count_remote_dram must be a bool, got 'no'"),
+    (PolicyConfig(), "kind", "biased", "unknown policy kind 'biased'"),
     (PolicyConfig(), "t_local", 1.5, "t_local must be an int, got 1.5"),
     (PolicyConfig(), "t_remote", True, "t_remote must be an int, got True"),
     (LatencyModel(), "llc_hit", 1.5, "llc_hit must be an int, got 1.5"),
@@ -41,6 +49,10 @@ REFUSED = [
     (MIGRATORY, "kind", "migratory", "unknown generator kind 'migratory'"),
     (MIGRATORY, "working_set_lines", 0, "working_set_lines and iterations must be >= 1"),
     (MIGRATORY, "iterations", 0, "working_set_lines and iterations must be >= 1"),
+    (MIGRATORY, "working_set_lines", 2.5, "working_set_lines must be an int, got 2.5"),
+    (MIGRATORY, "iterations", True, "iterations must be an int, got True"),
+    (MIGRATORY, "rng_seed", 1.5, "rng_seed must be an int, got 1.5"),
+    (MIGRATORY, "home_socket", 0.0, "home_socket must be an int, got 0.0"),
 ]
 
 

@@ -2,6 +2,7 @@ import io
 import os
 import random
 from contextlib import ExitStack
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from numacache.workload import (
     _parse_lines,
     format_trace,
     generate,
+    parse_blocks,
     parse_trace,
 )
 
@@ -155,13 +157,25 @@ class TestParseBlocks:
         lines[index:index + len(run)] = run
         expected = outcome(_parse_lines(lines, TOPO))
         assert outcome(parse_trace(lines, TOPO)) == expected
-        # the CLI's reader, here made to parse all but the first block in
-        # a forked process, yields the same tuples and the same error
+        # the CLI's reader of the parser's blocks yields the same tuples
+        # and the same error, in process and when made to parse all but
+        # the first block in a forked process
         monkeypatch.setattr(reader, "_FORK_AFTER", 1)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                            raising=False)
-        with ExitStack() as files:
-            assert outcome(reader.read_ahead(parse_trace(lines, TOPO), files)) == expected
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                                raising=False)
+            with ExitStack() as files:
+                blocks = parse_blocks(lines, TOPO)
+                assert outcome(reader.read_ahead(blocks, files)) == expected
+
+    def test_records_before_a_bad_line_make_one_block(self):
+        rng = random.Random(3)
+        lines = [canonical_line(rng) for _ in range(1100)]
+        lines[700] = "0 0 Q 0x40\n"
+        blocks = parse_blocks(lines, TOPO)
+        assert [len(block[0]) for block in islice(blocks, 2)] == [512, 188]
+        with pytest.raises(TraceError, match="^line 701: operation must be R or W"):
+            next(blocks)
 
     def test_elements_joined_into_canonical_lines(self):
         # the block's text is two canonical lines, but its first element
