@@ -2,11 +2,13 @@
 
 From the top bit down, an address holds the home socket, the rest of the
 tag, the set index and the line offset: the tag is every bit above the set
-index. `CoherenceSystem` decodes and range-checks each access's address.
+index. `decode` splits checked addresses into set indices and tags.
 """
 
 from functools import wraps
-from typing import NamedTuple
+from itertools import repeat
+from operator import and_, rshift
+from typing import Iterable, Iterator, NamedTuple
 
 
 class ConfigError(ValueError):
@@ -93,3 +95,13 @@ class TopologyConfig(Checked, _TopologyFields):
     @property
     def offset_bits(self) -> int:
         return self.line_size_bytes.bit_length() - 1
+
+
+def decode(blocks: Iterable[tuple], topo: TopologyConfig) -> Iterator[tuple]:
+    """(socket, ops, set, tag) column blocks of checked (socket, core, ops,
+    addr) ones: the core is dropped, and builtins split the addresses."""
+    offset, mask = repeat(topo.offset_bits), repeat(topo.llc_sets - 1)
+    tag_shift = repeat(topo.offset_bits + topo.set_bits)
+    for socket, _, ops, addr in blocks:
+        yield (socket, ops, list(map(and_, map(rshift, addr, offset), mask)),
+               list(map(rshift, addr, tag_shift)))

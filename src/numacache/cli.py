@@ -10,8 +10,8 @@ from contextlib import ExitStack, contextmanager, suppress
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .adaptive import AdaptiveConfig
-from .address_map import ConfigError, TopologyConfig
-from .engine import InvariantError, LatencyModel, compare, run
+from .address_map import ConfigError, TopologyConfig, decode
+from .engine import Decoded, InvariantError, LatencyModel, compare, run
 from .reader import read_ahead
 from .replacement import PolicyConfig, PolicyKind
 from .workload import (
@@ -164,12 +164,8 @@ def _default(opt: Option):
 def build_parser(config: Optional[dict] = None,
                  command: Optional[str] = None) -> argparse.ArgumentParser:
     """The `numacache` parser; `config` maps option dests to config-file
-    values, which replace the defaults.
-
-    Every subcommand is listed, but when `command` names one, only its
-    options are added: a command line parses with one subcommand's options.
-    Otherwise every subcommand gets its options.
-    """
+    values, which replace the defaults. Every subcommand is listed, but
+    when `command` names one, only its options are added."""
     config = config or {}
     built = (command,) if command in _COMMANDS else tuple(_COMMANDS)
     parser = argparse.ArgumentParser(
@@ -291,17 +287,17 @@ def _open_trace(path: str) -> Iterator:
             fh.detach()
 
 
-def _load_trace(args, topo: TopologyConfig, files: ExitStack) -> Iterator:
-    """The records of the run's one trace source, parsed or generated a
-    block at a time as they are consumed (see `read_ahead`); a trace file
-    and the reader process last until `files` closes."""
+def _load_trace(args, topo: TopologyConfig, files: ExitStack) -> Decoded:
+    """The run's one trace source, parsed or generated and decoded a block
+    at a time as it is consumed (see `read_ahead`); a trace file and the
+    reader process last until `files` closes."""
     if (args.trace is None) == (args.gen_kind is None):
         raise ConfigError("give exactly one trace source: --trace or --gen-kind")
     if args.trace is not None:
         blocks = parse_blocks(files.enter_context(_open_trace(args.trace)), topo)
     else:
-        blocks = record_blocks(generate(_build(GeneratorSpec, args), topo))
-    return read_ahead(blocks, files)
+        blocks = record_blocks(generate(_build(GeneratorSpec, args), topo), topo)
+    return Decoded(topo, read_ahead(decode(blocks, topo), files))
 
 
 def _config_echo(args, topo, policies) -> dict:

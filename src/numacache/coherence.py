@@ -8,7 +8,7 @@ store; only coherence state is tracked, not data.
 
 from typing import Optional
 
-from .address_map import ConfigError, TopologyConfig
+from .address_map import TopologyConfig
 from .replacement import MoesiState, PolicyConfig, select_victim
 
 # Enum members bound once: attribute access on an Enum class is slow.
@@ -33,12 +33,10 @@ class CoherenceSystem:
     `counters[set_id][socket]` is the same set's [local-home, remote-home]
     pair of bias counters (see `select_victim`).
 
-    `access` runs one read ("R") or write ("W"), refusing any other op
-    before any state changes; the op picks the hit path and the snoop, and
-    the rest is shared. It decodes the address inline, after the one range
-    check: the set index is the `set_bits` bits above the line offset, and
-    the tag is every bit above the set index, so the home bits are part of
-    it, and the line address and home socket follow from (set index, tag).
+    `access` runs one read ("R") or write ("W") of the line at a set index
+    and tag, as `address_map.decode` splits a checked address; the op,
+    checked with the address, picks the hit path and the snoop, and the
+    rest is shared. The tag's top bits are the home socket.
 
     It adds the access into `count`, the requestor's 7-slot count
     list (`engine.SimStats.counts`): one at its source's slot (LOCAL_HIT to
@@ -55,9 +53,7 @@ class CoherenceSystem:
         sockets, sets = range(topo.num_sockets), range(topo.llc_sets)
         self.columns = [[{} for _ in sockets] for _ in sets]
         self.counters = [[[0, 0] for _ in sockets] for _ in sets]
-        self._width = topo.address_width
         self._offset_bits = topo.offset_bits
-        self._set_mask = topo.llc_sets - 1
         self._tag_shift = topo.offset_bits + topo.set_bits
         self._home_shift = topo.address_width - topo.socket_bits - self._tag_shift
         self._assoc = topo.llc_assoc
@@ -65,13 +61,9 @@ class CoherenceSystem:
     # -- accesses ---------------------------------------------------------
 
     def access(
-        self, requestor: int, op: str, addr: int, count: list[int],
+        self, requestor: int, op: str, set_id: int, tag: int, count: list[int],
         bias_enabled: bool = False,
     ) -> bool:
-        if addr < 0 or addr >> self._width:
-            raise ConfigError(f"address {addr:#x} does not fit in {self._width} bits")
-        set_id = (addr >> self._offset_bits) & self._set_mask
-        tag = addr >> self._tag_shift
         column = self.columns[set_id]
         lines = column[requestor]
         if op == "R":
@@ -98,7 +90,7 @@ class CoherenceSystem:
                     break
             else:  # no copy (a cold fill), or only Shared ones
                 shipped = False
-        elif op == "W":
+        else:  # "W"
             if tag in lines:
                 if lines.pop(tag) not in _EXCLUSIVE:
                     # upgrade: invalidate every other copy
@@ -113,8 +105,6 @@ class CoherenceSystem:
             for other in column:
                 if tag in other and other.pop(tag) not in _SHARED:
                     shipped = True
-        else:
-            raise ConfigError(f"op {op!r} is not R or W")
 
         if shipped:
             count[REMOTE_C2C] += 1
@@ -140,10 +130,8 @@ class CoherenceSystem:
 
     def check_global_invariants(self) -> list[str]:
         """Empty list iff the per-set and cross-socket MOESI invariants hold.
-
-        The holders of a line are read from the LLCs themselves, so there
-        is no second copy of them to disagree with.
-        """
+        A line's holders are read from the LLCs themselves, so there is no
+        second copy of them to disagree with."""
         violations = []
         holders: dict[int, list[tuple[int, MoesiState]]] = {}
         assoc = self._assoc

@@ -1,18 +1,17 @@
 """Trace-driven simulation loop, and the latency model that costs its counts."""
 
+from itertools import chain, starmap
 from typing import Iterable, NamedTuple, Optional
 
 from .adaptive import AdaptiveConfig
-from .address_map import Checked, ConfigError, TopologyConfig, check_ints
+from .address_map import Checked, ConfigError, TopologyConfig, check_ints, decode
 from .coherence import CoherenceSystem
 from .replacement import PolicyConfig, PolicyKind
+from .workload import record_blocks
 
 
 class InvariantError(RuntimeError):
     """A coherence invariant broke mid-run (validation mode)."""
-
-
-_NO_RECORD = object()  # `run` has taken no record from its trace yet
 
 
 class _LatencyFields(NamedTuple):
@@ -93,6 +92,13 @@ def _costed(count: list[int], costs: tuple) -> dict:
     }
 
 
+class Decoded(NamedTuple):
+    """The CLI's trace for `run`: `address_map.decode`'s blocks for `topo`."""
+
+    topo: TopologyConfig
+    blocks: Iterable[tuple]
+
+
 def run(
     trace: Iterable[tuple],
     topo: TopologyConfig,
@@ -103,8 +109,9 @@ def run(
 ) -> SimStats:
     """Drive a trace through a fresh system and count its accesses.
 
-    The trace is any iterable of (socket, core, op, addr) tuples, op "R"
-    or "W", `AccessRecord`s among them; record N is its N-th, from 0.
+    The trace is `Decoded` for `topo`, or any iterable of (socket, core,
+    op, addr) tuples, op "R" or "W", `AccessRecord`s among them, which
+    `record_blocks` checks as they are consumed; record N is its N-th, from 0.
     Each socket's windows of `window_size` misses are counted for every
     policy kind (it is pure bookkeeping); only BIASED_ADAPTIVE lets their
     watermarks steer the bias, and only the biased kinds enable it.
@@ -112,8 +119,11 @@ def run(
     adaptive = adaptive if adaptive is not None else AdaptiveConfig()
 
     system = CoherenceSystem(topo, policy)  # fails fast on bad thresholds
-    num_sockets, num_cores = topo.num_sockets, topo.cores_per_socket
-    cores = range(num_cores)
+    if not isinstance(trace, Decoded):
+        trace = Decoded(topo, decode(record_blocks(trace, topo), topo))
+    elif trace.topo != topo:
+        raise ConfigError("the trace was decoded for another topology")
+    num_sockets = topo.num_sockets
     counts = [[0] * 7 for _ in range(num_sockets)]  # see SimStats.counts
     # per socket: the misses left in its window, its remote misses before
     # the window began, its window's flag and its closed windows' fractions
@@ -130,68 +140,30 @@ def run(
         bias = [policy.kind is PolicyKind.BIASED_ALWAYS] * num_sockets
     access = system.access
 
-    seq, record = 0, _NO_RECORD  # the loop's record and its index, for an error
-    try:
-        for seq, record in enumerate(trace):
-            socket, core, op, addr = record
-            if not 0 <= socket < num_sockets:
-                raise ConfigError(f"record {seq}: socket {socket} out of range")
-            if not 0 <= core < num_cores:
-                raise ConfigError(f"record {seq}: core {core} out of range")
-            cores[core]  # a TypeError unless the core is an integer
+    accesses = chain.from_iterable(starmap(zip, trace.blocks))
+    for seq, (socket, op, set_id, tag) in enumerate(accesses):
+        count = counts[socket]  # `access` adds the access into it
+        if access(socket, op, set_id, tag, count, bias[socket]):
+            misses_left = left[socket] - 1
+            if misses_left:
+                left[socket] = misses_left
+            else:  # the window closes: apply the watermarks once
+                left[socket] = window
+                remote = count[1] + count[3] if adaptive.count_remote_dram else count[1]
+                fraction = (remote - remote_before[socket]) / window
+                remote_before[socket] = remote
+                fractions[socket].append(fraction)
+                flag = adaptive.bias_after(fraction, enabled[socket])
+                if flag != enabled[socket]:
+                    enabled[socket] = flag
+                    toggles.append((seq, socket, flag))
 
-            count = counts[socket]  # `access` adds the access into it
-            if access(socket, op, addr, count, bias[socket]):
-                misses_left = left[socket] - 1
-                if misses_left:
-                    left[socket] = misses_left
-                else:  # the window closes: apply the watermarks once
-                    left[socket] = window
-                    remote = count[1] + count[3] if adaptive.count_remote_dram else count[1]
-                    fraction = (remote - remote_before[socket]) / window
-                    remote_before[socket] = remote
-                    fractions[socket].append(fraction)
-                    flag = adaptive.bias_after(fraction, enabled[socket])
-                    if flag != enabled[socket]:
-                        enabled[socket] = flag
-                        toggles.append((seq, socket, flag))
-
-            if validate:
-                violations = system.check_global_invariants()
-                if violations:
-                    raise InvariantError(
-                        f"after record {seq}: " + "; ".join(violations)
-                    )
-    except (TypeError, ValueError) as exc:
-        # a malformed record fails somewhere in the loop: name it; any
-        # other error (a trace's own, an internal one) passes unchanged
-        problem = _record_problem(record, seq, topo)
-        if problem is None:
-            raise
-        raise ConfigError(problem) from exc
+        if validate:
+            violations = system.check_global_invariants()
+            if violations:
+                raise InvariantError(f"after record {seq}: " + "; ".join(violations))
 
     return SimStats(counts, fractions, toggles)
-
-
-def _record_problem(record, seq: int, topo: TopologyConfig) -> Optional[str]:
-    """The error message for record `seq` if `run` cannot simulate it,
-    else None."""
-    if record is _NO_RECORD:
-        return None
-    try:
-        socket, core, op, addr = record
-    except (TypeError, ValueError):
-        return f"record {seq}: expected (socket, core, op, addr), got {record!r}"
-    for name, value in (("socket", socket), ("core", core), ("address", addr)):
-        if not isinstance(value, int):
-            return f"record {seq}: {name} {value!r} is not an integer"
-    width = topo.address_width
-    if addr < 0 or addr >> width:
-        return f"record {seq}: address {addr:#x} does not fit in {width} bits"
-    # only a str is compared: another type's == may raise again
-    if type(op) is not str or op not in ("R", "W"):
-        return f"record {seq}: op {op!r} is not R or W"
-    return None
 
 
 def compare(
@@ -206,7 +178,8 @@ def compare(
     relative to the first policy."""
     if not policies:
         raise ConfigError("compare needs at least one policy")
-    trace = list(trace)
+    trace = (trace._replace(blocks=list(trace.blocks))
+             if isinstance(trace, Decoded) else list(trace))
     results = [
         (p.kind.value, run(trace, topo, p, adaptive, validate=validate).to_dict(lat))
         for p in policies

@@ -1,29 +1,19 @@
 """Read a trace ahead of the simulation, in a forked reader process.
 
-The source yields column blocks, as `workload.parse_blocks` does; each is
-zipped into (socket, core, op, addr) tuples without running Python code
-per record. The main process takes the first blocks itself. When the
-source goes on past them and a second CPU is usable, one forked reader
-process iterates it on and sends each block down a pipe as it is, in one
-message: a 4-byte length, then the `marshal` bytes of (kind, payload).
-The last message is the end or the error that stopped the source.
+The main process takes the first column blocks of the source itself.
+When the source goes on past them and a second CPU is usable, one forked
+reader process iterates it on and sends each block down a pipe as it is,
+in one message: a 4-byte length, then the `marshal` bytes of (kind,
+payload). The last message is the end or the error that stopped it.
 """
 
 import marshal
 import os
 import sys
 from contextlib import ExitStack
-from itertools import chain
 from typing import Iterator
 
 from .workload import _BLOCK, TraceError
-
-
-def read_ahead(blocks: Iterator, files: ExitStack) -> Iterator:
-    """The (socket, core, op, addr) tuples of `blocks`, column blocks as
-    `parse_blocks` yields them, then the TraceError or OSError that stopped
-    it, read ahead by a reader process that lives until `files` closes."""
-    return chain.from_iterable(_blocks(blocks, files))
 
 
 # records taken in process, in _FORK_AFTER blocks of _BLOCK, before a reader
@@ -36,15 +26,14 @@ _FORK_AFTER = 8
 _HEADER = 4
 
 
-def _blocks(blocks: Iterator, files: ExitStack) -> Iterator:
-    """The records of `blocks`, a block at a time, each an iterable of
-    tuples, then the source's error. Past the first _FORK_AFTER * _BLOCK
-    records a reader process, which `files` kills and reaps, reads on if
-    `_can_fork()`; the fork is safe, as the caller runs no other thread.
-    """
+def read_ahead(blocks: Iterator, files: ExitStack) -> Iterator:
+    """The column blocks of `blocks`, then the TraceError or OSError that
+    stopped it. Past the first _FORK_AFTER * _BLOCK records a reader process,
+    which `files` kills and reaps, reads on if `_can_fork()`; the fork is
+    safe, as the caller runs no other thread."""
     taken = 0
     for block in blocks:
-        yield zip(*block)
+        yield block
         taken += len(block[0])
         if taken >= _FORK_AFTER * _BLOCK and _can_fork():
             break
@@ -72,7 +61,7 @@ def _blocks(blocks: Iterator, files: ExitStack) -> Iterator:
     while True:
         kind, payload = _receive(pipe)
         if kind == "block":
-            yield zip(*payload)
+            yield payload
         elif kind == "trace error":
             raise TraceError(*payload)
         elif kind == "io error":

@@ -4,9 +4,8 @@ Trace format, one record per line:
 
     <socket:uint> <core:uint> <R|W> <0x-hex-address>
 
-Fields are ASCII: decimal socket and core, hex digits after `0x`.
-
-`#` starts a comment line; blank lines are ignored.
+Fields are ASCII: decimal socket and core, hex digits after `0x`. `#`
+starts a comment line; blank lines are ignored.
 """
 
 import enum
@@ -53,9 +52,9 @@ def parse_blocks(lines: Iterable[str], topo: TopologyConfig) -> Iterator[tuple]:
     `zip(*block)` gives its (socket, core, op, addr) tuples. A block whose
     every element is one canonical record line, all in range, is matched
     by one regex and converted column by column with builtins. Any other
-    is parsed line by line by `_parse_lines`: its records before the first
-    bad line make one block, then that line's error is raised, so both
-    paths give the same records and errors.
+    is parsed line by line by `_parse_lines`, whose records before the
+    first bad line make one block, then its error: the same records and
+    errors either way.
     """
     sockets, cores = topo.num_sockets, topo.cores_per_socket
     addr_end = 1 << topo.address_width
@@ -71,11 +70,7 @@ def parse_blocks(lines: Iterable[str], topo: TopologyConfig) -> Iterator[tuple]:
             if max(socket) < sockets and max(core) < cores and max(addr) < addr_end:
                 yield socket, core, "".join(fields[2::4]), addr
                 continue
-        records = []
-        try:
-            records.extend(_parse_lines(block, topo, first))  # keeps what came first
-        finally:  # the records before a bad line come before its error
-            yield from record_blocks(records)
+        yield from record_blocks(_parse_lines(block, topo, first), topo)
 
 
 def parse_trace(lines: Iterable[str], topo: TopologyConfig) -> Iterator[AccessRecord]:
@@ -85,21 +80,67 @@ def parse_trace(lines: Iterable[str], topo: TopologyConfig) -> Iterator[AccessRe
         yield from map(new, repeat(AccessRecord), zip(*block))
 
 
-def record_blocks(records: Iterable[tuple]) -> Iterator[tuple]:
-    """(socket, core, op, addr) records, such as `generate`'s, as the
-    column blocks of `parse_blocks`, _BLOCK records each."""
+def record_blocks(records: Iterable[tuple], topo: TopologyConfig) -> Iterator[tuple]:
+    """(socket, core, op, addr) records as `parse_blocks`' column blocks, up
+    to the first bad one; then its ConfigError, `record N: …`, N its index."""
     records = iter(records)
-    while block := list(islice(records, _BLOCK)):
-        socket, core, ops, addr = zip(*block)
-        yield socket, core, "".join(ops), addr
+    for first in count(0, _BLOCK):  # first: the index of the block's first record
+        block, problem = [], None
+        try:
+            block.extend(islice(records, _BLOCK))  # keeps what came first
+        finally:
+            if not _plain(block, topo):  # keep the records before its first bad one
+                for seq, record in enumerate(block, first):
+                    if problem := _record_problem(record, seq, topo):
+                        del block[seq - first:]
+                        break
+            if block:
+                socket, core, ops, addr = zip(*block)
+                yield socket, core, "".join(ops), addr
+            if problem:
+                raise ConfigError(problem)
+        if len(block) < _BLOCK:
+            return
+
+
+def _plain(block: list, topo: TopologyConfig) -> bool:
+    """Whether builtins pass every record of `block`: exact types, in range."""
+    try:
+        socket, core, ops, addr = zip(*block, strict=True)
+    except (TypeError, ValueError):  # no record, or one with other than 4 fields
+        return False
+    ints = socket + core + addr
+    return ({*map(type, ints)} == {int} and {*map(type, ops)} == {str}
+            and {*ops} <= {"R", "W"} and min(ints) >= 0
+            and max(socket) < topo.num_sockets and max(core) < topo.cores_per_socket
+            and not max(addr) >> topo.address_width)
+
+
+def _record_problem(record, seq: int, topo: TopologyConfig) -> Optional[str]:
+    """The error message for record `seq` if `topo` cannot hold it, else None."""
+    try:
+        socket, core, op, addr = record
+    except (TypeError, ValueError):
+        return f"record {seq}: expected (socket, core, op, addr), got {record!r}"
+    for name, value in (("socket", socket), ("core", core), ("address", addr)):
+        if not isinstance(value, int):
+            return f"record {seq}: {name} {value!r} is not an integer"
+    width = topo.address_width
+    if addr < 0 or addr >> width:
+        return f"record {seq}: address {addr:#x} does not fit in {width} bits"
+    # only a str is compared: another type's == may raise
+    if type(op) is not str or op not in ("R", "W"):
+        return f"record {seq}: op {op!r} is not R or W"
+    for name, value, end in (("socket", socket, topo.num_sockets),
+                             ("core", core, topo.cores_per_socket)):
+        if not 0 <= value < end:
+            return f"record {seq}: {name} {value} out of range"
 
 
 def _parse_lines(
     lines: Iterable[str], topo: TopologyConfig, first: int = 1
 ) -> Iterator[AccessRecord]:
     """Parse and check `lines` one at a time, numbering them from `first`."""
-    sockets, cores = topo.num_sockets, topo.cores_per_socket
-    width = topo.address_width
     for lineno, raw in enumerate(lines, start=first):
         text = raw.strip()
         if not text or text[0] == "#":
@@ -112,8 +153,7 @@ def _parse_lines(
         s_text, c_text, op_text, a_text = parts
         if not (s_text.isdigit() and c_text.isdigit()):
             raise TraceError(lineno, f"bad socket/core in {text!r}")
-        socket = int(s_text)
-        core = int(c_text)
+        socket, core = int(s_text), int(c_text)
         if op_text not in ("R", "W"):
             raise TraceError(lineno, f"operation must be R or W, got {op_text!r}")
         # int() would also accept `_` digit separators
@@ -123,11 +163,11 @@ def _parse_lines(
             addr = int(a_text, 16)
         except ValueError:
             raise TraceError(lineno, f"bad address {a_text!r}") from None
-        if socket >= sockets:
+        if socket >= topo.num_sockets:
             raise TraceError(lineno, f"socket {socket} out of range")
-        if core >= cores:
+        if core >= topo.cores_per_socket:
             raise TraceError(lineno, f"core {core} out of range")
-        if addr >> width:
+        if addr >> topo.address_width:
             raise TraceError(lineno, f"address {addr:#x} exceeds address width")
         yield AccessRecord(socket, core, op_text, addr)
 
@@ -164,6 +204,10 @@ class GeneratorSpec(Checked, _GeneratorFields):
             raise ValueError(f"unknown generator kind {self.kind!r}")
         check_ints(self, ("working_set_lines", "iterations", "rng_seed"))
         check_ints(self, ("home_socket",), optional=True)
+        pairs = self.sharing_socket_pairs
+        if type(pairs) not in (tuple, list) or not all(
+                type(p) in (tuple, list) and [*map(type, p)] == [int, int] for p in pairs):
+            raise ConfigError(f"sharing_socket_pairs must hold int pairs, got {pairs!r}")
         if self.working_set_lines < 1 or self.iterations < 1:
             raise ValueError("working_set_lines and iterations must be >= 1")
 
@@ -176,11 +220,9 @@ def _line_addr(index: int, home: int, topo: TopologyConfig) -> int:
 
 
 def generate(spec: GeneratorSpec, topo: TopologyConfig) -> Iterator[AccessRecord]:
-    """Deterministic access sequence for (spec, topo), produced lazily.
-
-    Every input is checked here, before the first record, so iterating
-    the result never fails.
-    """
+    """Deterministic access sequence for (spec, topo), produced lazily;
+    every input is checked before the first record, so iterating never
+    fails."""
     sockets = range(topo.num_sockets)
     if spec.home_socket is not None and spec.home_socket not in sockets:
         raise ConfigError(f"home_socket {spec.home_socket} out of range")

@@ -50,9 +50,9 @@ def flags(monkeypatch):
     """The bias flag each access was handed, in trace order."""
     seen, access = [], CoherenceSystem.access
 
-    def spy(self, requestor, op, addr, count, bias_enabled=False):
+    def spy(self, requestor, op, set_id, tag, count, bias_enabled=False):
         seen.append(bias_enabled)
-        return access(self, requestor, op, addr, count, bias_enabled)
+        return access(self, requestor, op, set_id, tag, count, bias_enabled)
 
     monkeypatch.setattr(CoherenceSystem, "access", spy)
     return seen

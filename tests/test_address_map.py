@@ -4,17 +4,19 @@ from hypothesis import given, strategies as st
 from numacache.address_map import ConfigError, TopologyConfig
 from numacache.coherence import CoherenceSystem
 
+from helpers import access
+
 TOPO8 = TopologyConfig(num_sockets=4, llc_sets=1, llc_assoc=2,
                        line_size_bytes=4, address_width=8)
 
 
 def decode(addr, topo):
     """(line address, set index, tag, home socket) of addr: set and tag
-    from where a read by socket 0 installs it, which also range-checks the
-    address; the line address masks off the line offset and the top bits
-    name the home."""
+    from where a read by socket 0 installs it, after the decode step that
+    also range-checks the address; the line address masks off the line
+    offset and the top bits name the home."""
     system = CoherenceSystem(topo)
-    system.access(0, "R", addr, [0] * 7)
+    access(system, topo, 0, "R", addr, [0] * 7)
     [(set_id, tag)] = [(set_id, tag) for set_id, column in enumerate(system.columns)
                        for tag in column[0]]
     home = addr >> (topo.address_width - topo.socket_bits)

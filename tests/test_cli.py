@@ -309,8 +309,10 @@ class TestReader:
         expected = list(generate(spec, topo))
         assert len(expected) > IN_PROCESS
         with ExitStack() as files:
-            blocks = record_blocks(generate(spec, topo))
-            assert list(reader.read_ahead(blocks, files)) == expected
+            blocks = record_blocks(generate(spec, topo), topo)
+            records = itertools.chain.from_iterable(
+                itertools.starmap(zip, reader.read_ahead(blocks, files)))
+            assert list(records) == expected
         assert len(forks) == 1
 
     @pytest.mark.parametrize("host", ["no fork", "one CPU", "one CPU, no affinity"])

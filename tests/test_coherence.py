@@ -13,6 +13,8 @@ from numacache.coherence import (
 )
 from numacache.replacement import MoesiState, PolicyConfig, PolicyKind
 
+import helpers
+
 TOPO = TopologyConfig(num_sockets=2, llc_sets=4, llc_assoc=4,
                       line_size_bytes=64, address_width=32)
 
@@ -33,7 +35,7 @@ def access(sys_, socket, op, addr, bias_enabled=False):
     """One access; its 7-slot count list, which counts it once at its
     source's slot and agrees with the returned missed flag."""
     count = [0] * 7
-    missed = sys_.access(socket, op, addr, count, bias_enabled)
+    missed = helpers.access(sys_, TOPO, socket, op, addr, count, bias_enabled)
     assert sum(count[:4]) == 1
     assert missed is (count[LOCAL_HIT] == 0)
     return count
@@ -291,8 +293,8 @@ class TestInvariants:
         before = snapshot()
         for addr in (0x400, 0x100):  # a new line, a held one
             count = [0] * 7
-            message = f"^op {re.escape(repr(op))} is not R or W$"
+            message = f"^record 0: op {re.escape(repr(op))} is not R or W$"
             with pytest.raises(ConfigError, match=message):
-                sys_.access(0, op, addr, count, True)
+                helpers.access(sys_, TOPO, 0, op, addr, count, True)
             assert count == [0] * 7
             assert snapshot() == before

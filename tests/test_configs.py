@@ -53,6 +53,12 @@ REFUSED = [
     (MIGRATORY, "iterations", True, "iterations must be an int, got True"),
     (MIGRATORY, "rng_seed", 1.5, "rng_seed must be an int, got 1.5"),
     (MIGRATORY, "home_socket", 0.0, "home_socket must be an int, got 0.0"),
+    (MIGRATORY, "sharing_socket_pairs", ((0, 1.0),),
+     "sharing_socket_pairs must hold int pairs, got ((0, 1.0),)"),
+    (MIGRATORY, "sharing_socket_pairs", [(True, 1)],
+     "sharing_socket_pairs must hold int pairs, got [(True, 1)]"),
+    (MIGRATORY, "sharing_socket_pairs", ((0, 1, 1),),
+     "sharing_socket_pairs must hold int pairs, got ((0, 1, 1),)"),
 ]
 
 

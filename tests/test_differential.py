@@ -2,14 +2,18 @@
 random topologies, thresholds, controller settings, latencies and traces."""
 
 import random
+from contextlib import ExitStack
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from numacache import reader, workload
 from numacache.adaptive import AdaptiveConfig
-from numacache.address_map import TopologyConfig
-from numacache.engine import LatencyModel, run
+from numacache.address_map import ConfigError, TopologyConfig, decode
+from numacache.engine import Decoded, LatencyModel, run
 from numacache.replacement import PolicyConfig, PolicyKind
-from numacache.workload import AccessRecord
+from numacache.workload import AccessRecord, format_trace, parse_blocks
 
 from reference_model import RefModel
 
@@ -75,3 +79,34 @@ def test_engine_equals_reference_model(scenario):
                        topo.line_size_bytes, topo.address_width, name,
                        t_local, t_remote, **adaptive, lat=lat.costs).run(accesses)
         assert sim == ref, name
+
+
+@settings(max_examples=30, deadline=None)
+@given(scenarios(), scenarios())
+def test_decoded_stream_equals_records(scenario, other):
+    """`run` over the CLI's stream, parsed, decoded and read ahead, counts
+    what `run` over the same records counts. Blocks of 16 records and a
+    reader forked after the first block (where a second CPU is usable) put
+    every later block through the pipe. A stream decoded for one topology
+    is refused on another."""
+    topo, (t_local, t_remote), adaptive, _, accesses = scenario
+    records = [AccessRecord(socket, 0, op, addr) for socket, op, addr, _ in accesses]
+    lines = [line + "\n" for line in format_trace(records)]
+    config = AdaptiveConfig(adaptive["window"], adaptive["high"], adaptive["low"],
+                            adaptive["initial_bias"], adaptive["count_remote_dram"])
+
+    def stream(files):
+        return Decoded(topo, reader.read_ahead(decode(parse_blocks(lines, topo), topo),
+                                               files))
+
+    with mock.patch.object(workload, "_BLOCK", 16), \
+            mock.patch.object(reader, "_FORK_AFTER", 0):
+        for kind in POLICIES.values():
+            policy = PolicyConfig(kind, t_local, t_remote)
+            with ExitStack() as files:
+                assert run(stream(files), topo, policy, config) == \
+                    run(records, topo, policy, config), kind
+    if other[0] != topo:
+        with ExitStack() as files, pytest.raises(
+                ConfigError, match="^the trace was decoded for another topology$"):
+            run(stream(files), other[0], PolicyConfig())

@@ -204,7 +204,7 @@ class TestRun:
                 run(parse_trace(lines, TOPO), TOPO, PolicyConfig())
 
     def test_internal_type_error_passes_unchanged(self, monkeypatch):
-        def broken(self, requestor, op, addr, count, bias_enabled=False):
+        def broken(self, requestor, op, set_id, tag, count, bias_enabled=False):
             raise TypeError("internal")
 
         monkeypatch.setattr(CoherenceSystem, "access", broken)

@@ -14,7 +14,10 @@ from numacache.replacement import (
 )
 from numacache.workload import AccessRecord
 
-# one set per socket, so every line of a socket competes for the same ways
+from helpers import access
+
+# one set per socket, so every line of a socket competes for the same ways;
+# `filled_system`'s topologies decode addresses as it does
 ONE_SET = TopologyConfig(num_sockets=2, llc_sets=1, llc_assoc=4,
                          line_size_bytes=64, address_width=32)
 
@@ -33,7 +36,7 @@ def filled_system(lines, assoc=4):
                           line_size_bytes=64, address_width=32)
     sys_ = CoherenceSystem(topo)
     for i in range(lines):
-        sys_.access(0, "R", i * 64, [0] * 7)
+        access(sys_, topo, 0, "R", i * 64, [0] * 7)
     return sys_
 
 
@@ -57,13 +60,13 @@ class TestTouch:
     def test_lru_to_mru(self):
         sys_ = filled_system(4)
         count = [0] * 7
-        assert sys_.access(0, "R", 0, count) is False
+        assert access(sys_, ONE_SET, 0, "R", 0, count) is False
         assert count == [1, 0, 0, 0, 0, 0, 0]  # one LOCAL_HIT
         assert order(sys_) == [1, 2, 3, 0]
 
     def test_touch_mru_is_noop(self):
         sys_ = filled_system(4)
-        sys_.access(0, "R", 3 * 64, [0] * 7)
+        access(sys_, ONE_SET, 0, "R", 3 * 64, [0] * 7)
         assert order(sys_) == [0, 1, 2, 3]
 
     def test_random_touches_keep_permutation(self):
@@ -71,7 +74,7 @@ class TestTouch:
         rng = random.Random(1)
         for _ in range(1000):
             tag = rng.randrange(8)
-            sys_.access(0, "R" if rng.random() < 0.5 else "W", tag * 64, [0] * 7)
+            access(sys_, ONE_SET, 0, "R" if rng.random() < 0.5 else "W", tag * 64, [0] * 7)
             assert sorted(order(sys_)) == list(range(8))
             assert order(sys_)[-1] == tag
 
@@ -79,22 +82,22 @@ class TestTouch:
 class TestFill:
     def test_fill_remote_shared(self):
         sys_ = CoherenceSystem(ONE_SET)
-        sys_.access(1, "W", 0x1C0, [0] * 7)
-        sys_.access(0, "R", 0x1C0, [0] * 7)  # Modified at socket 1 supplies
+        access(sys_, ONE_SET, 1, "W", 0x1C0, [0] * 7)
+        access(sys_, ONE_SET, 0, "R", 0x1C0, [0] * 7)  # Modified at socket 1 supplies
         lines = sys_.columns[0][0]
         assert lines[7] is MoesiState.REMOTE_SHARED
         assert list(lines)[-1] == 7
 
     def test_cold_fill_exclusive(self):
         sys_ = CoherenceSystem(ONE_SET)
-        sys_.access(1, "R", 0x1C0, [0] * 7)
+        access(sys_, ONE_SET, 1, "R", 0x1C0, [0] * 7)
         assert sys_.columns[0][1][7] is MoesiState.EXCLUSIVE
 
     def test_filled_line_ages_to_lru(self):
         sys_ = filled_system(4)
         # lines 1..3 filled after line 0; touch them again
         for tag in (1, 2, 3):
-            sys_.access(0, "R", tag * 64, [0] * 7)
+            access(sys_, ONE_SET, 0, "R", tag * 64, [0] * 7)
         assert order(sys_)[0] == 0
 
 
@@ -117,12 +120,12 @@ class TestSelectVictim:
         # the local-home counter counts the bias event. Bias off: the LRU
         # line goes, unbiased, and the bias counters stay as they were
         sys_ = CoherenceSystem(ONE_SET)
-        sys_.access(1, "W", 0, [0] * 7)
+        access(sys_, ONE_SET, 1, "W", 0, [0] * 7)
         for tag in range(4):
-            sys_.access(0, "R", tag * 64, [0] * 7)
+            access(sys_, ONE_SET, 0, "R", tag * 64, [0] * 7)
         assert sys_.columns[0][0][0] is MoesiState.REMOTE_SHARED
         count = [0] * 7
-        assert sys_.access(0, op, 4 * 64, count, bias) is True
+        assert access(sys_, ONE_SET, 0, op, 4 * 64, count, bias) is True
         assert sys_.columns[0][0][4] is state
         if bias:
             assert order(sys_) == [0, 2, 3, 4]

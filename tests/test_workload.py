@@ -2,7 +2,7 @@ import io
 import os
 import random
 from contextlib import ExitStack
-from itertools import islice
+from itertools import chain, islice, starmap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +22,8 @@ from numacache.workload import (
     parse_blocks,
     parse_trace,
 )
+
+from helpers import access
 
 TOPO = TopologyConfig(num_sockets=2, cores_per_socket=4, llc_sets=4,
                       llc_assoc=4, line_size_bytes=64, address_width=32)
@@ -166,7 +168,8 @@ class TestParseBlocks:
                                 raising=False)
             with ExitStack() as files:
                 blocks = parse_blocks(lines, TOPO)
-                assert outcome(reader.read_ahead(blocks, files)) == expected
+                records = chain.from_iterable(starmap(zip, reader.read_ahead(blocks, files)))
+                assert outcome(records) == expected
 
     def test_records_before_a_bad_line_make_one_block(self):
         rng = random.Random(3)
@@ -233,7 +236,7 @@ class TestGenerate:
         recs = generate(spec, TOPO)
         system = CoherenceSystem(TOPO)
         for r in recs:
-            system.access(r.socket, r.op, r.addr, [0] * 7)
+            access(system, TOPO, r.socket, r.op, r.addr, [0] * 7)
         # no (set, tag) is held by two sockets
         held = [(set_id, tag) for set_id, column in enumerate(system.columns)
                 for lines in column for tag in lines]
@@ -246,7 +249,7 @@ class TestGenerate:
         system = CoherenceSystem(TOPO)
         saw_remote_shared = False
         for r in recs:
-            system.access(r.socket, r.op, r.addr, [0] * 7)
+            access(system, TOPO, r.socket, r.op, r.addr, [0] * 7)
             set_id, tag = (r.addr >> 6) & 3, r.addr >> 8  # TOPO's layout
             state = system.columns[set_id][r.socket][tag]
             saw_remote_shared = saw_remote_shared or state is MoesiState.REMOTE_SHARED
