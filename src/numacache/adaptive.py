@@ -6,13 +6,13 @@ strictly above the high watermark, off strictly below the low watermark,
 and holds in between (hysteresis).
 """
 
-import math
 from typing import NamedTuple
 
-from .address_map import Checked, ConfigError, check_ints
+from .address_map import checked
 
 
-class _AdaptiveFields(NamedTuple):
+@checked
+class AdaptiveConfig(NamedTuple):
     window_size: int = 1024
     high_water: float = 0.5
     low_water: float = 0.1
@@ -21,21 +21,7 @@ class _AdaptiveFields(NamedTuple):
     # count only cache-to-cache supplies
     count_remote_dram: bool = True
 
-
-class AdaptiveConfig(Checked, _AdaptiveFields):
-    __slots__ = ()
-
     def _check(self) -> None:
-        check_ints(self, ("window_size",))
-        for name in ("high_water", "low_water"):
-            value = getattr(self, name)
-            number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not number or isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        for name in ("initial_bias", "count_remote_dram"):
-            value = getattr(self, name)
-            if not isinstance(value, bool):
-                raise ConfigError(f"{name} must be a bool, got {value!r}")
         if self.window_size < 1:
             raise ValueError("window_size must be >= 1")
         if not 0.0 <= self.low_water <= self.high_water:

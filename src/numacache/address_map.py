@@ -1,4 +1,4 @@
-"""Topology and physical address layout, and the base of the config records.
+"""Topology and physical address layout, and the checker of the config records.
 
 From the top bit down, an address holds the home socket, the rest of the
 tag, the set index and the line offset: the tag is every bit above the set
@@ -7,49 +7,69 @@ index. `decode` splits checked addresses into set indices and tags.
 
 from functools import wraps
 from itertools import repeat
+from math import isfinite
 from operator import and_, rshift
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
 class ConfigError(ValueError):
     """Raised for invalid topology parameters or out-of-range addresses."""
 
 
-class Checked:
-    """Base of a config record, listed ahead of the `NamedTuple` of its
-    fields: `class Config(Checked, _ConfigFields)`. Every way of building
-    one checks it with the class's `_check`: the constructor, `_make`,
-    `_replace`, and copy and pickle, which call `__new__`."""
-
-    __slots__ = ()
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        build = cls.__new__  # the NamedTuple's, whose signature is the fields'
-
-        @wraps(build)
-        def __new__(cls, *args, **kwargs):
-            self = build(cls, *args, **kwargs)
-            self._check()
-            return self
-
-        cls.__new__ = staticmethod(__new__)
-
-    @classmethod
-    def _make(cls, iterable):
-        # the NamedTuple's own `_make`, which `_replace` calls, skips __new__
-        return cls(*iterable)
+def is_int(value) -> bool:
+    """Whether `value` is an int; a bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def check_ints(config: tuple, names, *, optional: bool = False) -> None:
-    """Refuse each field of `config` in `names` whose value is not an int
-    (a bool is not one); with `optional`, None passes too."""
-    for name in names:
-        value = getattr(config, name)
-        if optional and value is None:
-            continue
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"{name} must be an int, got {value!r}")
+SocketPairs = Sequence[tuple[int, int]]
+
+# each kind of config field, by its annotation -> (test, message); an Enum
+# field's test is membership
+_KINDS = {
+    int: (is_int, "{name} must be an int, got {value!r}"),
+    Optional[int]: (lambda value: value is None or is_int(value),
+                    "{name} must be an int, got {value!r}"),
+    # an int of any size passes: only a float can be infinite or nan
+    float: (lambda value: is_int(value) or isinstance(value, float) and isfinite(value),
+            "{name} must be a finite number, got {value!r}"),
+    bool: (lambda value: isinstance(value, bool), "{name} must be a bool, got {value!r}"),
+    SocketPairs: (lambda value: type(value) in (tuple, list) and all(
+        type(pair) in (tuple, list) and len(pair) == 2 and all(map(is_int, pair))
+        for pair in value), "{name} must hold int pairs, got {value!r}"),
+}
+
+
+def _kind(hint) -> tuple:
+    """(test, message) of a field annotated `hint`."""
+    if hint in _KINDS:
+        return _KINDS[hint]
+    words = "".join(f" {c.lower()}" if c.isupper() else c for c in hint.__name__)
+    return (lambda value: isinstance(value, hint)), f"unknown{words} {{value!r}}"
+
+
+def checked(cls):
+    """Make the `NamedTuple` `cls` a config record: every way of building
+    one (the constructor, `_make`, `_replace`, and copy and pickle, which
+    call `__new__`) refuses a field whose value is not of its annotation's
+    kind, in field order, then runs the class's `_check` of ranges, if it
+    has one."""
+    kinds = [(name, *_kind(hint)) for name, hint in cls.__annotations__.items()]
+    build, rules = cls.__new__, getattr(cls, "_check", None)
+
+    @wraps(build)  # keeps the fields' signature
+    def __new__(cls, *args, **kwargs):
+        self = build(cls, *args, **kwargs)
+        for (name, test, message), value in zip(kinds, self):
+            if not test(value):
+                raise ConfigError(message.format(name=name, value=value))
+        if rules:
+            rules(self)
+        return self
+
+    cls.__new__ = staticmethod(__new__)
+    # the NamedTuple's own `_make`, which `_replace` calls, skips __new__
+    cls._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return cls
 
 
 def _log2_exact(n: int, name: str) -> int:
@@ -58,7 +78,8 @@ def _log2_exact(n: int, name: str) -> int:
     return n.bit_length() - 1
 
 
-class _TopologyFields(NamedTuple):
+@checked
+class TopologyConfig(NamedTuple):
     num_sockets: int = 2
     cores_per_socket: int = 1
     llc_sets: int = 16
@@ -66,12 +87,7 @@ class _TopologyFields(NamedTuple):
     line_size_bytes: int = 64
     address_width: int = 32
 
-
-class TopologyConfig(Checked, _TopologyFields):
-    __slots__ = ()
-
     def _check(self) -> None:
-        check_ints(self, self._fields)
         _log2_exact(self.num_sockets, "num_sockets")
         _log2_exact(self.llc_sets, "llc_sets")
         _log2_exact(self.line_size_bytes, "line_size_bytes")

@@ -10,12 +10,11 @@ from contextlib import ExitStack, contextmanager, suppress
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .adaptive import AdaptiveConfig
-from .address_map import ConfigError, TopologyConfig, decode
+from .address_map import ConfigError, SocketPairs, TopologyConfig, decode
 from .engine import Decoded, InvariantError, LatencyModel, compare, run
 from .reader import read_ahead
 from .replacement import PolicyConfig, PolicyKind
 from .workload import (
-    GeneratorKind,
     GeneratorSpec,
     TraceError,
     format_trace,
@@ -69,16 +68,22 @@ def _parse_pairs(text: str) -> list:
     return pairs
 
 
+# the converter of each kind of config field, by its annotation
+_PARSERS = {int: _parse_int, Optional[int]: _parse_int, float: _parse_float,
+            bool: _parse_bool, SocketPairs: _parse_pairs}
+
+
 class Option(NamedTuple):
     """One option of the subcommands in `commands`: its flag, the config
-    object field it sets, whose default is its own, and its echo key."""
+    object field it sets, whose default and kind are its own, and its echo
+    key."""
 
     flag: str
     commands: tuple
     owner: Optional[type] = None  # the config record whose `field` it sets
     field: str = ""
     echo: str = ""  # dotted path in the report's `config`; "" = not echoed
-    type: Callable = _parse_int  # `bool` makes a switch that takes no value
+    type: Callable = str  # `bool` makes a switch that takes no value
     choices: Optional[Iterable] = None  # a dict maps each to a field value
     default: object = None  # of an option that sets no field
     help: Optional[str] = None
@@ -89,6 +94,16 @@ class Option(NamedTuple):
     def dest(self) -> str:
         return self.flag[2:].replace("-", "_")
 
+    def typed(self) -> "Option":
+        """This option, with the converter, or for an Enum field the
+        choices, of the field it sets, unless it gives its own choices."""
+        if self.owner is None or self.choices is not None:
+            return self
+        hint = self.owner.__annotations__[self.field]
+        if hint in _PARSERS:
+            return self._replace(type=_PARSERS[hint])
+        return self._replace(choices={member.value: member for member in hint})
+
 
 _ALL = ("run", "compare", "gen", "validate-trace")
 _SOURCE = ("run", "compare", "gen")
@@ -96,7 +111,7 @@ _SIM = ("run", "compare")
 _GEN = "trace_source.generator."
 
 # in the order of the report's `config` echo
-_OPTIONS = (
+_OPTIONS = tuple(opt.typed() for opt in (
     Option("--sockets", _ALL, TopologyConfig, "num_sockets", "topology.sockets"),
     Option("--cores-per-socket", _ALL, TopologyConfig, "cores_per_socket",
            "topology.cores_per_socket"),
@@ -107,48 +122,43 @@ _OPTIONS = (
     Option("--address-width", _ALL, TopologyConfig, "address_width",
            "topology.address_width"),
     # the echo holds the policy kinds and the thresholds they resolve to
-    Option("--policy", ("run",), PolicyConfig, "kind", "policies", str,
-           _POLICY_NAMES),
-    Option("--policies", ("compare",), echo="policies", type=str,
-           default="lru,biased", help="comma-separated policy names"),
+    Option("--policy", ("run",), PolicyConfig, "kind", "policies"),
+    Option("--policies", ("compare",), echo="policies", default="lru,biased",
+           help="comma-separated policy names"),
     Option("--t-local", _SIM, PolicyConfig, "t_local", "t_local"),
     Option("--t-remote", _SIM, PolicyConfig, "t_remote", "t_remote"),
     Option("--window", _SIM, AdaptiveConfig, "window_size", "adaptive.window"),
-    Option("--high-water", _SIM, AdaptiveConfig, "high_water", "adaptive.high_water",
-           _parse_float),
-    Option("--low-water", _SIM, AdaptiveConfig, "low_water", "adaptive.low_water",
-           _parse_float),
+    Option("--high-water", _SIM, AdaptiveConfig, "high_water", "adaptive.high_water"),
+    Option("--low-water", _SIM, AdaptiveConfig, "low_water", "adaptive.low_water"),
     Option("--initial-bias", _SIM, AdaptiveConfig, "initial_bias",
-           "adaptive.initial_bias", _parse_bool, metavar="{on,off}"),
+           "adaptive.initial_bias", metavar="{on,off}"),
+    # its words name the two values of a bool
     Option("--remote-miss-def", _SIM, AdaptiveConfig, "count_remote_dram",
-           "adaptive.remote_miss_def", str, {"any-remote": True, "c2c-only": False}),
+           "adaptive.remote_miss_def", choices={"any-remote": True, "c2c-only": False}),
     Option("--lat-llc", _SIM, LatencyModel, "llc_hit", "latency.llc_hit"),
     Option("--lat-c2c", _SIM, LatencyModel, "remote_c2c", "latency.remote_c2c"),
     Option("--lat-ldram", _SIM, LatencyModel, "local_dram", "latency.local_dram"),
     Option("--lat-rdram", _SIM, LatencyModel, "remote_dram", "latency.remote_dram"),
     # the echo keeps whichever of the file and the generator is the source
-    Option("--trace", _SIM, echo="trace_source.file", type=str,
+    Option("--trace", _SIM, echo="trace_source.file",
            help="trace file to load ('-' for stdin)"),
-    Option("--gen-kind", _SOURCE, GeneratorSpec, "kind", _GEN + "kind", str,
-           {k.value: k for k in GeneratorKind}),
+    Option("--gen-kind", _SOURCE, GeneratorSpec, "kind", _GEN + "kind"),
     Option("--working-set", _SOURCE, GeneratorSpec, "working_set_lines",
            _GEN + "working_set_lines"),
     Option("--iterations", _SOURCE, GeneratorSpec, "iterations", _GEN + "iterations"),
     Option("--pairs", _SOURCE, GeneratorSpec, "sharing_socket_pairs", _GEN + "pairs",
-           _parse_pairs, help="sharing socket pairs, e.g. 0:1,1:0"),
+           help="sharing socket pairs, e.g. 0:1,1:0"),
     Option("--home-socket", _SOURCE, GeneratorSpec, "home_socket",
            _GEN + "home_socket"),
     Option("--seed", _SOURCE, GeneratorSpec, "rng_seed", _GEN + "seed"),
-    Option("--report", _SIM, type=str, choices=("json", "table"), default="json"),
-    Option("--out", _SIM, type=str,
-           help="write the report here instead of stdout"),
-    Option("--out", ("gen",), type=str,
-           help="write the trace here instead of stdout"),
+    Option("--report", _SIM, choices=("json", "table"), default="json"),
+    Option("--out", _SIM, help="write the report here instead of stdout"),
+    Option("--out", ("gen",), help="write the trace here instead of stdout"),
     Option("--validate", _SIM, echo="validate", type=bool, default=False,
            help="check coherence invariants after every access"),
-    Option("--trace", ("validate-trace",), type=str, required=True,
+    Option("--trace", ("validate-trace",), required=True,
            help="trace file to check ('-' for stdin)"),
-)
+))
 
 
 def _default(opt: Option):

@@ -4,7 +4,7 @@ from itertools import chain, starmap
 from typing import Iterable, NamedTuple, Optional
 
 from .adaptive import AdaptiveConfig
-from .address_map import Checked, ConfigError, TopologyConfig, check_ints, decode
+from .address_map import ConfigError, TopologyConfig, checked, decode
 from .coherence import CoherenceSystem
 from .replacement import PolicyConfig, PolicyKind
 from .workload import record_blocks
@@ -14,22 +14,18 @@ class InvariantError(RuntimeError):
     """A coherence invariant broke mid-run (validation mode)."""
 
 
-class _LatencyFields(NamedTuple):
+@checked
+class LatencyModel(NamedTuple):
+    """Abstract per-access cycle costs. Defaults are configuration values,
+    not measurements; the only baked-in assumption is the ordering that
+    makes remote transfers expensive."""
+
     llc_hit: int = 30
     remote_c2c: int = 150
     local_dram: int = 200
     remote_dram: int = 350
 
-
-class LatencyModel(Checked, _LatencyFields):
-    """Abstract per-access cycle costs. Defaults are configuration values,
-    not measurements; the only baked-in assumption is the ordering that
-    makes remote transfers expensive."""
-
-    __slots__ = ()
-
     def _check(self) -> None:
-        check_ints(self, self._fields)
         if min(self.costs) < 0:
             raise ConfigError("latency costs must be >= 0")
         if not self.llc_hit < self.remote_c2c <= self.remote_dram:

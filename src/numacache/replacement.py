@@ -7,7 +7,7 @@ split by whether the protected line's home node was local or remote.
 import enum
 from typing import NamedTuple, Optional
 
-from .address_map import Checked, ConfigError, check_ints
+from .address_map import checked
 
 
 class MoesiState(enum.Enum):
@@ -29,20 +29,12 @@ class PolicyKind(enum.Enum):
     BIASED_ADAPTIVE = "adaptive"
 
 
-class _PolicyFields(NamedTuple):
+@checked
+class PolicyConfig(NamedTuple):
     kind: PolicyKind = PolicyKind.LRU_ONLY
     # None -> derive from associativity: floor(A/4) and floor(A/2), min 1
     t_local: Optional[int] = None
     t_remote: Optional[int] = None
-
-
-class PolicyConfig(Checked, _PolicyFields):
-    __slots__ = ()
-
-    def _check(self) -> None:
-        if not isinstance(self.kind, PolicyKind):
-            raise ConfigError(f"unknown policy kind {self.kind!r}")
-        check_ints(self, ("t_local", "t_remote"), optional=True)
 
     def thresholds(self, assoc: int) -> tuple[int, int]:
         t_local = self.t_local if self.t_local is not None else max(1, assoc // 4)

@@ -12,9 +12,9 @@ import enum
 import random
 import re
 from itertools import count, islice, repeat
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .address_map import Checked, ConfigError, TopologyConfig, check_ints
+from .address_map import ConfigError, SocketPairs, TopologyConfig, checked, is_int
 
 
 class TraceError(ValueError):
@@ -123,7 +123,7 @@ def _record_problem(record, seq: int, topo: TopologyConfig) -> Optional[str]:
     except (TypeError, ValueError):
         return f"record {seq}: expected (socket, core, op, addr), got {record!r}"
     for name, value in (("socket", socket), ("core", core), ("address", addr)):
-        if not isinstance(value, int):
+        if not is_int(value):
             return f"record {seq}: {name} {value!r} is not an integer"
     width = topo.address_width
     if addr < 0 or addr >> width:
@@ -185,29 +185,18 @@ class GeneratorKind(enum.Enum):
     SHARED_READ_ONLY = "shared-readonly"
 
 
-class _GeneratorFields(NamedTuple):
+@checked
+class GeneratorSpec(NamedTuple):
     kind: GeneratorKind
     working_set_lines: int = 8
     iterations: int = 4
-    sharing_socket_pairs: Sequence[tuple[int, int]] = ((0, 1),)
+    sharing_socket_pairs: SocketPairs = ((0, 1),)
     rng_seed: int = 0
     # pin the home node of generated lines by forcing the top address bits;
     # None leaves PRIVATE_STREAM homes local and everything else at socket 0
     home_socket: Optional[int] = None
 
-
-class GeneratorSpec(Checked, _GeneratorFields):
-    __slots__ = ()
-
     def _check(self) -> None:
-        if not isinstance(self.kind, GeneratorKind):
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        check_ints(self, ("working_set_lines", "iterations", "rng_seed"))
-        check_ints(self, ("home_socket",), optional=True)
-        pairs = self.sharing_socket_pairs
-        if type(pairs) not in (tuple, list) or not all(
-                type(p) in (tuple, list) and [*map(type, p)] == [int, int] for p in pairs):
-            raise ConfigError(f"sharing_socket_pairs must hold int pairs, got {pairs!r}")
         if self.working_set_lines < 1 or self.iterations < 1:
             raise ValueError("working_set_lines and iterations must be >= 1")
 

@@ -227,3 +227,52 @@ def test_cases_cover_every_option():
         covered[command] |= {flag for flag, _ in options}
     for command, options in covered.items():
         assert options == set(HELP_OPTIONS[command]), command
+
+
+# one value of the wrong kind for each kind of option -> the last stderr
+# line of `run` given it as a flag (exit 2) and as a config-file line (exit 1)
+WRONG_KIND = {
+    ("--window", "2.5"): (
+        "numacache run: error: argument --window: expected an integer, got '2.5'",
+        "config error: config line 1: expected an integer, got '2.5'"),
+    ("--high-water", "1e3"): (
+        "numacache run: error: argument --high-water: expected a decimal number, got '1e3'",
+        "config error: config line 1: expected a decimal number, got '1e3'"),
+    ("--initial-bias", "maybe"): (
+        "numacache run: error: argument --initial-bias: expected a boolean, got 'maybe'",
+        "config error: config line 1: expected a boolean, got 'maybe'"),
+    ("--policy", "bogus"): (
+        "numacache run: error: argument --policy: invalid choice: 'bogus' "
+        "(choose from 'adaptive', 'biased', 'lru')",
+        "config error: config line 1: config key 'policy' must be one of "
+        "adaptive, biased, lru, got 'bogus'"),
+    ("--gen-kind", "bogus"): (
+        "numacache run: error: argument --gen-kind: invalid choice: 'bogus' "
+        "(choose from 'migratory', 'private', 'producer-consumer', 'shared-readonly')",
+        "config error: config line 1: config key 'gen-kind' must be one of "
+        "migratory, private, producer-consumer, shared-readonly, got 'bogus'"),
+    ("--pairs", "0"): (
+        "numacache run: error: argument --pairs: expected socket pairs like 0:1, got '0'",
+        "config error: config line 1: expected socket pairs like 0:1, got '0'"),
+}
+
+
+@pytest.mark.parametrize("as_file", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("flag, value", list(WRONG_KIND), ids=" ".join)
+def test_wrong_kind_exits_with_pinned_error(capsys, tmp_path, monkeypatch,
+                                            flag, value, as_file):
+    monkeypatch.chdir(tmp_path)
+    source = [] if flag == "--gen-kind" else ["--gen-kind", "migratory"]
+    if as_file:
+        (tmp_path / "run.cfg").write_text(f"{flag[2:]}={value}\n")
+        argv = ["--config", "run.cfg", "run"] + source
+    else:
+        argv = ["run"] + source + [flag, value]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage error
+        code = exc.code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (code, captured.err.splitlines()[-1]) == (
+        (1, WRONG_KIND[flag, value][1]) if as_file else (2, WRONG_KIND[flag, value][0]))

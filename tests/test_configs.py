@@ -2,18 +2,26 @@
 
 import copy
 import inspect
+import math
 import pickle
 import re
+from itertools import islice
+from typing import Optional, Sequence
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from numacache import (
     AdaptiveConfig,
+    ConfigError,
     GeneratorKind,
     GeneratorSpec,
     LatencyModel,
     PolicyConfig,
+    PolicyKind,
     TopologyConfig,
+    generate,
+    run,
 )
 
 MIGRATORY = GeneratorSpec(GeneratorKind.MIGRATORY)
@@ -105,3 +113,66 @@ def test_constructor_signature_is_the_fields(config):
     assert [p.name for p in parameters] == list(config._fields)
     assert {p.name: p.default for p in parameters if p.default is not p.empty} \
         == config._field_defaults
+
+
+# values of every kind but an Enum member's, right or wrong for a field
+POOL = (True, 1.0, 2.5, "1", None, (), -1, 2**70, 2**2000, float("nan"), float("inf"),
+        ((0, 1.0),))
+
+
+def is_int(value) -> bool:
+    return type(value) is int  # the pool holds no int subclass but bool
+
+
+# each field annotation -> (whether it takes a value, the message refusing one)
+KINDS = {
+    int: (is_int, "{name} must be an int, got {value!r}"),
+    Optional[int]: (lambda v: v is None or is_int(v), "{name} must be an int, got {value!r}"),
+    float: (lambda v: is_int(v) or type(v) is float and math.isfinite(v),
+            "{name} must be a finite number, got {value!r}"),
+    bool: (lambda v: type(v) is bool, "{name} must be a bool, got {value!r}"),
+    Sequence[tuple[int, int]]: (
+        lambda v: type(v) in (tuple, list)
+        and all(type(p) in (tuple, list) and [*map(type, p)] == [int, int] for p in v),
+        "{name} must hold int pairs, got {value!r}"),
+    PolicyKind: (lambda v: isinstance(v, PolicyKind), "unknown policy kind {value!r}"),
+    GeneratorKind: (lambda v: isinstance(v, GeneratorKind),
+                    "unknown generator kind {value!r}"),
+}
+
+# the records a run is made of when it varies one of them
+RUN = {TopologyConfig: TopologyConfig(), PolicyConfig: PolicyConfig(PolicyKind.BIASED_ADAPTIVE),
+       AdaptiveConfig: AdaptiveConfig(window_size=4), LatencyModel: LatencyModel(),
+       GeneratorSpec: MIGRATORY}
+# 64 migratory records on the default topology, which every variant runs
+TRACE = list(islice(generate(MIGRATORY, TopologyConfig()), 64))
+DRAWS = [(config, field, value) for config in CONFIGS for field in config._fields
+         for value in POOL]
+
+
+@settings(max_examples=len(DRAWS), derandomize=True, deadline=None)
+@given(st.sampled_from(DRAWS))
+def test_each_field_refuses_exactly_what_its_annotation_refuses(draw):
+    """A record with one field drawn from `POOL` is refused with its kind's
+    message exactly when the field's annotation does not take the value;
+    otherwise it fails its own range check with a ValueError, or drives a
+    run (and a generator its records) with no TypeError or OverflowError,
+    though the run may refuse it with a ValueError."""
+    config, field, value = draw
+    takes, message = KINDS[type(config).__annotations__[field]]
+    try:
+        record = config._replace(**{field: value})
+    except ValueError as error:  # the kind's ConfigError, or a range check's
+        kind_error = isinstance(error, ConfigError) and str(error) == message.format(
+            name=field, value=value)
+        assert kind_error != takes(value)
+        return
+    assert takes(value)
+    records = {**RUN, type(record): record}
+    topo = records[TopologyConfig]
+    try:
+        trace = islice(generate(record, topo), 64) if type(record) is GeneratorSpec else TRACE
+        run(trace, topo, records[PolicyConfig], records[AdaptiveConfig]).to_dict(
+            records[LatencyModel])
+    except ValueError:
+        pass

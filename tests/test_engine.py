@@ -168,6 +168,13 @@ class TestRun:
                           "record 2: core 0.5 is not an integer"),
         "float-core": (AccessRecord(0, 0.0, "W", 0x40),
                        "record 2: core 0.0 is not an integer"),
+        # a bool is an int to isinstance, but no record field takes one
+        "bool-socket": (AccessRecord(True, 0, "R", 0x40),
+                        "record 2: socket True is not an integer"),
+        "bool-core": (AccessRecord(0, False, "R", 0x40),
+                      "record 2: core False is not an integer"),
+        "bool-address": (AccessRecord(0, 0, "W", True),
+                         "record 2: address True is not an integer"),
         "wide-address": (AccessRecord(0, 0, "R", 1 << 32),
                          "record 2: address 0x100000000 does not fit in 32 bits"),
         "negative-address": (AccessRecord(0, 0, "W", -64),
