@@ -5,18 +5,9 @@ from .adaptive import AdaptiveConfig
 from .address_map import ConfigError, TopologyConfig
 from .engine import InvariantError, LatencyModel, SimStats, compare, run
 from .replacement import PolicyConfig, PolicyKind
-from .workload import (
-    AccessRecord,
-    GeneratorKind,
-    GeneratorSpec,
-    TraceError,
-    format_trace,
-    generate,
-    parse_trace,
-)
+from .workload import GeneratorKind, GeneratorSpec, TraceError, format_trace, generate
 
 __all__ = [
-    "AccessRecord",
     "AdaptiveConfig",
     "ConfigError",
     "GeneratorKind",
@@ -31,6 +22,5 @@ __all__ = [
     "compare",
     "format_trace",
     "generate",
-    "parse_trace",
     "run",
 ]

@@ -95,6 +95,8 @@ class TopologyConfig(NamedTuple):
             raise ConfigError("cores_per_socket must be >= 1")
         if self.llc_assoc < 2:
             raise ConfigError("llc_assoc must be >= 2")
+        if self.address_width > 1024:  # the parser and generator build 1 << width
+            raise ConfigError("address_width must be <= 1024")
         if self.socket_bits + self.set_bits + self.offset_bits > self.address_width:
             raise ConfigError(
                 "socket, set, and line-offset bits exceed the address width"

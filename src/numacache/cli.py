@@ -20,7 +20,6 @@ from .workload import (
     format_trace,
     generate,
     parse_blocks,
-    parse_trace,
     record_blocks,
 )
 
@@ -286,6 +285,8 @@ def _open_trace(path: str) -> Iterator:
     if path != "-":
         with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             yield fh
+    elif sys.stdin is None:  # fd 0 was closed when the interpreter started
+        raise OSError("stdin is closed")
     elif not hasattr(sys.stdin, "buffer"):  # a text stream over no bytes
         yield sys.stdin
     else:
@@ -368,6 +369,8 @@ def _write_output(chunks: Iterable[str], out: Optional[str]) -> None:
     if out:
         with open(out, "w") as fh:
             fh.writelines(chunks)
+    elif sys.stdout is None:  # fd 1 was closed when the interpreter started
+        raise OSError("stdout is closed")
     else:
         sys.stdout.writelines(chunks)
 
@@ -421,8 +424,8 @@ def _cmd_gen(args) -> int:
 def _cmd_validate_trace(args) -> int:
     topo = _build(TopologyConfig, args)
     with _open_trace(args.trace) as fh:
-        count = sum(1 for _ in parse_trace(fh, topo))
-    print(f"ok: {count} records")
+        count = sum(len(ops) for _, _, ops, _ in parse_blocks(fh, topo))
+    _write_output([f"ok: {count} records\n"], None)
     return 0
 
 

@@ -106,8 +106,8 @@ def run(
     """Drive a trace through a fresh system and count its accesses.
 
     The trace is `Decoded` for `topo`, or any iterable of (socket, core,
-    op, addr) tuples, op "R" or "W", `AccessRecord`s among them, which
-    `record_blocks` checks as they are consumed; record N is its N-th, from 0.
+    op, addr) tuples, op "R" or "W", which `record_blocks` checks as they
+    are consumed; record N is its N-th, from 0.
     Each socket's windows of `window_size` misses are counted for every
     policy kind (it is pure bookkeeping); only BIASED_ADAPTIVE lets their
     watermarks steer the bias, and only the biased kinds enable it.

@@ -26,13 +26,6 @@ class TraceError(ValueError):
         self.message = message
 
 
-class AccessRecord(NamedTuple):
-    socket: int
-    core: int
-    op: str  # "R" or "W", the trace's own letter
-    addr: int
-
-
 # lines read per block; a block of canonical records takes the fast path
 _BLOCK = 512
 
@@ -71,13 +64,6 @@ def parse_blocks(lines: Iterable[str], topo: TopologyConfig) -> Iterator[tuple]:
                 yield socket, core, "".join(fields[2::4]), addr
                 continue
         yield from record_blocks(_parse_lines(block, topo, first), topo)
-
-
-def parse_trace(lines: Iterable[str], topo: TopologyConfig) -> Iterator[AccessRecord]:
-    """The records of `parse_blocks(lines, topo)`, then its error."""
-    new = tuple.__new__  # the NamedTuple's own __new__ is a Python-level call
-    for block in parse_blocks(lines, topo):
-        yield from map(new, repeat(AccessRecord), zip(*block))
 
 
 def record_blocks(records: Iterable[tuple], topo: TopologyConfig) -> Iterator[tuple]:
@@ -139,7 +125,7 @@ def _record_problem(record, seq: int, topo: TopologyConfig) -> Optional[str]:
 
 def _parse_lines(
     lines: Iterable[str], topo: TopologyConfig, first: int = 1
-) -> Iterator[AccessRecord]:
+) -> Iterator[tuple]:
     """Parse and check `lines` one at a time, numbering them from `first`."""
     for lineno, raw in enumerate(lines, start=first):
         text = raw.strip()
@@ -169,13 +155,14 @@ def _parse_lines(
             raise TraceError(lineno, f"core {core} out of range")
         if addr >> topo.address_width:
             raise TraceError(lineno, f"address {addr:#x} exceeds address width")
-        yield AccessRecord(socket, core, op_text, addr)
+        yield socket, core, op_text, addr
 
 
-def format_trace(records: Iterable[AccessRecord]) -> Iterator[str]:
-    """Inverse of parse_trace."""
-    for rec in records:
-        yield f"{rec.socket} {rec.core} {rec.op} 0x{rec.addr:x}"
+def format_trace(records: Iterable[tuple]) -> Iterator[str]:
+    """The trace line, without its line end, of each (socket, core, op,
+    addr) record, as `parse_blocks` reads it back."""
+    for socket, core, op, addr in records:
+        yield f"{socket} {core} {op} 0x{addr:x}"
 
 
 class GeneratorKind(enum.Enum):
@@ -208,10 +195,10 @@ def _line_addr(index: int, home: int, topo: TopologyConfig) -> int:
     return addr
 
 
-def generate(spec: GeneratorSpec, topo: TopologyConfig) -> Iterator[AccessRecord]:
-    """Deterministic access sequence for (spec, topo), produced lazily;
-    every input is checked before the first record, so iterating never
-    fails."""
+def generate(spec: GeneratorSpec, topo: TopologyConfig) -> Iterator[tuple]:
+    """Deterministic (socket, core, op, addr) records for (spec, topo),
+    produced lazily; every input is checked before the first record, so
+    iterating never fails."""
     sockets = range(topo.num_sockets)
     if spec.home_socket is not None and spec.home_socket not in sockets:
         raise ConfigError(f"home_socket {spec.home_socket} out of range")
@@ -227,7 +214,7 @@ def generate(spec: GeneratorSpec, topo: TopologyConfig) -> Iterator[AccessRecord
         raise ConfigError("working set does not fit in the address space")
 
     rng, cores = random.Random(spec.rng_seed), topo.cores_per_socket
-    return (AccessRecord(socket, rng.randrange(cores), op, addr)
+    return ((socket, rng.randrange(cores), op, addr)
             for socket, op, addr in _accesses(spec, topo))
 
 

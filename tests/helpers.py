@@ -1,7 +1,15 @@
-"""One access of a `CoherenceSystem`, given by its address, as `run` makes it."""
+"""Test helpers: the parser's records, and one access of a `CoherenceSystem`
+given by its address, as `run` makes them."""
+
+from itertools import chain, starmap
 
 from numacache.address_map import decode
-from numacache.workload import record_blocks
+from numacache.workload import parse_blocks, record_blocks
+
+
+def parse_records(lines, topo):
+    """The (socket, core, op, addr) records of `parse_blocks`, then its error."""
+    return chain.from_iterable(starmap(zip, parse_blocks(lines, topo)))
 
 
 def access(system, topo, socket, op, addr, count, bias_enabled=False):

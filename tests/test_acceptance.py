@@ -19,7 +19,6 @@ from numacache.replacement import (
     PolicyKind,
     select_victim,
 )
-from numacache.workload import AccessRecord
 
 from reference_model import RefModel
 
@@ -45,7 +44,7 @@ def random_accesses(n, seed, sockets=2, lines=64, write_frac=0.4):
 
 
 def to_records(accesses):
-    return [AccessRecord(s, 0, o, a) for s, o, a, _ in accesses]
+    return [(s, 0, o, a) for s, o, a, _ in accesses]
 
 
 def test_criterion_1_oracle_equivalence():

@@ -5,7 +5,6 @@ from numacache.address_map import TopologyConfig
 from numacache.coherence import CoherenceSystem
 from numacache.engine import run
 from numacache.replacement import PolicyConfig, PolicyKind
-from numacache.workload import AccessRecord
 
 TOPO = TopologyConfig(num_sockets=2, llc_sets=4, llc_assoc=4,
                       line_size_bytes=64, address_width=32)
@@ -34,7 +33,7 @@ def trace(steps):
             home = 1 - socket if kind == "r" else socket
             last[socket] = home << 31 | seq << 6
         op = "W" if kind == "w" else "R"
-        records.append(AccessRecord(socket, 0, op, last[socket]))
+        records.append((socket, 0, op, last[socket]))
     return records
 
 

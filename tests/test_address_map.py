@@ -111,6 +111,8 @@ def test_address_out_of_range():
     {"cores_per_socket": 0},
     # 2 socket bits + 6 set bits + 2 offset bits > 8
     {"num_sockets": 4, "llc_sets": 64, "line_size_bytes": 4, "address_width": 8},
+    # wider than the bound that keeps `1 << address_width` small
+    {"address_width": 1025},
 ])
 def test_invalid_topology(kwargs):
     base = dict(num_sockets=2, cores_per_socket=1, llc_sets=4, llc_assoc=2,

@@ -26,10 +26,10 @@ from numacache.workload import (
     GeneratorSpec,
     generate,
     parse_blocks,
-    parse_trace,
     record_blocks,
 )
 
+from helpers import parse_records
 from reference_model import RefModel
 
 
@@ -37,6 +37,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def cli_env() -> dict:
+    """The environment of a `numacache` subprocess: this source tree first
+    on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(numacache.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 class TestGen:
@@ -71,14 +79,11 @@ class TestGen:
 
     def test_closed_stdout_pipe_exits_quietly(self):
         # about 1 MB of trace, far more than a pipe buffers
-        src = os.path.dirname(os.path.dirname(numacache.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.Popen(
             [sys.executable, "-m", "numacache.cli", "gen", "--gen-kind",
              "private", "--sockets", "2", "--working-set", "4096",
              "--iterations", "8"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env())
         assert proc.stdout.readline() == b"0 0 R 0x0\n"
         proc.stdout.close()
         err = proc.stderr.read()
@@ -96,6 +101,51 @@ class TestGen:
             "--out", str(out))
         assert code == 1 and "config error" in err and stdout == ""
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["run", "--gen-kind", "migratory"],
+                                  ["gen", "--gen-kind", "private"],
+                                  ["validate-trace", "--trace", "t.txt"]])
+def test_address_width_past_its_bound_is_a_config_error(capsys, monkeypatch,
+                                                        tmp_path, argv):
+    # 2**70 bits: `1 << address_width` would overflow, or exhaust memory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.txt").write_text("0 0 R 0x40\n")
+    code, out, err = run_cli(capsys, *argv, "--address-width", str(2**70))
+    assert (code, out, err) == (1, "", "config error: address_width must be <= 1024\n")
+
+
+class TestClosedStandardStream:
+    """A command whose stdin or stdout was closed before it started (`<&-`,
+    `>&-`) and that needs it ends in an io error, exit 1."""
+
+    @staticmethod
+    def cli(fd: int, *argv):
+        """Exit code, stdout and stderr of `numacache *argv` run with
+        file descriptor `fd` closed."""
+        done = subprocess.run([sys.executable, "-m", "numacache.cli", *argv],
+                              capture_output=True, env=cli_env(), timeout=60,
+                              preexec_fn=lambda: os.close(fd))
+        return done.returncode, done.stdout, done.stderr.decode()
+
+    @pytest.mark.parametrize("command", ["run", "validate-trace"])
+    def test_closed_stdin(self, command):
+        assert self.cli(0, command, "--trace", "-") == (1, b"", "io error: stdin is closed\n")
+
+    @pytest.mark.parametrize("argv", [["run", "--gen-kind", "migratory"],
+                                      ["gen", "--gen-kind", "private"],
+                                      ["validate-trace", "--trace", "t.txt"]])
+    def test_closed_stdout(self, tmp_path, argv):
+        (tmp_path / "t.txt").write_text("0 0 R 0x40\n")
+        argv = [str(tmp_path / arg) if arg == "t.txt" else arg for arg in argv]
+        code, _, err = self.cli(1, *argv)
+        assert (code, err) == (1, "io error: stdout is closed\n")
+
+    def test_a_report_to_a_file_needs_no_stdout(self, tmp_path):
+        out = tmp_path / "r.json"
+        code, _, err = self.cli(1, "run", "--gen-kind", "migratory", "--out", str(out))
+        assert (code, err) == (0, "")
+        assert json.loads(out.read_text())["stats"]["accesses"] > 0
 
 
 class TestRun:
@@ -284,12 +334,12 @@ class TestReader:
         report, adaptive = json.loads(from_file), AdaptiveConfig(window_size=64)
         with open(trace, encoding="utf-8") as fh:
             if command == "run":
-                stats = run(parse_trace(fh, topo), topo,
+                stats = run(parse_records(fh, topo), topo,
                             PolicyConfig(PolicyKind.BIASED_ADAPTIVE), adaptive)
                 assert report["stats"] == stats.to_dict()
             else:
                 kinds = [PolicyKind(k) for k in report["config"]["policies"]]
-                result = compare(parse_trace(fh, topo), topo,
+                result = compare(parse_records(fh, topo), topo,
                                  [PolicyConfig(k) for k in kinds], adaptive)
                 del report["config"]
                 assert report == result
@@ -557,6 +607,37 @@ class TestValidateTrace:
         monkeypatch.setattr("sys.stdin", io.StringIO("0 0 R 0x40\n1 0 W 0x80\n"))
         code, out, _ = run_cli(capsys, "validate-trace", "--trace", "-")
         assert code == 0 and "2 records" in out
+
+    # (line number -> the line put in place of a canonical one, the
+    # command's stdout, its stderr) of each case
+    PINNED = {
+        "canonical": ({}, "ok: 1300 records\n", ""),
+        "odd-lines-in-block-2": (
+            {601: "# a comment\n", 602: "\n", 603: "1\t0\tW\t0x80\n",
+             604: "0 0 R 0xc0\r\n"}, "ok: 1298 records\n", ""),
+        "error-at-512": ({512: "0 0 Q 0x40\n"}, "",
+                         "trace error: line 512: operation must be R or W, got 'Q'\n"),
+        "error-at-513": ({513: "2 0 R 0x40\n"}, "",
+                         "trace error: line 513: socket 2 out of range\n"),
+        "error-at-1025": ({1025: "0 0 R 0x4_0\n"}, "", "trace error: line 1025: "
+                          "address must be 0x-prefixed hex, got '0x4_0'\n"),
+    }
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("case", list(PINNED))
+    def test_pinned_output(self, capsys, monkeypatch, tmp_path, case, source):
+        # 1 300 lines: three parse blocks of the default topology's records
+        changes, out, err = self.PINNED[case]
+        rng = random.Random(5)
+        lines = [f"{rng.randrange(2)} 0 {rng.choice('RW')} 0x{rng.randrange(1 << 32):x}\n"
+                 for _ in range(1300)]
+        for lineno, line in changes.items():
+            lines[lineno - 1] = line
+        data, trace = "".join(lines).encode(), tmp_path / "t.txt"
+        trace.write_bytes(data)
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        path = str(trace) if source == "file" else "-"
+        assert run_cli(capsys, "validate-trace", "--trace", path) == (1 if err else 0, out, err)
 
     def test_bad_trace(self, capsys, tmp_path):
         trace = tmp_path / "t.txt"

@@ -36,6 +36,7 @@ REFUSED = [
     (TopologyConfig(), "line_size_bytes", True, "line_size_bytes must be an int, got True"),
     (TopologyConfig(), "address_width", 8,
      "socket, set, and line-offset bits exceed the address width"),
+    (TopologyConfig(), "address_width", 2**70, "address_width must be <= 1024"),
     (AdaptiveConfig(), "window_size", 0, "window_size must be >= 1"),
     (AdaptiveConfig(), "window_size", 2.5, "window_size must be an int, got 2.5"),
     (AdaptiveConfig(), "high_water", 0.05, "need 0 <= low_water <= high_water"),

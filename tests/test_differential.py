@@ -13,7 +13,7 @@ from numacache.adaptive import AdaptiveConfig
 from numacache.address_map import ConfigError, TopologyConfig, decode
 from numacache.engine import Decoded, LatencyModel, run
 from numacache.replacement import PolicyConfig, PolicyKind
-from numacache.workload import AccessRecord, format_trace, parse_blocks
+from numacache.workload import format_trace, parse_blocks
 
 from reference_model import RefModel
 
@@ -67,8 +67,7 @@ def scenarios(draw):
 @given(scenarios())
 def test_engine_equals_reference_model(scenario):
     topo, (t_local, t_remote), adaptive, lat, accesses = scenario
-    records = [AccessRecord(socket, 0, op, addr)
-               for socket, op, addr, _ in accesses]
+    records = [(socket, 0, op, addr) for socket, op, addr, _ in accesses]
     config = AdaptiveConfig(adaptive["window"], adaptive["high"],
                             adaptive["low"], adaptive["initial_bias"],
                             adaptive["count_remote_dram"])
@@ -90,7 +89,7 @@ def test_decoded_stream_equals_records(scenario, other):
     every later block through the pipe. A stream decoded for one topology
     is refused on another."""
     topo, (t_local, t_remote), adaptive, _, accesses = scenario
-    records = [AccessRecord(socket, 0, op, addr) for socket, op, addr, _ in accesses]
+    records = [(socket, 0, op, addr) for socket, op, addr, _ in accesses]
     lines = [line + "\n" for line in format_trace(records)]
     config = AdaptiveConfig(adaptive["window"], adaptive["high"], adaptive["low"],
                             adaptive["initial_bias"], adaptive["count_remote_dram"])

@@ -12,7 +12,6 @@ from numacache.replacement import (
     PolicyKind,
     select_victim,
 )
-from numacache.workload import AccessRecord
 
 from helpers import access
 
@@ -151,8 +150,7 @@ class TestSelectVictim:
     def test_only_biased_policies_protect_remote_shared(self, kind, bias_events, hits):
         # socket 0 holds tag 0 Remote-Shared at LRU when a fifth line comes
         # in, then reads tag 0 again: a hit only if the bias protected it
-        trace = [AccessRecord(1, 0, "W", 0)] + [
-            AccessRecord(0, 0, "R", tag * 64) for tag in (0, 1, 2, 3, 4, 0)]
+        trace = [(1, 0, "W", 0)] + [(0, 0, "R", tag * 64) for tag in (0, 1, 2, 3, 4, 0)]
         socket0 = run(trace, ONE_SET, PolicyConfig(kind)).to_dict()["per_socket"][0]
         assert (socket0["bias_events"], socket0["hits"]) == (bias_events, hits)
 

@@ -12,7 +12,6 @@ from numacache.address_map import ConfigError, TopologyConfig
 from numacache.coherence import CoherenceSystem
 from numacache.replacement import MoesiState
 from numacache.workload import (
-    AccessRecord,
     GeneratorKind,
     GeneratorSpec,
     TraceError,
@@ -20,10 +19,9 @@ from numacache.workload import (
     format_trace,
     generate,
     parse_blocks,
-    parse_trace,
 )
 
-from helpers import access
+from helpers import access, parse_records
 
 TOPO = TopologyConfig(num_sockets=2, cores_per_socket=4, llc_sets=4,
                       llc_assoc=4, line_size_bytes=64, address_width=32)
@@ -34,54 +32,53 @@ WIDE = TopologyConfig(num_sockets=1 << 70, cores_per_socket=1 << 70,
 
 class TestParse:
     def test_basic_record(self):
-        recs = list(parse_trace(["0 0 R 0x1040"], TOPO))
-        assert recs == [AccessRecord(0, 0, "R", 0x1040)]
+        recs = list(parse_records(["0 0 R 0x1040"], TOPO))
+        assert recs == [(0, 0, "R", 0x1040)]
 
     def test_comments_and_blanks_skipped(self):
-        recs = list(parse_trace(["# comment", "", "1 2 W 0xFF00"], TOPO))
-        assert recs == [AccessRecord(1, 2, "W", 0xFF00)]
+        recs = list(parse_records(["# comment", "", "1 2 W 0xFF00"], TOPO))
+        assert recs == [(1, 2, "W", 0xFF00)]
 
     def test_bad_op_reports_line(self):
         with pytest.raises(TraceError) as exc:
-            list(parse_trace(["0 0 X 0x10"], TOPO))
+            list(parse_records(["0 0 X 0x10"], TOPO))
         assert exc.value.lineno == 1
         # an op is exactly one of the letters R and W, in upper case
         for op in ("r", "w", "RW", "RR"):
             lines = ["0 0 R 0x40", f"0 0 {op} 0x10", "0 0 W 0x40"]
             with pytest.raises(TraceError) as exc:
-                list(parse_trace(lines, TOPO))
+                list(parse_records(lines, TOPO))
             assert str(exc.value) == f"line 2: operation must be R or W, got {op!r}"
 
     def test_wrong_field_count(self):
         with pytest.raises(TraceError):
-            list(parse_trace(["0 R 0x10"], TOPO))
+            list(parse_records(["0 R 0x10"], TOPO))
 
     def test_missing_hex_prefix(self):
         for line in ("0 0 R 1040", "0 0 R 0x0_40", "0 0 R 0x٤٠",
                      "0 0 R 0x", "0 0 R 0x0x40", "0 0 R 0x40g"):
             with pytest.raises(TraceError):
-                list(parse_trace([line], TOPO))
+                list(parse_records([line], TOPO))
 
     def test_non_decimal_socket_or_core(self):
         for line in ("١ 0 R 0x40", "0 ١ R 0x40", "+0 0 R 0x40",
                      "0 +0 R 0x40", "0_0 0 R 0x40", "-1 0 R 0x40",
                      "0 -1 R 0x40", "¹ 0 R 0x40"):
             with pytest.raises(TraceError) as exc:
-                list(parse_trace(["# header", line], TOPO))
+                list(parse_records(["# header", line], TOPO))
             assert exc.value.lineno == 2
 
     def test_out_of_range_socket(self):
         with pytest.raises(TraceError):
-            list(parse_trace(["5 0 R 0x40"], TOPO))
+            list(parse_records(["5 0 R 0x40"], TOPO))
 
     def test_out_of_range_core(self):
         with pytest.raises(TraceError):
-            list(parse_trace(["0 9 R 0x40"], TOPO))
+            list(parse_records(["0 9 R 0x40"], TOPO))
 
     def test_roundtrip(self):
-        recs = [AccessRecord(0, 1, "R", 0x40),
-                AccessRecord(1, 3, "W", 0xDEADC0)]
-        assert list(parse_trace(format_trace(recs), TOPO)) == recs
+        recs = [(0, 1, "R", 0x40), (1, 3, "W", 0xDEADC0)]
+        assert list(parse_records(format_trace(recs), TOPO)) == recs
 
 
 def canonical_line(rng: random.Random) -> str:
@@ -148,7 +145,7 @@ class TestParseBlocks:
     @settings(max_examples=150, deadline=None)
     @given(traces(), st.sampled_from([WIDE, TOPO]))
     def test_same_as_line_by_line(self, lines, topo):
-        assert outcome(parse_trace(lines, topo)) == outcome(_parse_lines(lines, topo))
+        assert outcome(parse_records(lines, topo)) == outcome(_parse_lines(lines, topo))
 
     # a line index in the first, the second and the last of three blocks
     @pytest.mark.parametrize("index", [100, 700, 1060])
@@ -158,7 +155,7 @@ class TestParseBlocks:
         lines = [canonical_line(rng) for _ in range(1100)]
         lines[index:index + len(run)] = run
         expected = outcome(_parse_lines(lines, TOPO))
-        assert outcome(parse_trace(lines, TOPO)) == expected
+        assert outcome(parse_records(lines, TOPO)) == expected
         # the CLI's reader of the parser's blocks yields the same tuples
         # and the same error, in process and when made to parse all but
         # the first block in a forked process
@@ -185,7 +182,7 @@ class TestParseBlocks:
         # holds two lines and its second one a fragment
         lines = ["0 0 R 0x40\n1 1 W 0x8", "0\n"]
         with pytest.raises(TraceError, match="line 1: expected 4 fields, got 8"):
-            list(parse_trace(lines, TOPO))
+            list(parse_records(lines, TOPO))
 
     @pytest.mark.parametrize("lines, message", [
         # joined by single spaces, a fragment and then a line and a
@@ -198,7 +195,7 @@ class TestParseBlocks:
     def test_elements_whose_joined_text_hides_their_lines(self, lines, message):
         rng = random.Random(7)
         lines = lines + [canonical_line(rng) for _ in range(600)]
-        assert outcome(parse_trace(lines, TOPO)) == ([], (f"line 1: {message}", 1))
+        assert outcome(parse_records(lines, TOPO)) == ([], (f"line 1: {message}", 1))
 
     @pytest.mark.parametrize("lineno", [512, 513, 1025])
     @pytest.mark.parametrize("bad, message", [
@@ -211,7 +208,7 @@ class TestParseBlocks:
         rng = random.Random(lineno)
         lines = [canonical_line(rng) for _ in range(1100)]
         lines[lineno - 1] = bad
-        records, error = outcome(parse_trace(io.StringIO("".join(lines)), TOPO))
+        records, error = outcome(parse_records(io.StringIO("".join(lines)), TOPO))
         # every record before the bad line is yielded first
         assert len(records) == lineno - 1
         assert error == (f"line {lineno}: {message}", lineno)
@@ -221,9 +218,9 @@ class TestGenerate:
     def test_producer_consumer_minimal(self):
         spec = GeneratorSpec(GeneratorKind.PRODUCER_CONSUMER,
                              working_set_lines=1, iterations=1)
-        recs = list(generate(spec, TOPO))
-        assert [(r.socket, r.op) for r in recs] == [(0, "W"), (1, "R")]
-        assert recs[0].addr == recs[1].addr
+        [(s0, _, op0, addr0), (s1, _, op1, addr1)] = generate(spec, TOPO)
+        assert [(s0, op0), (s1, op1)] == [(0, "W"), (1, "R")]
+        assert addr0 == addr1
 
     def test_deterministic_for_seed(self):
         spec = GeneratorSpec(GeneratorKind.MIGRATORY, working_set_lines=4,
@@ -235,8 +232,8 @@ class TestGenerate:
                              working_set_lines=3, iterations=2)
         recs = generate(spec, TOPO)
         system = CoherenceSystem(TOPO)
-        for r in recs:
-            access(system, TOPO, r.socket, r.op, r.addr, [0] * 7)
+        for socket, _, op, addr in recs:
+            access(system, TOPO, socket, op, addr, [0] * 7)
         # no (set, tag) is held by two sockets
         held = [(set_id, tag) for set_id, column in enumerate(system.columns)
                 for lines in column for tag in lines]
@@ -248,10 +245,10 @@ class TestGenerate:
         recs = generate(spec, TOPO)
         system = CoherenceSystem(TOPO)
         saw_remote_shared = False
-        for r in recs:
-            access(system, TOPO, r.socket, r.op, r.addr, [0] * 7)
-            set_id, tag = (r.addr >> 6) & 3, r.addr >> 8  # TOPO's layout
-            state = system.columns[set_id][r.socket][tag]
+        for socket, _, op, addr in recs:
+            access(system, TOPO, socket, op, addr, [0] * 7)
+            set_id, tag = (addr >> 6) & 3, addr >> 8  # TOPO's layout
+            state = system.columns[set_id][socket][tag]
             saw_remote_shared = saw_remote_shared or state is MoesiState.REMOTE_SHARED
         assert saw_remote_shared
 
@@ -286,13 +283,11 @@ class TestGenerate:
     def test_home_socket_override(self):
         spec = GeneratorSpec(GeneratorKind.PRODUCER_CONSUMER,
                              working_set_lines=2, iterations=1, home_socket=1)
-        for r in generate(spec, TOPO):
-            assert r.addr >> 31 == 1
+        for _, _, _, addr in generate(spec, TOPO):
+            assert addr >> 31 == 1
 
     def test_shared_readonly_shape(self):
         spec = GeneratorSpec(GeneratorKind.SHARED_READ_ONLY,
                              working_set_lines=2, iterations=1)
-        recs = list(generate(spec, TOPO))
-        assert [r.op for r in recs[:2]] == ["W", "W"]
-        assert all(r.op == "R" for r in recs[2:])
-        assert len(recs) == 2 + 2 * TOPO.num_sockets
+        ops = [op for _, _, op, _ in generate(spec, TOPO)]
+        assert ops == ["W", "W"] + ["R"] * 2 * TOPO.num_sockets
