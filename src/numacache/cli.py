@@ -40,7 +40,12 @@ def _parse_int(text: str) -> int:
     digits = text[1:] if text.startswith("-") else text
     if not (digits.isascii() and digits.isdigit()):
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than int()'s limit
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at most {sys.get_int_max_str_digits()} "
+            f"digits, got {text!r}") from None
 
 
 def _parse_float(text: str) -> float:

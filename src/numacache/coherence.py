@@ -6,7 +6,8 @@ eviction happen before the next access starts. DRAM is an infinite backing
 store; only coherence state is tracked, not data.
 """
 
-from typing import Optional
+from itertools import chain, starmap
+from typing import Callable, Iterable, Optional
 
 from .address_map import TopologyConfig
 from .replacement import MoesiState, PolicyConfig, select_victim
@@ -21,6 +22,16 @@ _SHARED = (SHARED, REMOTE_SHARED)  # the states that ship no line
 _EXCLUSIVE = (MODIFIED, EXCLUSIVE)  # the states that need no upgrade
 
 
+class InvariantError(RuntimeError):
+    """A coherence invariant broke mid-run (validation mode)."""
+
+
+def counted(counts: list[list[int]]) -> int:
+    """How many accesses the count lists `counts` hold: each access adds
+    one at slot 0 to 3 of its requestor's list."""
+    return sum(sum(count[:4]) for count in counts)
+
+
 class CoherenceSystem:
     """All sockets' LLCs under MOESI, with no directory.
 
@@ -31,20 +42,8 @@ class CoherenceSystem:
     recently used first: a hit pops the tag and re-inserts it at the MRU
     end, while assigning a new state to a held tag keeps its position.
     `counters[set_id][socket]` is the same set's [local-home, remote-home]
-    pair of bias counters (see `select_victim`).
-
-    `access` runs one read ("R") or write ("W") of the line at a set index
-    and tag, as `address_map.decode` splits a checked address; the op,
-    checked with the address, picks the hit path and the snoop, and the
-    rest is shared. The tag's top bits are the home socket.
-
-    It adds the access into `count`, the requestor's 7-slot count
-    list (`engine.SimStats.counts`): one at its source's slot (LOCAL_HIT to
-    REMOTE_DRAM) and, when it evicts a dirty line, one at slot 4 for the
-    write-back. It returns whether the access missed. A full set evicts
-    its LRU line unless the bias is on and that line is remote-shared;
-    only then does `select_victim` decide, and it counts a bias event at
-    slot 5 or a counter reset at slot 6.
+    pair of bias counters (see `select_victim`). `simulate` runs a trace's
+    accesses against them.
     """
 
     def __init__(self, topo: TopologyConfig, policy: Optional[PolicyConfig] = None):
@@ -60,71 +59,114 @@ class CoherenceSystem:
 
     # -- accesses ---------------------------------------------------------
 
-    def access(
-        self, requestor: int, op: str, set_id: int, tag: int, count: list[int],
-        bias_enabled: bool = False,
-    ) -> bool:
-        column = self.columns[set_id]
-        lines = column[requestor]
-        if op == "R":
-            if tag in lines:
-                lines[tag] = lines.pop(tag)
+    def simulate(
+        self, blocks: Iterable[tuple], counts: list[list[int]], bias: list[bool],
+        window: int, close_window: Callable[[int], None], validate: bool = False,
+    ) -> None:
+        """Run every access of `blocks`, (socket, ops, set, tag) column
+        blocks as `address_map.decode` makes them of checked records. An
+        op, "R" or "W", picks the hit path and the snoop, and the rest of a
+        miss is shared. A tag's top bits are the line's home socket.
+
+        Each access adds into `counts[socket]`, its requestor's 7-slot count
+        list (`engine.SimStats.counts`), all zeros at the start: one at its
+        source's slot (LOCAL_HIT to REMOTE_DRAM) and, when it evicts a dirty
+        line, one at slot 4 for the write-back. A full set evicts its LRU
+        line unless `bias[socket]` is on and that line is remote-shared;
+        only then does `select_victim` decide, and it counts a bias event at
+        slot 5 or a counter reset at slot 6. After every `window` misses of
+        a socket, `close_window(socket)` runs; it may change `bias`, which
+        the socket's next access runs with. With `validate`, the invariants
+        are checked after every access, and the first violation raises
+        InvariantError.
+
+        The loop makes no Python call of its own but those two: every
+        access is inlined, and what it reads is bound to a local once. Nor
+        does it number the records: the index of the last one run, from 0,
+        is `counted(counts) - 1`.
+        """
+        columns, counters, thresholds = self.columns, self.counters, self.thresholds
+        assoc, home_shift = self._assoc, self._home_shift
+        # looked up at each call, so that a wrapper put in place of either
+        # is the one called
+        victim_of, check = select_victim, self.check_global_invariants
+        left = [window] * len(counts)  # the misses left in each socket's window
+
+        accesses = chain.from_iterable(starmap(zip, blocks))
+        for requestor, op, set_id, tag in accesses:
+            count = counts[requestor]
+            column = columns[set_id]
+            lines = column[requestor]
+            if tag in lines:  # a hit: the line moves to the MRU end
+                if op == "R":
+                    lines[tag] = lines.pop(tag)
+                else:
+                    if lines.pop(tag) not in _EXCLUSIVE:
+                        # upgrade: invalidate every other copy
+                        for other in column:
+                            other.pop(tag, None)
+                    lines[tag] = MODIFIED
                 count[LOCAL_HIT] += 1
-                return False
-            # the requestor holds no copy, so every copy found is another's
-            state = EXCLUSIVE
-            for other in column:
-                if tag not in other:
-                    continue
-                held = other[tag]
-                if held in _SHARED:
-                    state = SHARED
-                elif held is EXCLUSIVE:
-                    # the clean supplier degrades; nobody owns the line
-                    other[tag] = SHARED
-                    state, shipped = SHARED, True
-                    break
-                else:  # a Modified supplier becomes Owner; an Owner stays
-                    other[tag] = OWNER
-                    state, shipped = REMOTE_SHARED, True
-                    break
-            else:  # no copy (a cold fill), or only Shared ones
-                shipped = False
-        else:  # "W"
-            if tag in lines:
-                if lines.pop(tag) not in _EXCLUSIVE:
-                    # upgrade: invalidate every other copy
+            else:
+                if op == "R":
+                    # the requestor holds no copy, so every copy found is another's
+                    state = EXCLUSIVE
                     for other in column:
-                        other.pop(tag, None)
-                lines[tag] = MODIFIED
-                count[LOCAL_HIT] += 1
-                return False
-            # every copy is invalidated; a Modified, Owner or Exclusive one
-            # ships the line
-            state, shipped = MODIFIED, False
-            for other in column:
-                if tag in other and other.pop(tag) not in _SHARED:
-                    shipped = True
+                        if tag not in other:
+                            continue
+                        held = other[tag]
+                        if held in _SHARED:
+                            state = SHARED
+                        elif held is EXCLUSIVE:
+                            # the clean supplier degrades; nobody owns the line
+                            other[tag] = state = SHARED
+                            count[REMOTE_C2C] += 1
+                            break
+                        else:  # a Modified supplier becomes Owner; an Owner stays
+                            other[tag] = OWNER
+                            state = REMOTE_SHARED
+                            count[REMOTE_C2C] += 1
+                            break
+                    else:  # no copy (a cold fill), or only Shared ones: memory
+                        # supplies, local iff the line's home is the requestor
+                        count[LOCAL_DRAM if tag >> home_shift == requestor
+                              else REMOTE_DRAM] += 1
+                else:
+                    # every copy is invalidated; a Modified, Owner or
+                    # Exclusive one ships the line, else memory does
+                    state = MODIFIED
+                    source = LOCAL_DRAM if tag >> home_shift == requestor else REMOTE_DRAM
+                    for other in column:
+                        if tag in other and other.pop(tag) not in _SHARED:
+                            source = REMOTE_C2C
+                    count[source] += 1
 
-        if shipped:
-            count[REMOTE_C2C] += 1
-        else:  # memory supplies, local iff the line's home is the requestor
-            count[LOCAL_DRAM if tag >> self._home_shift == requestor
-                  else REMOTE_DRAM] += 1
+                # install at MRU, first evicting a victim if the set is full
+                if len(lines) >= assoc:
+                    for victim in lines:  # the LRU line, the dict's first
+                        break
+                    if bias[requestor] and lines[victim] is REMOTE_SHARED:
+                        victim = victim_of(
+                            lines, victim, counters[set_id][requestor],
+                            victim >> home_shift != requestor, thresholds, count)
+                    # REMOTE_SHARED copies elsewhere of an evicted Owner line
+                    # stay so, stale by design (silent write-back)
+                    if lines.pop(victim) in _DIRTY:
+                        count[4] += 1
+                lines[tag] = state
 
-        # install at MRU, first evicting a victim if the set is full
-        if len(lines) >= self._assoc:
-            victim = next(iter(lines))
-            if bias_enabled and lines[victim] is REMOTE_SHARED:
-                victim = select_victim(
-                    lines, victim, self.counters[set_id][requestor],
-                    victim >> self._home_shift != requestor, self.thresholds, count)
-            # REMOTE_SHARED copies elsewhere of an evicted Owner line stay
-            # so, stale by design (silent write-back)
-            if lines.pop(victim) in _DIRTY:
-                count[4] += 1
-        lines[tag] = state
-        return True
+                misses_left = left[requestor] - 1
+                if misses_left:
+                    left[requestor] = misses_left
+                else:
+                    left[requestor] = window
+                    close_window(requestor)
+
+            if validate:
+                violations = check()
+                if violations:
+                    raise InvariantError(f"after record {counted(counts) - 1}: "
+                                         + "; ".join(violations))
 
     # -- invariant checking -----------------------------------------------
 

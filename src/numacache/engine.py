@@ -1,17 +1,13 @@
 """Trace-driven simulation loop, and the latency model that costs its counts."""
 
-from itertools import chain, starmap
 from typing import Iterable, NamedTuple, Optional
 
 from .adaptive import AdaptiveConfig
 from .address_map import ConfigError, TopologyConfig, checked, decode
-from .coherence import CoherenceSystem
+# InvariantError is the error of `run`, so it is importable from here too
+from .coherence import CoherenceSystem, InvariantError, counted
 from .replacement import PolicyConfig, PolicyKind
 from .workload import record_blocks
-
-
-class InvariantError(RuntimeError):
-    """A coherence invariant broke mid-run (validation mode)."""
 
 
 @checked
@@ -121,10 +117,9 @@ def run(
         raise ConfigError("the trace was decoded for another topology")
     num_sockets = topo.num_sockets
     counts = [[0] * 7 for _ in range(num_sockets)]  # see SimStats.counts
-    # per socket: the misses left in its window, its remote misses before
-    # the window began, its window's flag and its closed windows' fractions
+    # per socket: its remote misses before its window began, its window's
+    # flag and its closed windows' fractions
     window = adaptive.window_size
-    left = [window] * num_sockets
     remote_before = [0] * num_sockets
     enabled = [adaptive.initial_bias] * num_sockets
     fractions: list[list[float]] = [[] for _ in range(num_sockets)]
@@ -134,31 +129,21 @@ def run(
         bias = enabled
     else:
         bias = [policy.kind is PolicyKind.BIASED_ALWAYS] * num_sockets
-    access = system.access
 
-    accesses = chain.from_iterable(starmap(zip, trace.blocks))
-    for seq, (socket, op, set_id, tag) in enumerate(accesses):
-        count = counts[socket]  # `access` adds the access into it
-        if access(socket, op, set_id, tag, count, bias[socket]):
-            misses_left = left[socket] - 1
-            if misses_left:
-                left[socket] = misses_left
-            else:  # the window closes: apply the watermarks once
-                left[socket] = window
-                remote = count[1] + count[3] if adaptive.count_remote_dram else count[1]
-                fraction = (remote - remote_before[socket]) / window
-                remote_before[socket] = remote
-                fractions[socket].append(fraction)
-                flag = adaptive.bias_after(fraction, enabled[socket])
-                if flag != enabled[socket]:
-                    enabled[socket] = flag
-                    toggles.append((seq, socket, flag))
+    def close_window(socket: int) -> None:
+        """Apply the watermarks to the socket's window, which the last
+        record counted closed."""
+        count = counts[socket]
+        remote = count[1] + count[3] if adaptive.count_remote_dram else count[1]
+        fraction = (remote - remote_before[socket]) / window
+        remote_before[socket] = remote
+        fractions[socket].append(fraction)
+        flag = adaptive.bias_after(fraction, enabled[socket])
+        if flag != enabled[socket]:
+            enabled[socket] = flag
+            toggles.append((counted(counts) - 1, socket, flag))
 
-        if validate:
-            violations = system.check_global_invariants()
-            if violations:
-                raise InvariantError(f"after record {seq}: " + "; ".join(violations))
-
+    system.simulate(trace.blocks, counts, bias, window, close_window, validate)
     return SimStats(counts, fractions, toggles)
 
 

@@ -55,7 +55,7 @@ def select_victim(
     """Pick the victim tag of a full set under the bias, updating its bias
     counters.
 
-    `CoherenceSystem.access` calls this only with the bias on and `lru`,
+    `CoherenceSystem.simulate` calls this only with the bias on and `lru`,
     the least recently used line, remote-shared; otherwise `lru` is the
     victim.
     `lines` maps tag -> MoesiState, least recently used first; `counters`

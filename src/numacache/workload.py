@@ -35,6 +35,8 @@ _RECORD = r"[0-9]+ [0-9]+ [RW] 0x[0-9a-fA-F]+\n"
 # to `str.split` but no part of a record, so a match holding one record per
 # element proves that each element is exactly one canonical line
 _CANONICAL = re.compile(f"{_RECORD}(?:\t{_RECORD})*", re.A).fullmatch
+# the byte of each ASCII digit -> its value
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
 def parse_blocks(lines: Iterable[str], topo: TopologyConfig) -> Iterator[tuple]:
@@ -47,7 +49,7 @@ def parse_blocks(lines: Iterable[str], topo: TopologyConfig) -> Iterator[tuple]:
     by one regex and converted column by column with builtins. Any other
     is parsed line by line by `_parse_lines`, whose records before the
     first bad line make one block, then its error: the same records and
-    errors either way.
+    errors either way. So is a block with a field too long for int().
     """
     sockets, cores = topo.num_sockets, topo.cores_per_socket
     addr_end = 1 << topo.address_width
@@ -57,13 +59,25 @@ def parse_blocks(lines: Iterable[str], topo: TopologyConfig) -> Iterator[tuple]:
         text = "\t".join(block)
         fields = text.split() if _CANONICAL(text) else ()
         if len(fields) == 4 * len(block):
-            socket = list(map(int, fields[0::4]))
-            core = list(map(int, fields[1::4]))
-            addr = list(map(int, fields[3::4], repeat(16)))
-            if max(socket) < sockets and max(core) < cores and max(addr) < addr_end:
-                yield socket, core, "".join(fields[2::4]), addr
-                continue
+            try:
+                socket, core = _decimals(fields[0::4]), _decimals(fields[1::4])
+            except ValueError:  # a field longer than int()'s limit
+                pass
+            else:
+                addr = list(map(int, fields[3::4], repeat(16)))
+                if max(socket) < sockets and max(core) < cores and max(addr) < addr_end:
+                    yield socket, core, "".join(fields[2::4]), addr
+                    continue
         yield from record_blocks(_parse_lines(block, topo, first), topo)
+
+
+def _decimals(column: list[str]) -> list[int]:
+    """The values of a column of ASCII decimal fields: one `bytes.translate`
+    when every field is one digit, else int() of each."""
+    digits = "".join(column)
+    if len(digits) == len(column):
+        return list(digits.encode().translate(_DIGIT_VALUES))
+    return list(map(int, column))
 
 
 def record_blocks(records: Iterable[tuple], topo: TopologyConfig) -> Iterator[tuple]:
@@ -127,6 +141,9 @@ def _parse_lines(
     lines: Iterable[str], topo: TopologyConfig, first: int = 1
 ) -> Iterator[tuple]:
     """Parse and check `lines` one at a time, numbering them from `first`."""
+    sockets, cores = topo.num_sockets, topo.cores_per_socket
+    # the most significant digits of an in-range socket and core
+    s_width, c_width = len(str(sockets - 1)), len(str(cores - 1))
     for lineno, raw in enumerate(lines, start=first):
         text = raw.strip()
         if not text or text[0] == "#":
@@ -139,7 +156,11 @@ def _parse_lines(
         s_text, c_text, op_text, a_text = parts
         if not (s_text.isdigit() and c_text.isdigit()):
             raise TraceError(lineno, f"bad socket/core in {text!r}")
-        socket, core = int(s_text), int(c_text)
+        # without leading zeros ("0" is empty), a field with more digits
+        # than any in range is out of range: int() has a length limit
+        s_text, c_text = s_text.lstrip("0"), c_text.lstrip("0")
+        socket = int(s_text or "0") if len(s_text) <= s_width else sockets
+        core = int(c_text or "0") if len(c_text) <= c_width else cores
         if op_text not in ("R", "W"):
             raise TraceError(lineno, f"operation must be R or W, got {op_text!r}")
         # int() would also accept `_` digit separators
@@ -149,10 +170,10 @@ def _parse_lines(
             addr = int(a_text, 16)
         except ValueError:
             raise TraceError(lineno, f"bad address {a_text!r}") from None
-        if socket >= topo.num_sockets:
-            raise TraceError(lineno, f"socket {socket} out of range")
-        if core >= topo.cores_per_socket:
-            raise TraceError(lineno, f"core {core} out of range")
+        if socket >= sockets:
+            raise TraceError(lineno, f"socket {s_text or 0} out of range")
+        if core >= cores:
+            raise TraceError(lineno, f"core {c_text or 0} out of range")
         if addr >> topo.address_width:
             raise TraceError(lineno, f"address {addr:#x} exceeds address width")
         yield socket, core, op_text, addr

@@ -13,9 +13,14 @@ def parse_records(lines, topo):
 
 
 def access(system, topo, socket, op, addr, count, bias_enabled=False):
-    """`system.access` of `op` on `addr`, whose set index and tag come from
-    `run`'s check-and-decode step; `record_blocks` refuses an op other than
-    "R" or "W" and an address that `topo` cannot hold."""
-    records = record_blocks([(socket, 0, op, addr)], topo)
-    [(_, _, [set_id], [tag])] = decode(records, topo)
-    return system.access(socket, op, set_id, tag, count, bias_enabled)
+    """Whether one access of `op` on `addr` by `socket` missed, run through
+    `system.simulate` with the set index and tag of `run`'s check-and-decode
+    step; `record_blocks` refuses an op other than "R" or "W" and an address
+    that `topo` cannot hold. The access adds into `count`, and a window of
+    one miss tells whether it missed."""
+    blocks = decode(record_blocks([(socket, 0, op, addr)], topo), topo)
+    sockets = topo.num_sockets
+    misses = []
+    system.simulate(blocks, [count] * sockets, [bias_enabled] * sockets, 1,
+                    misses.append)
+    return bool(misses)

@@ -46,14 +46,29 @@ def simulate(steps, cfg=CFG, kind=PolicyKind.BIASED_ADAPTIVE, *, initial=None):
 
 @pytest.fixture
 def flags(monkeypatch):
-    """The bias flag each access was handed, in trace order."""
-    seen, access = [], CoherenceSystem.access
+    """The bias flag each access ran with, in trace order: its socket's
+    entry of `simulate`'s `bias`, read by the invariant check that follows
+    the access, or by the window callback before it may change the flag."""
+    seen, simulate = [], CoherenceSystem.simulate
 
-    def spy(self, requestor, op, set_id, tag, count, bias_enabled=False):
-        seen.append(bias_enabled)
-        return access(self, requestor, op, set_id, tag, count, bias_enabled)
+    def spy(self, blocks, counts, bias, window, close_window, validate=False):
+        blocks = list(blocks)
+        sockets = iter([socket for block in blocks for socket in block[0]])
+        closed = []  # the flag that the access closing a window ran with
 
-    monkeypatch.setattr(CoherenceSystem, "access", spy)
+        def close(socket):
+            closed.append(bias[socket])
+            close_window(socket)
+
+        def check():
+            socket = next(sockets)
+            seen.append(closed.pop() if closed else bias[socket])
+            return []
+
+        monkeypatch.setattr(self, "check_global_invariants", check)
+        simulate(self, blocks, counts, bias, window, close, True)
+
+    monkeypatch.setattr(CoherenceSystem, "simulate", spy)
     return seen
 
 

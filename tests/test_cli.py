@@ -17,7 +17,7 @@ from numacache import cli, coherence, reader
 from numacache.adaptive import AdaptiveConfig
 from numacache.address_map import TopologyConfig
 from numacache.cli import main
-from numacache.coherence import CoherenceSystem
+from numacache.coherence import CoherenceSystem, counted
 from numacache.engine import compare, run
 from numacache.replacement import PolicyConfig, PolicyKind
 from numacache.workload import (
@@ -394,16 +394,18 @@ class TestReader:
             lambda self: ["broken"] if next(calls) == IN_PROCESS + 500 else [])
 
     def interrupted_past_the_fork(self, monkeypatch, trace):
-        calls = itertools.count()
+        simulate = CoherenceSystem.simulate
 
-        access = CoherenceSystem.access
+        def interrupted(self, blocks, counts, bias, window, close_window, validate):
+            # ctrl-c at the first window closed 500 records past the fork
+            def close(socket):
+                if counted(counts) > IN_PROCESS + 500:
+                    raise KeyboardInterrupt
+                close_window(socket)
 
-        def interrupted(self, *args):
-            if next(calls) == IN_PROCESS + 500:
-                raise KeyboardInterrupt
-            return access(self, *args)
+            simulate(self, blocks, counts, bias, window, close, validate)
 
-        monkeypatch.setattr(CoherenceSystem, "access", interrupted)
+        monkeypatch.setattr(CoherenceSystem, "simulate", interrupted)
 
     def broken_stdout(self, monkeypatch, trace):
         class Closed:

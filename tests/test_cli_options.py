@@ -257,10 +257,9 @@ WRONG_KIND = {
 }
 
 
-@pytest.mark.parametrize("as_file", [False, True], ids=["flag", "config"])
-@pytest.mark.parametrize("flag, value", list(WRONG_KIND), ids=" ".join)
-def test_wrong_kind_exits_with_pinned_error(capsys, tmp_path, monkeypatch,
-                                            flag, value, as_file):
+def run_with(tmp_path, monkeypatch, flag, value, as_file):
+    """The exit code of `run` given `flag` `value`, as a flag or as a
+    config-file line."""
     monkeypatch.chdir(tmp_path)
     source = [] if flag == "--gen-kind" else ["--gen-kind", "migratory"]
     if as_file:
@@ -269,10 +268,30 @@ def test_wrong_kind_exits_with_pinned_error(capsys, tmp_path, monkeypatch,
     else:
         argv = ["run"] + source + [flag, value]
     try:
-        code = main(argv)
+        return main(argv)
     except SystemExit as exc:  # argparse's usage error
-        code = exc.code
+        return exc.code
+
+
+@pytest.mark.parametrize("as_file", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("flag, value", list(WRONG_KIND), ids=" ".join)
+def test_wrong_kind_exits_with_pinned_error(capsys, tmp_path, monkeypatch,
+                                            flag, value, as_file):
+    code = run_with(tmp_path, monkeypatch, flag, value, as_file)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert (code, captured.err.splitlines()[-1]) == (
         (1, WRONG_KIND[flag, value][1]) if as_file else (2, WRONG_KIND[flag, value][0]))
+
+
+@pytest.mark.parametrize("as_file", [False, True], ids=["flag", "config"])
+def test_integer_longer_than_int_converts_exits_with_pinned_error(
+        capsys, tmp_path, monkeypatch, as_file):
+    ones = "1" * 5000  # past int()'s default limit of 4300 digits
+    code = run_with(tmp_path, monkeypatch, "--window", ones, as_file)
+    captured = capsys.readouterr()
+    message = f"expected an integer of at most 4300 digits, got '{ones}'"
+    assert captured.out == ""
+    assert (code, captured.err.splitlines()[-1]) == (
+        (1, f"config error: config line 1: {message}") if as_file
+        else (2, f"numacache run: error: argument --window: {message}"))

@@ -7,7 +7,7 @@ from itertools import chain, islice, starmap
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from numacache import reader
+from numacache import reader, workload
 from numacache.address_map import ConfigError, TopologyConfig
 from numacache.coherence import CoherenceSystem
 from numacache.replacement import MoesiState
@@ -104,6 +104,10 @@ ODD_RUNS = [(element,) for element in [
     # every out-of-range kind (records under WIDE)
     "2 0 R 0x40\n", "0 4 R 0x40\n", "0 0 R 0x100000000\n",
     "99999999999999999999 0 R 0x40\n",
+    # fields longer than int() converts: out of range, and in range once
+    # their leading zeros are dropped
+    "1" * 5000 + " 0 R 0x40\n", "0 " + "1" * 5000 + " R 0x40\n",
+    "0" * 5000 + "1 0 R 0x40\n", "0 " + "0" * 5000 + "3 R 0x40\n",
     # elements holding two lines, or lacking the trailing newline
     "0 0 R 0x40\n1 1 W 0x80\n", "0 0 R 0x40\n1 1 W 0x8", "0 0 R 0x40",
     "0 0 R 0x4", "# no newline",
@@ -115,6 +119,12 @@ ODD_RUNS = [(element,) for element in [
     ("0 0 R 0x4", "0\n"),
     ("0 0", "R 0x40\n 1 1 W 0x80\n"),
 ]
+
+
+def run_id(run) -> str:
+    """A run's repr, cut short past 80 characters."""
+    text = repr(run)
+    return text if len(text) <= 80 else f"{text[:40]}...({len(text)} chars)"
 
 
 def outcome(records):
@@ -149,7 +159,7 @@ class TestParseBlocks:
 
     # a line index in the first, the second and the last of three blocks
     @pytest.mark.parametrize("index", [100, 700, 1060])
-    @pytest.mark.parametrize("run", ODD_RUNS, ids=repr)
+    @pytest.mark.parametrize("run", ODD_RUNS, ids=run_id)
     def test_each_odd_run_in_each_block(self, monkeypatch, run, index):
         rng = random.Random(index)
         lines = [canonical_line(rng) for _ in range(1100)]
@@ -167,6 +177,24 @@ class TestParseBlocks:
                 blocks = parse_blocks(lines, TOPO)
                 records = chain.from_iterable(starmap(zip, reader.read_ahead(blocks, files)))
                 assert outcome(records) == expected
+
+    @pytest.mark.parametrize("mixed", ["socket", "core"])
+    def test_one_digit_and_wider_columns_convert_alike(self, monkeypatch, mixed):
+        # the `mixed` column of each block mixes widths and leading zeros,
+        # which int() converts; the other holds one digit per field, which
+        # one bytes.translate of the joined column converts
+        topo = TopologyConfig(num_sockets=16, cores_per_socket=16)
+        rng = random.Random(mixed)
+        lines = []
+        for _ in range(1100):
+            fields = [str(rng.randrange(10)), rng.choice(["0", "00", "07", "10"])]
+            if mixed == "socket":
+                fields.reverse()
+            lines.append(f"{fields[0]} {fields[1]} R 0x{rng.randrange(1 << 32):x}\n")
+        expected = list(_parse_lines(lines, topo))
+        # every block takes the fast path
+        monkeypatch.setattr(workload, "_parse_lines", None)
+        assert list(parse_records(lines, topo)) == expected
 
     def test_records_before_a_bad_line_make_one_block(self):
         rng = random.Random(3)
