@@ -371,7 +371,7 @@ def _render_table(named_stats: list) -> str:
 
 
 def _write_output(chunks: Iterable[str], out: Optional[str]) -> None:
-    if out:
+    if out is not None:  # an empty path is an io error, not stdout
         with open(out, "w") as fh:
             fh.writelines(chunks)
     elif sys.stdout is None:  # fd 1 was closed when the interpreter started

@@ -6,10 +6,9 @@ eviction happen before the next access starts. DRAM is an infinite backing
 store; only coherence state is tracked, not data.
 """
 
-from itertools import chain, starmap
 from typing import Callable, Iterable, Optional
 
-from .address_map import TopologyConfig
+from .address_map import ConfigError, TopologyConfig
 from .replacement import MoesiState, PolicyConfig, select_victim
 
 # Enum members bound once: attribute access on an Enum class is slow.
@@ -20,16 +19,7 @@ LOCAL_HIT, REMOTE_C2C, LOCAL_DRAM, REMOTE_DRAM = range(4)
 _DIRTY = (MODIFIED, OWNER)  # the states whose eviction writes back
 _SHARED = (SHARED, REMOTE_SHARED)  # the states that ship no line
 _EXCLUSIVE = (MODIFIED, EXCLUSIVE)  # the states that need no upgrade
-
-
-class InvariantError(RuntimeError):
-    """A coherence invariant broke mid-run (validation mode)."""
-
-
-def counted(counts: list[list[int]]) -> int:
-    """How many accesses the count lists `counts` hold: each access adds
-    one at slot 0 to 3 of its requestor's list."""
-    return sum(sum(count[:4]) for count in counts)
+MAX_SETS = 2**20  # sets over all sockets that a system allocates: 160-350 MiB
 
 
 class CoherenceSystem:
@@ -48,6 +38,9 @@ class CoherenceSystem:
 
     def __init__(self, topo: TopologyConfig, policy: Optional[PolicyConfig] = None):
         policy = policy if policy is not None else PolicyConfig()
+        if topo.num_sockets * topo.llc_sets > MAX_SETS:
+            raise ConfigError(f"num_sockets * llc_sets must be <= {MAX_SETS}, "
+                              f"got {topo.num_sockets * topo.llc_sets}")
         self.thresholds = policy.thresholds(topo.llc_assoc)
         sockets, sets = range(topo.num_sockets), range(topo.llc_sets)
         self.columns = [[{} for _ in sockets] for _ in sets]
@@ -60,13 +53,13 @@ class CoherenceSystem:
     # -- accesses ---------------------------------------------------------
 
     def simulate(
-        self, blocks: Iterable[tuple], counts: list[list[int]], bias: list[bool],
-        window: int, close_window: Callable[[int], None], validate: bool = False,
+        self, accesses: Iterable[tuple], counts: list[list[int]], bias: list[bool],
+        left: list[int], window: int, close_window: Callable[[int], None],
     ) -> None:
-        """Run every access of `blocks`, (socket, ops, set, tag) column
-        blocks as `address_map.decode` makes them of checked records. An
-        op, "R" or "W", picks the hit path and the snoop, and the rest of a
-        miss is shared. A tag's top bits are the line's home socket.
+        """Run every access of `accesses`, (socket, op, set, tag) tuples as
+        `address_map.decode` makes them of checked records. An op, "R" or
+        "W", picks the hit path and the snoop, and the rest of a miss is
+        shared. A tag's top bits are the line's home socket.
 
         Each access adds into `counts[socket]`, its requestor's 7-slot count
         list (`engine.SimStats.counts`), all zeros at the start: one at its
@@ -74,25 +67,20 @@ class CoherenceSystem:
         line, one at slot 4 for the write-back. A full set evicts its LRU
         line unless `bias[socket]` is on and that line is remote-shared;
         only then does `select_victim` decide, and it counts a bias event at
-        slot 5 or a counter reset at slot 6. After every `window` misses of
-        a socket, `close_window(socket)` runs; it may change `bias`, which
-        the socket's next access runs with. With `validate`, the invariants
-        are checked after every access, and the first violation raises
-        InvariantError.
+        slot 5 or a counter reset at slot 6. `left[socket]` is the misses
+        left in the socket's window of `window`; when a miss ends it,
+        `close_window(socket)` runs and a new window starts. It may change
+        `bias`, which the socket's next access runs with.
 
         The loop makes no Python call of its own but those two: every
-        access is inlined, and what it reads is bound to a local once. Nor
-        does it number the records: the index of the last one run, from 0,
-        is `counted(counts) - 1`.
+        access is inlined, and what it reads is bound to a local once. It
+        keeps no state of its own, so a run split over several calls that
+        share `counts`, `bias` and `left` counts what one call counts.
         """
         columns, counters, thresholds = self.columns, self.counters, self.thresholds
         assoc, home_shift = self._assoc, self._home_shift
-        # looked up at each call, so that a wrapper put in place of either
-        # is the one called
-        victim_of, check = select_victim, self.check_global_invariants
-        left = [window] * len(counts)  # the misses left in each socket's window
-
-        accesses = chain.from_iterable(starmap(zip, blocks))
+        # looked up per call, so that a wrapper put in its place is called
+        victim_of = select_victim
         for requestor, op, set_id, tag in accesses:
             count = counts[requestor]
             column = columns[set_id]
@@ -161,12 +149,6 @@ class CoherenceSystem:
                 else:
                     left[requestor] = window
                     close_window(requestor)
-
-            if validate:
-                violations = check()
-                if violations:
-                    raise InvariantError(f"after record {counted(counts) - 1}: "
-                                         + "; ".join(violations))
 
     # -- invariant checking -----------------------------------------------
 

@@ -1,13 +1,23 @@
 """Trace-driven simulation loop, and the latency model that costs its counts."""
 
+from itertools import chain, starmap
 from typing import Iterable, NamedTuple, Optional
 
 from .adaptive import AdaptiveConfig
 from .address_map import ConfigError, TopologyConfig, checked, decode
-# InvariantError is the error of `run`, so it is importable from here too
-from .coherence import CoherenceSystem, InvariantError, counted
+from .coherence import CoherenceSystem
 from .replacement import PolicyConfig, PolicyKind
 from .workload import record_blocks
+
+
+class InvariantError(RuntimeError):
+    """A coherence invariant broke mid-run (validation mode)."""
+
+
+def counted(counts: list[list[int]]) -> int:
+    """How many accesses the count lists `counts` hold: each access adds
+    one at slot 0 to 3 of its requestor's list."""
+    return sum(sum(count[:4]) for count in counts)
 
 
 @checked
@@ -103,7 +113,9 @@ def run(
 
     The trace is `Decoded` for `topo`, or any iterable of (socket, core,
     op, addr) tuples, op "R" or "W", which `record_blocks` checks as they
-    are consumed; record N is its N-th, from 0.
+    are consumed; record N is its N-th, from 0. With `validate`, the run
+    steps the simulation one access at a time and checks the invariants
+    after each; the first violation raises InvariantError.
     Each socket's windows of `window_size` misses are counted for every
     policy kind (it is pure bookkeeping); only BIASED_ADAPTIVE lets their
     watermarks steer the bias, and only the biased kinds enable it.
@@ -117,9 +129,10 @@ def run(
         raise ConfigError("the trace was decoded for another topology")
     num_sockets = topo.num_sockets
     counts = [[0] * 7 for _ in range(num_sockets)]  # see SimStats.counts
-    # per socket: its remote misses before its window began, its window's
-    # flag and its closed windows' fractions
+    # per socket: the misses left in its window, its remote misses before
+    # the window began, its window's flag and its closed windows' fractions
     window = adaptive.window_size
+    left = [window] * num_sockets
     remote_before = [0] * num_sockets
     enabled = [adaptive.initial_bias] * num_sockets
     fractions: list[list[float]] = [[] for _ in range(num_sockets)]
@@ -143,7 +156,15 @@ def run(
             enabled[socket] = flag
             toggles.append((counted(counts) - 1, socket, flag))
 
-    system.simulate(trace.blocks, counts, bias, window, close_window, validate)
+    accesses = chain.from_iterable(starmap(zip, trace.blocks))
+    if validate:
+        for seq, access in enumerate(accesses):
+            system.simulate((access,), counts, bias, left, window, close_window)
+            violations = system.check_global_invariants()
+            if violations:
+                raise InvariantError(f"after record {seq}: " + "; ".join(violations))
+    else:
+        system.simulate(accesses, counts, bias, left, window, close_window)
     return SimStats(counts, fractions, toggles)
 
 

@@ -19,8 +19,9 @@ def access(system, topo, socket, op, addr, count, bias_enabled=False):
     that `topo` cannot hold. The access adds into `count`, and a window of
     one miss tells whether it missed."""
     blocks = decode(record_blocks([(socket, 0, op, addr)], topo), topo)
+    accesses = chain.from_iterable(starmap(zip, blocks))
     sockets = topo.num_sockets
     misses = []
-    system.simulate(blocks, [count] * sockets, [bias_enabled] * sockets, 1,
-                    misses.append)
+    system.simulate(accesses, [count] * sockets, [bias_enabled] * sockets,
+                    [1] * sockets, 1, misses.append)
     return bool(misses)

@@ -47,26 +47,13 @@ def simulate(steps, cfg=CFG, kind=PolicyKind.BIASED_ADAPTIVE, *, initial=None):
 @pytest.fixture
 def flags(monkeypatch):
     """The bias flag each access ran with, in trace order: its socket's
-    entry of `simulate`'s `bias`, read by the invariant check that follows
-    the access, or by the window callback before it may change the flag."""
+    entry of `simulate`'s `bias`, read before the access runs alone."""
     seen, simulate = [], CoherenceSystem.simulate
 
-    def spy(self, blocks, counts, bias, window, close_window, validate=False):
-        blocks = list(blocks)
-        sockets = iter([socket for block in blocks for socket in block[0]])
-        closed = []  # the flag that the access closing a window ran with
-
-        def close(socket):
-            closed.append(bias[socket])
-            close_window(socket)
-
-        def check():
-            socket = next(sockets)
-            seen.append(closed.pop() if closed else bias[socket])
-            return []
-
-        monkeypatch.setattr(self, "check_global_invariants", check)
-        simulate(self, blocks, counts, bias, window, close, True)
+    def spy(self, accesses, counts, bias, *state):
+        for access in accesses:
+            seen.append(bias[access[0]])
+            simulate(self, (access,), counts, bias, *state)
 
     monkeypatch.setattr(CoherenceSystem, "simulate", spy)
     return seen

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import random
+import resource
 import signal
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from numacache import cli, coherence, reader
 from numacache.adaptive import AdaptiveConfig
 from numacache.address_map import TopologyConfig
 from numacache.cli import main
-from numacache.coherence import CoherenceSystem, counted
+from numacache.coherence import CoherenceSystem
 from numacache.engine import compare, run
 from numacache.replacement import PolicyConfig, PolicyKind
 from numacache.workload import (
@@ -113,6 +114,58 @@ def test_address_width_past_its_bound_is_a_config_error(capsys, monkeypatch,
     (tmp_path / "t.txt").write_text("0 0 R 0x40\n")
     code, out, err = run_cli(capsys, *argv, "--address-width", str(2**70))
     assert (code, out, err) == (1, "", "config error: address_width must be <= 1024\n")
+
+
+class TestLLCBound:
+    """A topology of more than `coherence.MAX_SETS` sets over all sockets is
+    a config error of the commands that simulate, found before any set is
+    allocated; `gen` and `validate-trace` allocate none and accept it. Each
+    command runs under a 256 MiB address-space limit, so a missing check
+    fails fast."""
+
+    @staticmethod
+    def cli(tmp_path, *argv):
+        def limit():
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            resource.setrlimit(resource.RLIMIT_AS, (256 * 2**20, hard))
+
+        done = subprocess.run([sys.executable, "-m", "numacache.cli", *argv],
+                              capture_output=True, env=cli_env(), timeout=60,
+                              cwd=tmp_path, preexec_fn=limit)
+        return done.returncode, done.stdout.decode(), done.stderr.decode()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("sockets, sets", [(2, 2**30), (2, 2**20), (64, 2**15)])
+    def test_too_many_sets_is_a_config_error(self, tmp_path, command, sockets, sets):
+        assert sockets * sets > coherence.MAX_SETS
+        err = ("config error: num_sockets * llc_sets must be <= 1048576, "
+               f"got {sockets * sets}\n")
+        assert self.cli(tmp_path, command, "--gen-kind", "migratory",
+                        "--sockets", str(sockets), "--sets", str(sets),
+                        "--address-width", "64") == (1, "", err)
+
+    def test_gen_and_validate_trace_accept_it(self, tmp_path):
+        topo = ["--sets", str(2**30), "--address-width", "64"]
+        code, out, err = self.cli(tmp_path, "gen", "--gen-kind", "migratory",
+                                  "--iterations", "2", *topo)
+        assert (code, err) == (0, "") and len(out.splitlines()) == 64
+        (tmp_path / "t.txt").write_text(out)
+        assert self.cli(tmp_path, "validate-trace", "--trace", "t.txt", *topo) \
+            == (0, "ok: 64 records\n", "")
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "gen"])
+@pytest.mark.parametrize("form", ["flag", "config file"])
+def test_empty_out_is_an_io_error(capsys, tmp_path, command, form):
+    # an empty path is opened as one, and fails; it is not stdout
+    argv = [command, "--gen-kind", "migratory"]
+    if form == "flag":
+        argv += ["--out", ""]
+    else:
+        (tmp_path / "sim.cfg").write_text("out=\n")
+        argv += ["--config", str(tmp_path / "sim.cfg")]
+    assert run_cli(capsys, *argv) == (
+        1, "", "io error: [Errno 2] No such file or directory: ''\n")
 
 
 class TestClosedStandardStream:
@@ -396,14 +449,12 @@ class TestReader:
     def interrupted_past_the_fork(self, monkeypatch, trace):
         simulate = CoherenceSystem.simulate
 
-        def interrupted(self, blocks, counts, bias, window, close_window, validate):
-            # ctrl-c at the first window closed 500 records past the fork
-            def close(socket):
-                if counted(counts) > IN_PROCESS + 500:
+        def interrupted(self, accesses, *state):
+            # ctrl-c at the record 500 records past the fork
+            for seq, access in enumerate(accesses):
+                if seq == IN_PROCESS + 500:
                     raise KeyboardInterrupt
-                close_window(socket)
-
-            simulate(self, blocks, counts, bias, window, close, validate)
+                simulate(self, (access,), *state)
 
         monkeypatch.setattr(CoherenceSystem, "simulate", interrupted)
 

@@ -3,6 +3,7 @@ random topologies, thresholds, controller settings, latencies and traces."""
 
 import random
 from contextlib import ExitStack
+from itertools import chain, starmap
 from unittest import mock
 
 import pytest
@@ -11,9 +12,10 @@ from hypothesis import given, settings, strategies as st
 from numacache import reader, workload
 from numacache.adaptive import AdaptiveConfig
 from numacache.address_map import ConfigError, TopologyConfig, decode
+from numacache.coherence import CoherenceSystem
 from numacache.engine import Decoded, LatencyModel, run
 from numacache.replacement import PolicyConfig, PolicyKind
-from numacache.workload import format_trace, parse_blocks
+from numacache.workload import format_trace, parse_blocks, record_blocks
 
 from reference_model import RefModel
 
@@ -78,6 +80,45 @@ def test_engine_equals_reference_model(scenario):
                        topo.line_size_bytes, topo.address_width, name,
                        t_local, t_remote, **adaptive, lat=lat.costs).run(accesses)
         assert sim == ref, name
+
+
+@settings(max_examples=30, deadline=None)
+@given(scenarios())
+def test_stepped_run_counts_what_one_call_counts(scenario):
+    """`run` under `validate` steps `simulate` one access at a time and
+    counts what `run` counts in one call. So does a system stepped
+    directly against one that runs every access in one call, window
+    closes and bias flips included: `simulate` keeps no state between
+    calls but what its caller passes in."""
+    topo, (t_local, t_remote), adaptive, _, accesses = scenario
+    records = [(socket, 0, op, addr) for socket, op, addr, _ in accesses]
+    config = AdaptiveConfig(adaptive["window"], adaptive["high"], adaptive["low"],
+                            adaptive["initial_bias"], adaptive["count_remote_dram"])
+    window, sockets = adaptive["window"], topo.num_sockets
+    for name, kind in POLICIES.items():
+        policy = PolicyConfig(kind, t_local, t_remote)
+        assert run(records, topo, policy, config, validate=True) == \
+            run(records, topo, policy, config), name
+
+        results = []
+        for stepped in (False, True):
+            system = CoherenceSystem(topo, policy)
+            counts, closes = [[0] * 7 for _ in range(sockets)], []
+            bias = [kind is not PolicyKind.LRU_ONLY] * sockets
+            left = [window] * sockets
+
+            def close_window(socket):
+                closes.append((sum(map(sum, counts)), socket))
+                if kind is PolicyKind.BIASED_ADAPTIVE:  # a flip per window
+                    bias[socket] = not bias[socket]
+
+            stream = chain.from_iterable(starmap(
+                zip, decode(record_blocks(records, topo), topo)))
+            for part in ([(access,) for access in stream] if stepped else [stream]):
+                system.simulate(part, counts, bias, left, window, close_window)
+            results.append((counts, closes, bias, left, system.columns,
+                            system.counters))
+        assert results[0] == results[1], name
 
 
 @settings(max_examples=30, deadline=None)

@@ -214,7 +214,7 @@ class TestRun:
         def broken(self):
             raise TypeError("internal")
 
-        # the invariant sweep runs inside the loop, after the first access
+        # `run` steps the loop and sweeps the invariants after the first access
         monkeypatch.setattr(CoherenceSystem, "check_global_invariants", broken)
         with pytest.raises(TypeError, match="^internal$"):
             run([(0, 0, "R", 0x40)], TOPO, PolicyConfig(), validate=True)
