@@ -1,9 +1,8 @@
 """Trace-driven ccNUMA multi-socket LLC simulator with MOESI coherence and
 a remote-sharing-biased replacement policy."""
 
-from .adaptive import AdaptiveConfig
 from .address_map import ConfigError, TopologyConfig
-from .engine import InvariantError, LatencyModel, SimStats, compare, run
+from .engine import AdaptiveConfig, InvariantError, LatencyModel, SimStats, compare, run
 from .replacement import PolicyConfig, PolicyKind
 from .workload import GeneratorKind, GeneratorSpec, TraceError, format_trace, generate
 

@@ -6,9 +6,7 @@ index. `decode` splits checked addresses into set indices and tags.
 """
 
 from functools import wraps
-from itertools import repeat
 from math import isfinite
-from operator import and_, rshift
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
@@ -117,9 +115,9 @@ class TopologyConfig(NamedTuple):
 
 def decode(blocks: Iterable[tuple], topo: TopologyConfig) -> Iterator[tuple]:
     """(socket, ops, set, tag) column blocks of checked (socket, core, ops,
-    addr) ones: the core is dropped, and builtins split the addresses."""
-    offset, mask = repeat(topo.offset_bits), repeat(topo.llc_sets - 1)
-    tag_shift = repeat(topo.offset_bits + topo.set_bits)
+    addr) ones: the core is dropped, and comprehensions split the addresses."""
+    offset, mask = topo.offset_bits, topo.llc_sets - 1
+    tag_shift = topo.offset_bits + topo.set_bits
     for socket, _, ops, addr in blocks:
-        yield (socket, ops, list(map(and_, map(rshift, addr, offset), mask)),
-               list(map(rshift, addr, tag_shift)))
+        yield (socket, ops, [a >> offset & mask for a in addr],
+               [a >> tag_shift for a in addr])

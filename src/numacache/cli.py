@@ -9,9 +9,8 @@ import sys
 from contextlib import ExitStack, contextmanager, suppress
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .adaptive import AdaptiveConfig
 from .address_map import ConfigError, SocketPairs, TopologyConfig, decode
-from .engine import Decoded, InvariantError, LatencyModel, compare, run
+from .engine import AdaptiveConfig, Decoded, InvariantError, LatencyModel, compare, run
 from .reader import read_ahead
 from .replacement import PolicyConfig, PolicyKind
 from .workload import (

@@ -1,9 +1,9 @@
-"""Trace-driven simulation loop, and the latency model that costs its counts."""
+"""Trace-driven simulation runs, the watermarks that toggle the bias, and
+the latency model that costs their counts."""
 
 from itertools import chain, starmap
 from typing import Iterable, NamedTuple, Optional
 
-from .adaptive import AdaptiveConfig
 from .address_map import ConfigError, TopologyConfig, checked, decode
 from .coherence import CoherenceSystem
 from .replacement import PolicyConfig, PolicyKind
@@ -14,10 +14,35 @@ class InvariantError(RuntimeError):
     """A coherence invariant broke mid-run (validation mode)."""
 
 
-def counted(counts: list[list[int]]) -> int:
-    """How many accesses the count lists `counts` hold: each access adds
-    one at slot 0 to 3 of its requestor's list."""
-    return sum(sum(count[:4]) for count in counts)
+@checked
+class AdaptiveConfig(NamedTuple):
+    """The watermarks that toggle the replacement bias, once per window of
+    `window_size` LLC misses (so the fraction's denominator is nonzero),
+    which `run` counts per socket. The bias turns on strictly above the high
+    watermark, off strictly below the low one, and holds in between."""
+
+    window_size: int = 1024
+    high_water: float = 0.5
+    low_water: float = 0.1
+    initial_bias: bool = True
+    # remote miss = any remote service (c2c or remote DRAM); set False to
+    # count only cache-to-cache supplies
+    count_remote_dram: bool = True
+
+    def _check(self) -> None:
+        if self.window_size < 1:
+            raise ValueError("window_size must be >= 1")
+        if not 0.0 <= self.low_water <= self.high_water:
+            raise ValueError("need 0 <= low_water <= high_water")
+
+    def bias_after(self, fraction: float, bias: bool) -> bool:
+        """The bias flag after a window whose remote-miss fraction is
+        `fraction`, given the flag `bias` it ran with."""
+        if fraction > self.high_water:
+            return True
+        if fraction < self.low_water:
+            return False
+        return bias
 
 
 @checked
@@ -154,7 +179,8 @@ def run(
         flag = adaptive.bias_after(fraction, enabled[socket])
         if flag != enabled[socket]:
             enabled[socket] = flag
-            toggles.append((counted(counts) - 1, socket, flag))
+            # the closing record's index: each access adds one to slots 0-3
+            toggles.append((sum(sum(each[:4]) for each in counts) - 1, socket, flag))
 
     accesses = chain.from_iterable(starmap(zip, trace.blocks))
     if validate:

@@ -9,10 +9,9 @@ import random
 
 import pytest
 
-from numacache.adaptive import AdaptiveConfig
 from numacache.address_map import TopologyConfig
 from numacache.cli import main
-from numacache.engine import run
+from numacache.engine import AdaptiveConfig, run
 from numacache.replacement import (
     MoesiState,
     PolicyConfig,

@@ -1,9 +1,8 @@
 import pytest
 
-from numacache.adaptive import AdaptiveConfig
 from numacache.address_map import TopologyConfig
 from numacache.coherence import CoherenceSystem
-from numacache.engine import run
+from numacache.engine import AdaptiveConfig, run
 from numacache.replacement import PolicyConfig, PolicyKind
 
 TOPO = TopologyConfig(num_sockets=2, llc_sets=4, llc_assoc=4,

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from numacache import address_map
 from numacache.address_map import ConfigError, TopologyConfig
 from numacache.coherence import CoherenceSystem
 
@@ -87,6 +88,36 @@ def test_same_line_same_decomposition(base, offset):
     a = decode(base, topo)[0]
     b = min(a + offset, (1 << 32) - 1)
     assert decode(a, topo) == decode(b, topo)
+
+
+@st.composite
+def topologies_and_blocks(draw):
+    """A topology up to 1 024 address bits wide, and checked (socket, core,
+    ops, addr) column blocks of 1 to 512 records for it."""
+    socket_bits, set_bits, offset_bits = (draw(st.integers(0, top)) for top in (3, 12, 8))
+    topo = TopologyConfig(
+        num_sockets=1 << socket_bits, llc_sets=1 << set_bits,
+        line_size_bytes=1 << offset_bits,
+        address_width=draw(st.integers(socket_bits + set_bits + offset_bits, 1024)))
+
+    def column(top, size):
+        return draw(st.lists(st.integers(0, top), min_size=size, max_size=size))
+
+    return topo, [(column(topo.num_sockets - 1, size), [0] * size,
+                   draw(st.text("RW", min_size=size, max_size=size)),
+                   column((1 << topo.address_width) - 1, size))
+                  for size in draw(st.lists(st.integers(1, 512), min_size=1, max_size=2))]
+
+
+@given(topologies_and_blocks())
+def test_decode_splits_whole_blocks(topo_blocks):
+    topo, blocks = topo_blocks
+    decoded = list(address_map.decode(blocks, topo))
+    assert len(decoded) == len(blocks)
+    for (socket, _, ops, addr), (socket_out, ops_out, sets, tags) in zip(blocks, decoded):
+        assert (socket_out, ops_out) == (socket, ops)
+        assert sets == [(a >> topo.offset_bits) % topo.llc_sets for a in addr]
+        assert tags == [a >> (topo.offset_bits + topo.set_bits) for a in addr]
 
 
 def test_home_node_surjective():

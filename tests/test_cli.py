@@ -15,11 +15,10 @@ import pytest
 
 import numacache
 from numacache import cli, coherence, reader
-from numacache.adaptive import AdaptiveConfig
 from numacache.address_map import TopologyConfig
 from numacache.cli import main
 from numacache.coherence import CoherenceSystem
-from numacache.engine import compare, run
+from numacache.engine import AdaptiveConfig, compare, run
 from numacache.replacement import PolicyConfig, PolicyKind
 from numacache.workload import (
     _BLOCK,

@@ -295,3 +295,12 @@ def test_integer_longer_than_int_converts_exits_with_pinned_error(
     assert (code, captured.err.splitlines()[-1]) == (
         (1, f"config error: config line 1: {message}") if as_file
         else (2, f"numacache run: error: argument --window: {message}"))
+
+
+def test_line_that_is_not_key_value_exits_with_pinned_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("sockets=2\njunk\n")
+    code = main(["--config", "run.cfg", "run", "--gen-kind", "migratory"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        1, "", "config error: config line 2: 'junk' is not key=value\n")

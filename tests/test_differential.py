@@ -10,10 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from numacache import reader, workload
-from numacache.adaptive import AdaptiveConfig
 from numacache.address_map import ConfigError, TopologyConfig, decode
 from numacache.coherence import CoherenceSystem
-from numacache.engine import Decoded, LatencyModel, run
+from numacache.engine import AdaptiveConfig, Decoded, LatencyModel, run
 from numacache.replacement import PolicyConfig, PolicyKind
 from numacache.workload import format_trace, parse_blocks, record_blocks
 

@@ -1,10 +1,11 @@
 import json
 import random
 import sys
+from itertools import chain, islice
 
 import pytest
 
-from numacache.adaptive import AdaptiveConfig
+from numacache import coherence, engine, replacement
 from numacache.address_map import ConfigError, TopologyConfig
 from numacache.coherence import (
     LOCAL_DRAM,
@@ -13,7 +14,7 @@ from numacache.coherence import (
     REMOTE_DRAM,
     CoherenceSystem,
 )
-from numacache.engine import LatencyModel, SimStats, compare, run
+from numacache.engine import AdaptiveConfig, LatencyModel, SimStats, compare, run
 from numacache.replacement import PolicyConfig, PolicyKind
 from numacache.workload import (
     GeneratorKind,
@@ -249,6 +250,62 @@ def test_python_calls_per_record_stay_at_the_layer_boundaries():
     assert d["writebacks"] > 1000 and d["bias_events"] > 1000
     assert d["counter_resets"] > 500
     assert calls / len(lines) <= 0.97  # 0.92 when measured
+
+
+# bytecodes per record of `test_bytecodes_per_record_stay_bounded`'s run,
+# 1 % above the counts measured on Python 3.11: lru 106.10, biased 150.17,
+# adaptive 147.96
+BYTECODE_BOUNDS = {PolicyKind.LRU_ONLY: 107.1, PolicyKind.BIASED_ALWAYS: 151.6,
+                   PolicyKind.BIASED_ADAPTIVE: 149.4}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="opcode counts differ between Python versions")
+@pytest.mark.parametrize("kind", list(PolicyKind), ids=lambda kind: kind.value)
+def test_bytecodes_per_record_stay_bounded(kind):
+    """The bytecodes that `run` executes per record in `coherence`,
+    `replacement` and `engine` frames (`sys.settrace` opcode events) stay
+    within a bound, on 5 000 records of producer-consumer, private and
+    migratory phases, over sets small enough that every path of the loop
+    runs: hits, every miss source, write-backs, and under the biased kinds
+    bias events and counter resets, while the watermarks flip the bias.
+    A change that adds work per record fails here on any host."""
+    topo = TopologyConfig(num_sockets=4, llc_sets=16, llc_assoc=4)
+    phases = [
+        GeneratorSpec(GeneratorKind.PRODUCER_CONSUMER, working_set_lines=96, iterations=2,
+                      sharing_socket_pairs=[(0, 1), (1, 2), (2, 3), (3, 0)]),
+        GeneratorSpec(GeneratorKind.PRIVATE_STREAM, working_set_lines=48, iterations=3),
+        GeneratorSpec(GeneratorKind.MIGRATORY, working_set_lines=24, iterations=2),
+    ]
+    records = list(islice(chain.from_iterable(
+        generate(spec._replace(rng_seed=seed), topo) for seed in range(4) for spec in phases),
+        5000))
+    files = {module.__file__ for module in (coherence, engine, replacement)}
+    opcodes = 0
+
+    def count(frame, event, arg):
+        nonlocal opcodes
+        opcodes += event == "opcode"
+        return count
+
+    def enter(frame, event, arg):
+        if frame.f_code.co_filename in files:
+            frame.f_trace_opcodes = True
+            return count
+
+    previous = sys.gettrace()
+    sys.settrace(enter)
+    try:
+        stats = run(records, topo, PolicyConfig(kind),
+                    AdaptiveConfig(window_size=64, high_water=0.5, low_water=0.2))
+    finally:
+        sys.settrace(previous)
+    d = stats.to_dict()
+    assert d["hits"] and all(d["misses_by_source"].values()) and d["writebacks"]
+    assert d["adaptive_toggles"]
+    assert bool(d["bias_events"]) == bool(d["counter_resets"]) == (
+        kind is not PolicyKind.LRU_ONLY)
+    assert opcodes / len(records) <= BYTECODE_BOUNDS[kind]
 
 
 class TestCompare:
