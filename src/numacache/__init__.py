@@ -2,12 +2,11 @@
 a remote-sharing-biased replacement policy."""
 
 from .address_map import ConfigError, TopologyConfig
-from .engine import AdaptiveConfig, InvariantError, LatencyModel, SimStats, compare, run
-from .replacement import PolicyConfig, PolicyKind
+from .engine import (InvariantError, LatencyModel, PolicyConfig, PolicyKind, SimStats,
+                     compare, run)
 from .workload import GeneratorKind, GeneratorSpec, TraceError, format_trace, generate
 
 __all__ = [
-    "AdaptiveConfig",
     "ConfigError",
     "GeneratorKind",
     "GeneratorSpec",

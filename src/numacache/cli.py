@@ -10,9 +10,9 @@ from contextlib import ExitStack, contextmanager, suppress
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .address_map import ConfigError, SocketPairs, TopologyConfig, decode
-from .engine import AdaptiveConfig, Decoded, InvariantError, LatencyModel, compare, run
+from .engine import (Decoded, InvariantError, LatencyModel, PolicyConfig, PolicyKind,
+                     compare, run)
 from .reader import read_ahead
-from .replacement import PolicyConfig, PolicyKind
 from .workload import (
     GeneratorSpec,
     TraceError,
@@ -130,13 +130,13 @@ _OPTIONS = tuple(opt.typed() for opt in (
            help="comma-separated policy names"),
     Option("--t-local", _SIM, PolicyConfig, "t_local", "t_local"),
     Option("--t-remote", _SIM, PolicyConfig, "t_remote", "t_remote"),
-    Option("--window", _SIM, AdaptiveConfig, "window_size", "adaptive.window"),
-    Option("--high-water", _SIM, AdaptiveConfig, "high_water", "adaptive.high_water"),
-    Option("--low-water", _SIM, AdaptiveConfig, "low_water", "adaptive.low_water"),
-    Option("--initial-bias", _SIM, AdaptiveConfig, "initial_bias",
+    Option("--window", _SIM, PolicyConfig, "window_size", "adaptive.window"),
+    Option("--high-water", _SIM, PolicyConfig, "high_water", "adaptive.high_water"),
+    Option("--low-water", _SIM, PolicyConfig, "low_water", "adaptive.low_water"),
+    Option("--initial-bias", _SIM, PolicyConfig, "initial_bias",
            "adaptive.initial_bias", metavar="{on,off}"),
     # its words name the two values of a bool
-    Option("--remote-miss-def", _SIM, AdaptiveConfig, "count_remote_dram",
+    Option("--remote-miss-def", _SIM, PolicyConfig, "count_remote_dram",
            "adaptive.remote_miss_def", choices={"any-remote": True, "c2c-only": False}),
     Option("--lat-llc", _SIM, LatencyModel, "llc_hit", "latency.llc_hit"),
     Option("--lat-c2c", _SIM, LatencyModel, "remote_c2c", "latency.remote_c2c"),
@@ -388,11 +388,10 @@ def _write_report(args, report: dict, named_stats: list) -> int:
 
 def _cmd_run(args) -> int:
     topo = _build(TopologyConfig, args)
-    policy = _build(PolicyConfig, args)
     with ExitStack() as files:
         trace = _load_trace(args, topo, files)
-        adaptive, lat = _build(AdaptiveConfig, args), _build(LatencyModel, args)
-        stats = run(trace, topo, policy, adaptive, validate=args.validate)
+        policy, lat = _build(PolicyConfig, args), _build(LatencyModel, args)
+        stats = run(trace, topo, policy, validate=args.validate)
     stats = stats.to_dict(lat)
     report = {"config": _config_echo(args, topo, [policy]), "stats": stats}
     return _write_report(args, report, [(args.policy, stats)])
@@ -400,16 +399,17 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     topo = _build(TopologyConfig, args)
-    policies = []
+    kinds = []
     for name in filter(None, (n.strip() for n in args.policies.split(","))):
         if name not in _POLICY_NAMES:
             raise ConfigError(f"unknown policy {name!r}")
-        policies.append(_build(PolicyConfig, args, kind=_POLICY_NAMES[name]))
+        kinds.append(_POLICY_NAMES[name])
     with ExitStack() as files:
+        trace = _load_trace(args, topo, files)
+        policy = _build(PolicyConfig, args)  # of the default kind: compare has no --policy
+        policies = [policy._replace(kind=kind) for kind in kinds]
         # compare lists the trace once and replays it per policy
-        result = compare(_load_trace(args, topo, files), topo, policies,
-                         _build(AdaptiveConfig, args),
-                         _build(LatencyModel, args), args.validate)
+        result = compare(trace, topo, policies, _build(LatencyModel, args), args.validate)
     report = {"config": _config_echo(args, topo, policies), **result}
     named = [(e["policy"], e["stats"]) for e in result["policies"]]
     return _write_report(args, report, named)

@@ -6,10 +6,10 @@ eviction happen before the next access starts. DRAM is an infinite backing
 store; only coherence state is tracked, not data.
 """
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from .address_map import ConfigError, TopologyConfig
-from .replacement import MoesiState, PolicyConfig, select_victim
+from .replacement import MoesiState, select_victim
 
 # Enum members bound once: attribute access on an Enum class is slow.
 MODIFIED, OWNER, EXCLUSIVE, SHARED, REMOTE_SHARED = MoesiState
@@ -36,12 +36,11 @@ class CoherenceSystem:
     accesses against them.
     """
 
-    def __init__(self, topo: TopologyConfig, policy: Optional[PolicyConfig] = None):
-        policy = policy if policy is not None else PolicyConfig()
+    def __init__(self, topo: TopologyConfig, thresholds: tuple[int, int]):
         if topo.num_sockets * topo.llc_sets > MAX_SETS:
             raise ConfigError(f"num_sockets * llc_sets must be <= {MAX_SETS}, "
                               f"got {topo.num_sockets * topo.llc_sets}")
-        self.thresholds = policy.thresholds(topo.llc_assoc)
+        self.thresholds = thresholds
         sockets, sets = range(topo.num_sockets), range(topo.llc_sets)
         self.columns = [[{} for _ in sockets] for _ in sets]
         self.counters = [[[0, 0] for _ in sockets] for _ in sets]

@@ -1,12 +1,12 @@
-"""Trace-driven simulation runs, the watermarks that toggle the bias, and
-the latency model that costs their counts."""
+"""Trace-driven simulation runs, the replacement policy with the watermarks
+that toggle its bias, and the latency model that costs their counts."""
 
+import enum
 from itertools import chain, starmap
 from typing import Iterable, NamedTuple, Optional
 
 from .address_map import ConfigError, TopologyConfig, checked, decode
 from .coherence import CoherenceSystem
-from .replacement import PolicyConfig, PolicyKind
 from .workload import record_blocks
 
 
@@ -14,13 +14,25 @@ class InvariantError(RuntimeError):
     """A coherence invariant broke mid-run (validation mode)."""
 
 
-@checked
-class AdaptiveConfig(NamedTuple):
-    """The watermarks that toggle the replacement bias, once per window of
-    `window_size` LLC misses (so the fraction's denominator is nonzero),
-    which `run` counts per socket. The bias turns on strictly above the high
-    watermark, off strictly below the low one, and holds in between."""
+class PolicyKind(enum.Enum):
+    LRU_ONLY = "lru"
+    BIASED_ALWAYS = "biased"
+    BIASED_ADAPTIVE = "adaptive"
 
+
+@checked
+class PolicyConfig(NamedTuple):
+    """A replacement policy: its kind, the thresholds of the bias counters
+    (see `replacement.select_victim`), and the watermarks that toggle the
+    bias once per window of `window_size` LLC misses (so the fraction's
+    denominator is nonzero), which `run` counts per socket. The bias turns
+    on strictly above the high watermark, off strictly below the low one,
+    and holds in between."""
+
+    kind: PolicyKind = PolicyKind.LRU_ONLY
+    # None -> derive from associativity: floor(A/4) and floor(A/2), min 1
+    t_local: Optional[int] = None
+    t_remote: Optional[int] = None
     window_size: int = 1024
     high_water: float = 0.5
     low_water: float = 0.1
@@ -34,6 +46,13 @@ class AdaptiveConfig(NamedTuple):
             raise ValueError("window_size must be >= 1")
         if not 0.0 <= self.low_water <= self.high_water:
             raise ValueError("need 0 <= low_water <= high_water")
+
+    def thresholds(self, assoc: int) -> tuple[int, int]:
+        t_local = self.t_local if self.t_local is not None else max(1, assoc // 4)
+        t_remote = self.t_remote if self.t_remote is not None else max(1, assoc // 2)
+        if not (1 <= t_local <= assoc and 1 <= t_remote <= assoc):
+            raise ValueError(f"thresholds must be in [1, {assoc}]")
+        return t_local, t_remote
 
     def bias_after(self, fraction: float, bias: bool) -> bool:
         """The bias flag after a window whose remote-miss fraction is
@@ -130,7 +149,6 @@ def run(
     trace: Iterable[tuple],
     topo: TopologyConfig,
     policy: PolicyConfig,
-    adaptive: Optional[AdaptiveConfig] = None,
     *,
     validate: bool = False,
 ) -> SimStats:
@@ -145,9 +163,8 @@ def run(
     policy kind (it is pure bookkeeping); only BIASED_ADAPTIVE lets their
     watermarks steer the bias, and only the biased kinds enable it.
     """
-    adaptive = adaptive if adaptive is not None else AdaptiveConfig()
-
-    system = CoherenceSystem(topo, policy)  # fails fast on bad thresholds
+    # bad thresholds fail before any record is read
+    system = CoherenceSystem(topo, policy.thresholds(topo.llc_assoc))
     if not isinstance(trace, Decoded):
         trace = Decoded(topo, decode(record_blocks(trace, topo), topo))
     elif trace.topo != topo:
@@ -156,10 +173,10 @@ def run(
     counts = [[0] * 7 for _ in range(num_sockets)]  # see SimStats.counts
     # per socket: the misses left in its window, its remote misses before
     # the window began, its window's flag and its closed windows' fractions
-    window = adaptive.window_size
+    window = policy.window_size
     left = [window] * num_sockets
     remote_before = [0] * num_sockets
-    enabled = [adaptive.initial_bias] * num_sockets
+    enabled = [policy.initial_bias] * num_sockets
     fractions: list[list[float]] = [[] for _ in range(num_sockets)]
     toggles: list[tuple[int, int, bool]] = []
     # the bias flag each socket's accesses run with
@@ -172,11 +189,11 @@ def run(
         """Apply the watermarks to the socket's window, which the last
         record counted closed."""
         count = counts[socket]
-        remote = count[1] + count[3] if adaptive.count_remote_dram else count[1]
+        remote = count[1] + count[3] if policy.count_remote_dram else count[1]
         fraction = (remote - remote_before[socket]) / window
         remote_before[socket] = remote
         fractions[socket].append(fraction)
-        flag = adaptive.bias_after(fraction, enabled[socket])
+        flag = policy.bias_after(fraction, enabled[socket])
         if flag != enabled[socket]:
             enabled[socket] = flag
             # the closing record's index: each access adds one to slots 0-3
@@ -198,7 +215,6 @@ def compare(
     trace: Iterable[tuple],
     topo: TopologyConfig,
     policies: list[PolicyConfig],
-    adaptive: Optional[AdaptiveConfig] = None,
     lat: Optional[LatencyModel] = None,
     validate: bool = False,
 ) -> dict:
@@ -209,7 +225,7 @@ def compare(
     trace = (trace._replace(blocks=list(trace.blocks))
              if isinstance(trace, Decoded) else list(trace))
     results = [
-        (p.kind.value, run(trace, topo, p, adaptive, validate=validate).to_dict(lat))
+        (p.kind.value, run(trace, topo, p, validate=validate).to_dict(lat))
         for p in policies
     ]
     base = results[0][1]

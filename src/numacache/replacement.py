@@ -5,9 +5,6 @@ split by whether the protected line's home node was local or remote.
 """
 
 import enum
-from typing import NamedTuple, Optional
-
-from .address_map import checked
 
 
 class MoesiState(enum.Enum):
@@ -21,27 +18,6 @@ class MoesiState(enum.Enum):
 
 
 REMOTE_SHARED = MoesiState.REMOTE_SHARED  # bound once: Enum attributes are slow
-
-
-class PolicyKind(enum.Enum):
-    LRU_ONLY = "lru"
-    BIASED_ALWAYS = "biased"
-    BIASED_ADAPTIVE = "adaptive"
-
-
-@checked
-class PolicyConfig(NamedTuple):
-    kind: PolicyKind = PolicyKind.LRU_ONLY
-    # None -> derive from associativity: floor(A/4) and floor(A/2), min 1
-    t_local: Optional[int] = None
-    t_remote: Optional[int] = None
-
-    def thresholds(self, assoc: int) -> tuple[int, int]:
-        t_local = self.t_local if self.t_local is not None else max(1, assoc // 4)
-        t_remote = self.t_remote if self.t_remote is not None else max(1, assoc // 2)
-        if not (1 <= t_local <= assoc and 1 <= t_remote <= assoc):
-            raise ValueError(f"thresholds must be in [1, {assoc}]")
-        return t_local, t_remote
 
 
 def select_victim(

@@ -11,13 +11,8 @@ import pytest
 
 from numacache.address_map import TopologyConfig
 from numacache.cli import main
-from numacache.engine import AdaptiveConfig, run
-from numacache.replacement import (
-    MoesiState,
-    PolicyConfig,
-    PolicyKind,
-    select_victim,
-)
+from numacache.engine import PolicyConfig, PolicyKind, run
+from numacache.replacement import MoesiState, select_victim
 
 from reference_model import RefModel
 
@@ -50,8 +45,8 @@ def test_criterion_1_oracle_equivalence():
     """10k random accesses: SimStats == brute-force reference, each policy."""
     accesses = random_accesses(10_000, seed=20260823)
     for name, kind in POLICIES.items():
-        sim = run(to_records(accesses), TOPO, PolicyConfig(kind),
-                  AdaptiveConfig(window_size=64)).to_dict()
+        sim = run(to_records(accesses), TOPO,
+                  PolicyConfig(kind, window_size=64)).to_dict()
         ref = RefModel(2, 4, 4, 64, 32, name, window=64).run(accesses)
         assert sim == ref, f"policy {name} diverges from the reference model"
     print("ACCEPTANCE 1 (oracle equivalence, 3 policies x 10k accesses): PASS")
@@ -64,8 +59,8 @@ def test_criterion_2_moesi_invariant_fuzz():
                                    lines=32 + (seed % 5) * 16,
                                    write_frac=0.2 + (seed % 4) * 0.15)
         kind = list(POLICIES.values())[seed % 3]
-        run(to_records(accesses), TOPO, PolicyConfig(kind),
-            AdaptiveConfig(window_size=128), validate=True)
+        run(to_records(accesses), TOPO, PolicyConfig(kind, window_size=128),
+            validate=True)
     print("ACCEPTANCE 2 (MOESI invariant fuzz, 100 x 5000): PASS")
 
 
@@ -75,11 +70,11 @@ def test_criterion_3_adaptive_off_equals_lru():
     Compared on the stats body of the JSON report; the config echo
     necessarily differs because it names the policy.
     """
-    off = AdaptiveConfig(high_water=1.1, low_water=0.0, initial_bias=False)
+    off = PolicyConfig(high_water=1.1, low_water=0.0, initial_bias=False)
     for seed in range(20):
         recs = to_records(random_accesses(1500, seed=1000 + seed))
-        lru = run(recs, TOPO, PolicyConfig(PolicyKind.LRU_ONLY), off)
-        ada = run(recs, TOPO, PolicyConfig(PolicyKind.BIASED_ADAPTIVE), off)
+        lru = run(recs, TOPO, off._replace(kind=PolicyKind.LRU_ONLY))
+        ada = run(recs, TOPO, off._replace(kind=PolicyKind.BIASED_ADAPTIVE))
         assert json.dumps(lru.to_dict()) == json.dumps(ada.to_dict())
     print("ACCEPTANCE 3 (bias-off adaptive reproduces lru, 20 traces): PASS")
 
@@ -146,10 +141,9 @@ def test_criterion_5_adaptive_hysteresis():
     for i in range(10):
         add(0, "R", 0x10000 + i * 64)
 
-    cfg = AdaptiveConfig(window_size=10, high_water=0.5, low_water=0.1,
-                         initial_bias=False)
-    stats = run(to_records(accesses), TOPO,
-                PolicyConfig(PolicyKind.BIASED_ADAPTIVE), cfg)
+    cfg = PolicyConfig(PolicyKind.BIASED_ADAPTIVE, window_size=10, high_water=0.5,
+                       low_water=0.1, initial_bias=False)
+    stats = run(to_records(accesses), TOPO, cfg)
     # socket 0's 10th miss is record 19 (on), its 20th is record 29 (off);
     # socket 1's windows stay all-local and never toggle its off flag
     assert stats.adaptive_toggles == [(19, 0, True), (29, 0, False)]

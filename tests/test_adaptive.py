@@ -2,12 +2,12 @@ import pytest
 
 from numacache.address_map import TopologyConfig
 from numacache.coherence import CoherenceSystem
-from numacache.engine import AdaptiveConfig, run
-from numacache.replacement import PolicyConfig, PolicyKind
+from numacache.engine import PolicyConfig, PolicyKind, run
 
 TOPO = TopologyConfig(num_sockets=2, llc_sets=4, llc_assoc=4,
                       line_size_bytes=64, address_width=32)
-CFG = AdaptiveConfig(window_size=10, high_water=0.5, low_water=0.1)
+CFG = PolicyConfig(PolicyKind.BIASED_ADAPTIVE, window_size=10, high_water=0.5,
+                   low_water=0.1)
 
 
 def on(socket, kinds):
@@ -38,9 +38,8 @@ def trace(steps):
 
 def simulate(steps, cfg=CFG, kind=PolicyKind.BIASED_ADAPTIVE, *, initial=None):
     if initial is not None:
-        cfg = AdaptiveConfig(cfg.window_size, cfg.high_water, cfg.low_water,
-                             initial, cfg.count_remote_dram)
-    return run(trace(steps), TOPO, PolicyConfig(kind), cfg)
+        cfg = cfg._replace(initial_bias=initial)
+    return run(trace(steps), TOPO, cfg._replace(kind=kind))
 
 
 @pytest.fixture
@@ -83,20 +82,20 @@ class TestWatermarks:
 
 class TestConfig:
     def test_bias_on_by_default(self, flags):
-        assert AdaptiveConfig().initial_bias
-        simulate(on(0, "l"), AdaptiveConfig())
+        assert PolicyConfig().initial_bias
+        simulate(on(0, "l"), PolicyConfig())
         assert flags == [True]
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError, match="window_size must be >= 1"):
-            AdaptiveConfig(window_size=0)
+            PolicyConfig(window_size=0)
         with pytest.raises(ValueError):
-            AdaptiveConfig(high_water=0.1, low_water=0.5)
+            PolicyConfig(high_water=0.1, low_water=0.5)
 
     @pytest.mark.parametrize("window", [2.5, 4.0, True, False, "8", None])
     def test_window_size_must_be_an_int(self, window):
         with pytest.raises(ValueError, match="^window_size must be an int, got "):
-            AdaptiveConfig(window_size=window)
+            PolicyConfig(window_size=window)
 
     def test_checked_fields_cannot_change_later(self):
         with pytest.raises(AttributeError):
@@ -151,7 +150,7 @@ class TestWindows:
             steps += on(1, "w") + on(0, "c")
         steps += on(0, "rrrrr")
         for count_remote_dram, fraction in ((True, 1.0), (False, 0.5)):
-            cfg = AdaptiveConfig(10, 0.5, 0.1, True, count_remote_dram)
+            cfg = CFG._replace(count_remote_dram=count_remote_dram)
             stats = simulate(steps, cfg)
             assert stats.to_dict()["per_socket"][0]["misses_by_source"] == {
                 "remote_c2c": 5, "local_dram": 0, "remote_dram": 5}

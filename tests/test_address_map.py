@@ -16,7 +16,7 @@ def decode(addr, topo):
     from where a read by socket 0 installs it, after the decode step that
     also range-checks the address; the line address masks off the line
     offset and the top bits name the home."""
-    system = CoherenceSystem(topo)
+    system = CoherenceSystem(topo, (1, 1))
     access(system, topo, 0, "R", addr, [0] * 7)
     [(set_id, tag)] = [(set_id, tag) for set_id, column in enumerate(system.columns)
                        for tag in column[0]]

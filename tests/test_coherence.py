@@ -11,7 +11,8 @@ from numacache.coherence import (
     REMOTE_DRAM,
     CoherenceSystem,
 )
-from numacache.replacement import MoesiState, PolicyConfig, PolicyKind
+from numacache.engine import PolicyConfig, PolicyKind
+from numacache.replacement import MoesiState
 
 import helpers
 
@@ -22,8 +23,8 @@ TOPO = TopologyConfig(num_sockets=2, llc_sets=4, llc_assoc=4,
 HOME1 = 1 << 31
 
 
-def system(policy=None):
-    return CoherenceSystem(TOPO, policy)
+def system(policy=PolicyConfig()):
+    return CoherenceSystem(TOPO, policy.thresholds(TOPO.llc_assoc))
 
 
 def state_of(sys_, socket, addr):

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from numacache import (
-    AdaptiveConfig,
     ConfigError,
     GeneratorKind,
     GeneratorSpec,
@@ -25,7 +24,9 @@ from numacache import (
 )
 
 MIGRATORY = GeneratorSpec(GeneratorKind.MIGRATORY)
-CONFIGS = [TopologyConfig(), AdaptiveConfig(), PolicyConfig(), LatencyModel(), MIGRATORY]
+# a window short enough that a 64-record run closes some, so the watermarks steer
+POLICY = PolicyConfig(PolicyKind.BIASED_ADAPTIVE, window_size=4)
+CONFIGS = [TopologyConfig(), POLICY, LatencyModel(), MIGRATORY]
 
 # (a valid config, one of its checked fields, a value it refuses, the message)
 REFUSED = [
@@ -37,20 +38,20 @@ REFUSED = [
     (TopologyConfig(), "address_width", 8,
      "socket, set, and line-offset bits exceed the address width"),
     (TopologyConfig(), "address_width", 2**70, "address_width must be <= 1024"),
-    (AdaptiveConfig(), "window_size", 0, "window_size must be >= 1"),
-    (AdaptiveConfig(), "window_size", 2.5, "window_size must be an int, got 2.5"),
-    (AdaptiveConfig(), "high_water", 0.05, "need 0 <= low_water <= high_water"),
-    (AdaptiveConfig(), "low_water", -0.1, "need 0 <= low_water <= high_water"),
-    (AdaptiveConfig(), "high_water", "x", "high_water must be a finite number, got 'x'"),
-    (AdaptiveConfig(), "high_water", float("inf"),
-     "high_water must be a finite number, got inf"),
-    (AdaptiveConfig(), "low_water", True, "low_water must be a finite number, got True"),
-    (AdaptiveConfig(), "initial_bias", "off", "initial_bias must be a bool, got 'off'"),
-    (AdaptiveConfig(), "count_remote_dram", "no",
-     "count_remote_dram must be a bool, got 'no'"),
     (PolicyConfig(), "kind", "biased", "unknown policy kind 'biased'"),
     (PolicyConfig(), "t_local", 1.5, "t_local must be an int, got 1.5"),
     (PolicyConfig(), "t_remote", True, "t_remote must be an int, got True"),
+    (PolicyConfig(), "window_size", 0, "window_size must be >= 1"),
+    (PolicyConfig(), "window_size", 2.5, "window_size must be an int, got 2.5"),
+    (PolicyConfig(), "high_water", 0.05, "need 0 <= low_water <= high_water"),
+    (PolicyConfig(), "low_water", -0.1, "need 0 <= low_water <= high_water"),
+    (PolicyConfig(), "high_water", "x", "high_water must be a finite number, got 'x'"),
+    (PolicyConfig(), "high_water", float("inf"),
+     "high_water must be a finite number, got inf"),
+    (PolicyConfig(), "low_water", True, "low_water must be a finite number, got True"),
+    (PolicyConfig(), "initial_bias", "off", "initial_bias must be a bool, got 'off'"),
+    (PolicyConfig(), "count_remote_dram", "no",
+     "count_remote_dram must be a bool, got 'no'"),
     (LatencyModel(), "llc_hit", 1.5, "llc_hit must be an int, got 1.5"),
     (LatencyModel(), "remote_c2c", 400, "need llc_hit < remote_c2c <= remote_dram"),
     (LatencyModel(), "local_dram", -1, "latency costs must be >= 0"),
@@ -142,9 +143,7 @@ KINDS = {
 }
 
 # the records a run is made of when it varies one of them
-RUN = {TopologyConfig: TopologyConfig(), PolicyConfig: PolicyConfig(PolicyKind.BIASED_ADAPTIVE),
-       AdaptiveConfig: AdaptiveConfig(window_size=4), LatencyModel: LatencyModel(),
-       GeneratorSpec: MIGRATORY}
+RUN = {type(config): config for config in CONFIGS}
 # 64 migratory records on the default topology, which every variant runs
 TRACE = list(islice(generate(MIGRATORY, TopologyConfig()), 64))
 DRAWS = [(config, field, value) for config in CONFIGS for field in config._fields
@@ -173,7 +172,6 @@ def test_each_field_refuses_exactly_what_its_annotation_refuses(draw):
     topo = records[TopologyConfig]
     try:
         trace = islice(generate(record, topo), 64) if type(record) is GeneratorSpec else TRACE
-        run(trace, topo, records[PolicyConfig], records[AdaptiveConfig]).to_dict(
-            records[LatencyModel])
+        run(trace, topo, records[PolicyConfig]).to_dict(records[LatencyModel])
     except ValueError:
         pass

@@ -12,8 +12,7 @@ from hypothesis import given, settings, strategies as st
 from numacache import reader, workload
 from numacache.address_map import ConfigError, TopologyConfig, decode
 from numacache.coherence import CoherenceSystem
-from numacache.engine import AdaptiveConfig, Decoded, LatencyModel, run
-from numacache.replacement import PolicyConfig, PolicyKind
+from numacache.engine import Decoded, LatencyModel, PolicyConfig, PolicyKind, run
 from numacache.workload import format_trace, parse_blocks, record_blocks
 
 from reference_model import RefModel
@@ -23,6 +22,13 @@ POLICIES = {
     "biased": PolicyKind.BIASED_ALWAYS,
     "adaptive": PolicyKind.BIASED_ADAPTIVE,
 }
+
+
+def policy(kind, t_local, t_remote, adaptive):
+    """The `PolicyConfig` of a scenario's thresholds and watermarks."""
+    return PolicyConfig(kind, t_local, t_remote, adaptive["window"], adaptive["high"],
+                        adaptive["low"], adaptive["initial_bias"],
+                        adaptive["count_remote_dram"])
 
 
 @st.composite
@@ -69,12 +75,8 @@ def scenarios(draw):
 def test_engine_equals_reference_model(scenario):
     topo, (t_local, t_remote), adaptive, lat, accesses = scenario
     records = [(socket, 0, op, addr) for socket, op, addr, _ in accesses]
-    config = AdaptiveConfig(adaptive["window"], adaptive["high"],
-                            adaptive["low"], adaptive["initial_bias"],
-                            adaptive["count_remote_dram"])
     for name, kind in POLICIES.items():
-        sim = run(records, topo, PolicyConfig(kind, t_local, t_remote),
-                  config).to_dict(lat)
+        sim = run(records, topo, policy(kind, t_local, t_remote, adaptive)).to_dict(lat)
         ref = RefModel(topo.num_sockets, topo.llc_sets, topo.llc_assoc,
                        topo.line_size_bytes, topo.address_width, name,
                        t_local, t_remote, **adaptive, lat=lat.costs).run(accesses)
@@ -91,17 +93,14 @@ def test_stepped_run_counts_what_one_call_counts(scenario):
     calls but what its caller passes in."""
     topo, (t_local, t_remote), adaptive, _, accesses = scenario
     records = [(socket, 0, op, addr) for socket, op, addr, _ in accesses]
-    config = AdaptiveConfig(adaptive["window"], adaptive["high"], adaptive["low"],
-                            adaptive["initial_bias"], adaptive["count_remote_dram"])
     window, sockets = adaptive["window"], topo.num_sockets
     for name, kind in POLICIES.items():
-        policy = PolicyConfig(kind, t_local, t_remote)
-        assert run(records, topo, policy, config, validate=True) == \
-            run(records, topo, policy, config), name
+        config = policy(kind, t_local, t_remote, adaptive)
+        assert run(records, topo, config, validate=True) == run(records, topo, config), name
 
         results = []
         for stepped in (False, True):
-            system = CoherenceSystem(topo, policy)
+            system = CoherenceSystem(topo, config.thresholds(topo.llc_assoc))
             counts, closes = [[0] * 7 for _ in range(sockets)], []
             bias = [kind is not PolicyKind.LRU_ONLY] * sockets
             left = [window] * sockets
@@ -131,9 +130,6 @@ def test_decoded_stream_equals_records(scenario, other):
     topo, (t_local, t_remote), adaptive, _, accesses = scenario
     records = [(socket, 0, op, addr) for socket, op, addr, _ in accesses]
     lines = [line + "\n" for line in format_trace(records)]
-    config = AdaptiveConfig(adaptive["window"], adaptive["high"], adaptive["low"],
-                            adaptive["initial_bias"], adaptive["count_remote_dram"])
-
     def stream(files):
         return Decoded(topo, reader.read_ahead(decode(parse_blocks(lines, topo), topo),
                                                files))
@@ -141,10 +137,9 @@ def test_decoded_stream_equals_records(scenario, other):
     with mock.patch.object(workload, "_BLOCK", 16), \
             mock.patch.object(reader, "_FORK_AFTER", 0):
         for kind in POLICIES.values():
-            policy = PolicyConfig(kind, t_local, t_remote)
+            config = policy(kind, t_local, t_remote, adaptive)
             with ExitStack() as files:
-                assert run(stream(files), topo, policy, config) == \
-                    run(records, topo, policy, config), kind
+                assert run(stream(files), topo, config) == run(records, topo, config), kind
     if other[0] != topo:
         with ExitStack() as files, pytest.raises(
                 ConfigError, match="^the trace was decoded for another topology$"):

@@ -14,8 +14,7 @@ from numacache.coherence import (
     REMOTE_DRAM,
     CoherenceSystem,
 )
-from numacache.engine import AdaptiveConfig, LatencyModel, SimStats, compare, run
-from numacache.replacement import PolicyConfig, PolicyKind
+from numacache.engine import LatencyModel, PolicyConfig, PolicyKind, compare, run
 from numacache.workload import (
     GeneratorKind,
     GeneratorSpec,
@@ -101,7 +100,7 @@ class TestRun:
         # a latency model passed where `run` once took one must not turn
         # validation on
         with pytest.raises(TypeError):
-            run([], TOPO, PolicyConfig(), None, LAT)
+            run([], TOPO, PolicyConfig(), LAT)
 
     def test_conservation(self):
         trace = random_trace(2000, 3)
@@ -111,10 +110,8 @@ class TestRun:
 
     def test_determinism(self):
         trace = random_trace(3000, 11)
-        a = run(trace, TOPO, PolicyConfig(PolicyKind.BIASED_ADAPTIVE),
-                AdaptiveConfig(window_size=64))
-        b = run(trace, TOPO, PolicyConfig(PolicyKind.BIASED_ADAPTIVE),
-                AdaptiveConfig(window_size=64))
+        a = run(trace, TOPO, PolicyConfig(PolicyKind.BIASED_ADAPTIVE, window_size=64))
+        b = run(trace, TOPO, PolicyConfig(PolicyKind.BIASED_ADAPTIVE, window_size=64))
         assert a.to_dict() == b.to_dict()
 
     def test_validation_mode_clean_on_random_trace(self):
@@ -125,9 +122,8 @@ class TestRun:
         for seed in range(5):
             trace = random_trace(2000, seed)
             lru = run(trace, TOPO, PolicyConfig(PolicyKind.LRU_ONLY))
-            off = run(trace, TOPO, PolicyConfig(PolicyKind.BIASED_ADAPTIVE),
-                      AdaptiveConfig(high_water=1.1, low_water=0.0,
-                                     initial_bias=False))
+            off = run(trace, TOPO, PolicyConfig(PolicyKind.BIASED_ADAPTIVE, high_water=1.1,
+                                                low_water=0.0, initial_bias=False))
             assert json.dumps(lru.to_dict()) == json.dumps(off.to_dict())
 
     def test_out_of_range_socket_rejected(self):
@@ -240,8 +236,8 @@ def test_python_calls_per_record_stay_at_the_layer_boundaries():
 
     sys.setprofile(profile)
     try:
-        stats = run(parse_records(lines, TOPO), TOPO, PolicyConfig(PolicyKind.BIASED_ADAPTIVE),
-                    AdaptiveConfig(window_size=64))
+        stats = run(parse_records(lines, TOPO), TOPO,
+                    PolicyConfig(PolicyKind.BIASED_ADAPTIVE, window_size=64))
     finally:
         sys.setprofile(None)
     # every access misses, and evictions write back, bias and reset
@@ -296,8 +292,8 @@ def test_bytecodes_per_record_stay_bounded(kind):
     previous = sys.gettrace()
     sys.settrace(enter)
     try:
-        stats = run(records, topo, PolicyConfig(kind),
-                    AdaptiveConfig(window_size=64, high_water=0.5, low_water=0.2))
+        stats = run(records, topo,
+                    PolicyConfig(kind, window_size=64, high_water=0.5, low_water=0.2))
     finally:
         sys.settrace(previous)
     d = stats.to_dict()

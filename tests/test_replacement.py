@@ -5,13 +5,8 @@ from hypothesis import given, strategies as st
 
 from numacache.address_map import ConfigError, TopologyConfig
 from numacache.coherence import CoherenceSystem
-from numacache.engine import run
-from numacache.replacement import (
-    MoesiState,
-    PolicyConfig,
-    PolicyKind,
-    select_victim,
-)
+from numacache.engine import PolicyConfig, PolicyKind, run
+from numacache.replacement import MoesiState, select_victim
 
 from helpers import access
 
@@ -19,6 +14,7 @@ from helpers import access
 # `filled_system`'s topologies decode addresses as it does
 ONE_SET = TopologyConfig(num_sockets=2, llc_sets=1, llc_assoc=4,
                          line_size_bytes=64, address_width=32)
+THRESHOLDS = PolicyConfig().thresholds(4)  # the defaults at associativity 4: (1, 2)
 
 
 def full_set(assoc, shared_tags=()):
@@ -33,7 +29,7 @@ def filled_system(lines, assoc=4):
     """Socket 0 has read lines 0..lines-1 in order, so line 0 is LRU."""
     topo = TopologyConfig(num_sockets=2, llc_sets=1, llc_assoc=assoc,
                           line_size_bytes=64, address_width=32)
-    sys_ = CoherenceSystem(topo)
+    sys_ = CoherenceSystem(topo, PolicyConfig().thresholds(assoc))
     for i in range(lines):
         access(sys_, topo, 0, "R", i * 64, [0] * 7)
     return sys_
@@ -80,7 +76,7 @@ class TestTouch:
 
 class TestFill:
     def test_fill_remote_shared(self):
-        sys_ = CoherenceSystem(ONE_SET)
+        sys_ = CoherenceSystem(ONE_SET, THRESHOLDS)
         access(sys_, ONE_SET, 1, "W", 0x1C0, [0] * 7)
         access(sys_, ONE_SET, 0, "R", 0x1C0, [0] * 7)  # Modified at socket 1 supplies
         lines = sys_.columns[0][0]
@@ -88,7 +84,7 @@ class TestFill:
         assert list(lines)[-1] == 7
 
     def test_cold_fill_exclusive(self):
-        sys_ = CoherenceSystem(ONE_SET)
+        sys_ = CoherenceSystem(ONE_SET, THRESHOLDS)
         access(sys_, ONE_SET, 1, "R", 0x1C0, [0] * 7)
         assert sys_.columns[0][1][7] is MoesiState.EXCLUSIVE
 
@@ -118,7 +114,7 @@ class TestSelectVictim:
         # in. Bias on: tag 1, the least recent non-shared line, goes and
         # the local-home counter counts the bias event. Bias off: the LRU
         # line goes, unbiased, and the bias counters stay as they were
-        sys_ = CoherenceSystem(ONE_SET)
+        sys_ = CoherenceSystem(ONE_SET, THRESHOLDS)
         access(sys_, ONE_SET, 1, "W", 0, [0] * 7)
         for tag in range(4):
             access(sys_, ONE_SET, 0, "R", tag * 64, [0] * 7)

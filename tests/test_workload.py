@@ -259,7 +259,7 @@ class TestGenerate:
         spec = GeneratorSpec(GeneratorKind.PRIVATE_STREAM,
                              working_set_lines=3, iterations=2)
         recs = generate(spec, TOPO)
-        system = CoherenceSystem(TOPO)
+        system = CoherenceSystem(TOPO, (1, 2))
         for socket, _, op, addr in recs:
             access(system, TOPO, socket, op, addr, [0] * 7)
         # no (set, tag) is held by two sockets
@@ -271,7 +271,7 @@ class TestGenerate:
         spec = GeneratorSpec(GeneratorKind.PRODUCER_CONSUMER,
                              working_set_lines=2, iterations=2)
         recs = generate(spec, TOPO)
-        system = CoherenceSystem(TOPO)
+        system = CoherenceSystem(TOPO, (1, 2))
         saw_remote_shared = False
         for socket, _, op, addr in recs:
             access(system, TOPO, socket, op, addr, [0] * 7)
