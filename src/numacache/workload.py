@@ -11,7 +11,7 @@ starts a comment line; blank lines are ignored.
 import enum
 import random
 import re
-from itertools import count, islice, repeat
+from itertools import chain, count, islice, repeat
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .address_map import ConfigError, SocketPairs, TopologyConfig, checked, is_int
@@ -198,6 +198,8 @@ class GeneratorSpec(NamedTuple):
     kind: GeneratorKind
     working_set_lines: int = 8
     iterations: int = 4
+    # read by producer-consumer, and by shared-readonly, whose first pair's
+    # first socket writes the lines; range-checked only where read
     sharing_socket_pairs: SocketPairs = ((0, 1),)
     rng_seed: int = 0
     # pin the home node of generated lines by forcing the top address bits;
@@ -209,67 +211,47 @@ class GeneratorSpec(NamedTuple):
             raise ValueError("working_set_lines and iterations must be >= 1")
 
 
-def _line_addr(index: int, home: int, topo: TopologyConfig) -> int:
-    addr = index << topo.offset_bits
-    if topo.num_sockets > 1:
-        addr |= home << (topo.address_width - topo.socket_bits)
-    return addr
-
-
 def generate(spec: GeneratorSpec, topo: TopologyConfig) -> Iterator[tuple]:
     """Deterministic (socket, core, op, addr) records for (spec, topo),
     produced lazily; every input is checked before the first record, so
-    iterating never fails."""
-    sockets = range(topo.num_sockets)
-    if spec.home_socket is not None and spec.home_socket not in sockets:
-        raise ConfigError(f"home_socket {spec.home_socket} out of range")
-    for a, b in spec.sharing_socket_pairs:
-        if a not in sockets or b not in sockets:
+    iterating never fails.
+
+    Each iteration walks the kind's groups (block, home, steps): for each
+    line of block number `block`, of working_set_lines lines homed on
+    socket `home`, each (socket, op) step accesses the line in turn.
+    Shared-readonly opens with one group: its first pair's first socket
+    writes the lines."""
+    sockets, pairs, pinned = range(topo.num_sockets), spec.sharing_socket_pairs, spec.home_socket
+    if pinned is not None and pinned not in sockets:
+        raise ConfigError(f"home_socket {pinned} out of range")
+    K = GeneratorKind
+    shared = pinned or 0  # the home of all lines but private's, local unless pinned
+    writer = pairs[0][0] if pairs else 0
+    # kind -> (each pair socket its steps read, as (pair, socket); its
+    # number of blocks; its opening groups; its groups of one iteration,
+    # made as the loop reaches them, for a topology may have more sockets
+    # than fit in memory)
+    read, blocks, opening, groups = {
+        K.PRODUCER_CONSUMER: ([(ab, end) for ab in pairs for end in ab], len(pairs), (),
+                              lambda: ((i, shared, ((a, "W"), (b, "R")))
+                                       for i, (a, b) in enumerate(pairs))),
+        K.MIGRATORY: ((), 1, (), lambda: ((0, shared, ((s, "R"), (s, "W"))) for s in sockets)),
+        K.PRIVATE_STREAM: ((), topo.num_sockets, (), lambda: (
+            (s, s if pinned is None else pinned, ((s, "R"),)) for s in sockets)),
+        K.SHARED_READ_ONLY: ([(ab, writer) for ab in pairs[:1]], 1,
+                             [(0, shared, ((writer, "W"),))],
+                             lambda: ((0, shared, ((s, "R"),)) for s in sockets)),
+    }[spec.kind]
+    for (a, b), end in read:
+        if end not in sockets:
             raise ConfigError(f"socket pair ({a}, {b}) out of range")
-    # one block of working_set_lines lines per producer-consumer pair and
-    # per private stream; the other kinds share one block
-    blocks = {GeneratorKind.PRODUCER_CONSUMER: len(spec.sharing_socket_pairs),
-              GeneratorKind.PRIVATE_STREAM: topo.num_sockets}.get(spec.kind, 1)
-    body_bits = topo.address_width - topo.socket_bits - topo.offset_bits
-    if blocks * spec.working_set_lines > 1 << body_bits:
+    n = spec.working_set_lines
+    if blocks * n > 1 << (topo.address_width - topo.socket_bits - topo.offset_bits):
         raise ConfigError("working set does not fit in the address space")
 
     rng, cores = random.Random(spec.rng_seed), topo.cores_per_socket
-    return ((socket, rng.randrange(cores), op, addr)
-            for socket, op, addr in _accesses(spec, topo))
-
-
-def _accesses(spec: GeneratorSpec, topo: TopologyConfig) -> Iterator[tuple]:
-    """(socket, op, address) of each generated access, in order."""
-    default_home = spec.home_socket if spec.home_socket is not None else 0
-    kind = spec.kind
-
-    if kind is GeneratorKind.PRODUCER_CONSUMER:
-        for _ in range(spec.iterations):
-            for pi, (producer, consumer) in enumerate(spec.sharing_socket_pairs):
-                for l in range(spec.working_set_lines):
-                    addr = _line_addr(pi * spec.working_set_lines + l, default_home, topo)
-                    yield producer, "W", addr
-                    yield consumer, "R", addr
-    elif kind is GeneratorKind.MIGRATORY:
-        for _ in range(spec.iterations):
-            for socket in range(topo.num_sockets):
-                for l in range(spec.working_set_lines):
-                    addr = _line_addr(l, default_home, topo)
-                    yield socket, "R", addr
-                    yield socket, "W", addr
-    elif kind is GeneratorKind.PRIVATE_STREAM:
-        for _ in range(spec.iterations):
-            for socket in range(topo.num_sockets):
-                home = spec.home_socket if spec.home_socket is not None else socket
-                for l in range(spec.working_set_lines):
-                    addr = _line_addr(socket * spec.working_set_lines + l, home, topo)
-                    yield socket, "R", addr
-    else:  # SHARED_READ_ONLY
-        init_socket = spec.sharing_socket_pairs[0][0] if spec.sharing_socket_pairs else 0
-        for l in range(spec.working_set_lines):
-            yield init_socket, "W", _line_addr(l, default_home, topo)
-        for _ in range(spec.iterations):
-            for socket in range(topo.num_sockets):
-                for l in range(spec.working_set_lines):
-                    yield socket, "R", _line_addr(l, default_home, topo)
+    offset, home_shift = topo.offset_bits, topo.address_width - topo.socket_bits
+    rounds = chain((opening,), (groups() for _ in range(spec.iterations)))
+    return ((socket, rng.randrange(cores), op, line << offset | home << home_shift)
+            for round_groups in rounds for block, home, steps in round_groups
+            for line in range(block * n, block * n + n) for socket, op in steps)

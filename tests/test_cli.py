@@ -104,6 +104,31 @@ class TestGen:
         assert not out.exists()
 
 
+ONE_SOCKET = ("--sockets", "1", "--working-set", "6", "--iterations", "3")
+
+
+@pytest.mark.parametrize("kind", ["private", "migratory", "shared-readonly"])
+def test_one_socket_needs_no_pairs_for_the_other_kinds(capsys, kind):
+    """On one socket the default pairs, 0:1, are out of range, but private
+    and migratory read no pair and shared-readonly only the first pair's
+    first socket: gen writes the bytes it writes with `--pairs 0:0`, and
+    run reports the same stats."""
+    source = ("--gen-kind", kind, *ONE_SOCKET)
+    default, own = (run_cli(capsys, "gen", *source, *pairs)
+                    for pairs in ((), ("--pairs", "0:0")))
+    assert default == own and default[0] == 0 and default[1]
+    default, own = (run_cli(capsys, "run", *source, *pairs)
+                    for pairs in ((), ("--pairs", "0:0")))
+    assert (default[0], default[2]) == (own[0], own[2]) == (0, "")
+    assert json.loads(default[1])["stats"] == json.loads(own[1])["stats"]
+
+
+def test_one_socket_refuses_the_default_pair_for_producer_consumer(capsys):
+    # `run` is in test_error_precedence
+    assert run_cli(capsys, "gen", "--gen-kind", "producer-consumer", *ONE_SOCKET) \
+        == (1, "", "config error: socket pair (0, 1) out of range\n")
+
+
 @pytest.mark.parametrize("argv", [["run", "--gen-kind", "migratory"],
                                   ["gen", "--gen-kind", "private"],
                                   ["validate-trace", "--trace", "t.txt"]])
@@ -175,7 +200,7 @@ WATERMARK_ERROR = "config error: need 0 <= low_water <= high_water\n"
 @pytest.mark.parametrize("argv, err", [
     (("run", "--trace", "/nonexistent", *BAD_WATERMARKS),
      "io error: [Errno 2] No such file or directory: '/nonexistent'\n"),
-    (("run", "--gen-kind", "private", "--sockets", "1", *BAD_WATERMARKS),
+    (("run", "--gen-kind", "producer-consumer", "--sockets", "1", *BAD_WATERMARKS),
      "config error: socket pair (0, 1) out of range\n"),
     (("run", "--gen-kind", "migratory", *BAD_WATERMARKS, "--lat-llc", "999"),
      WATERMARK_ERROR),

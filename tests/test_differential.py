@@ -144,3 +144,27 @@ def test_decoded_stream_equals_records(scenario, other):
         with ExitStack() as files, pytest.raises(
                 ConfigError, match="^the trace was decoded for another topology$"):
             run(stream(files), other[0], PolicyConfig())
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenarios(), st.permutations(range(8)))
+def test_relabelling_the_sockets_permutes_the_stats(scenario, eight):
+    """Socket ids are labels: permuting them, and each address's home bits
+    by the same permutation, permutes each socket's counts and window
+    fractions, and maps each toggle's socket, under every policy."""
+    topo, (t_local, t_remote), adaptive, _, accesses = scenario
+    # socket -> its label, moving socket 0 wherever there is another
+    perm = [socket for socket in eight if socket < topo.num_sockets]
+    perm = perm[1:] + perm[:1] if perm[0] == 0 else perm
+    home_shift = topo.address_width - topo.socket_bits
+    body = (1 << home_shift) - 1
+    records = [(socket, 0, op, addr) for socket, op, addr, _ in accesses]
+    relabelled = [(perm[socket], 0, op, perm[addr >> home_shift] << home_shift | addr & body)
+                  for socket, _, op, addr in records]
+    for name, kind in POLICIES.items():
+        config = policy(kind, t_local, t_remote, adaptive)
+        stats, moved = (run(trace, topo, config) for trace in (records, relabelled))
+        assert [moved.counts[p] for p in perm] == stats.counts, name
+        assert [moved.window_fractions[p] for p in perm] == stats.window_fractions, name
+        assert moved.adaptive_toggles == [(seq, perm[socket], flag)
+                                          for seq, socket, flag in stats.adaptive_toggles], name

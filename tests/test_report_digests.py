@@ -81,6 +81,33 @@ CASES = {
          "--iterations", "2", "--seed", "13"],
         "0fbbb896ba49b1e4316f0648546c358449b154dc8b5e6182c0ea312055f3cd0e",
     ),
+    # the generator shapes the rows above miss: local homes, a pinned home
+    # outside producer-consumer, the default pairs, and a self pair and a
+    # repeated pair
+    "gen-private-local": (
+        ["gen", "--gen-kind", "private", "--sockets", "4",
+         "--cores-per-socket", "3", "--working-set", "5", "--iterations", "2",
+         "--seed", "3"],
+        "683abfc3ec9f33810dba16059125067e62a1fd6a265e0135bcaf345d1a657cb2",
+    ),
+    "gen-migratory-home": (
+        ["gen", "--gen-kind", "migratory", "--sockets", "2",
+         "--cores-per-socket", "3", "--working-set", "6", "--iterations", "2",
+         "--home-socket", "1", "--seed", "17"],
+        "629efa4c46370cd517a2480294b8afef09b54b54176ee15bdc510f442d2a2ddf",
+    ),
+    "gen-shared-readonly-default-pairs": (
+        ["gen", "--gen-kind", "shared-readonly", "--sockets", "4",
+         "--cores-per-socket", "3", "--working-set", "7", "--iterations", "2",
+         "--seed", "19"],
+        "5274f36e787621d0023b9e5a1084221e8151998ee69383ee22734d1befca5334",
+    ),
+    "gen-producer-consumer-self-pair": (
+        ["gen", "--gen-kind", "producer-consumer", "--sockets", "2",
+         "--cores-per-socket", "3", "--pairs", "0:0,1:0,1:0",
+         "--working-set", "5", "--iterations", "2", "--seed", "23"],
+        "b5bda85c4355fd33a3e91d1ffa7cb5bbe34354ab4e1e0f76d1b4dc83852fd943",
+    ),
 }
 
 

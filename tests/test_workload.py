@@ -1,6 +1,7 @@
 import io
 import os
 import random
+import tracemalloc
 from contextlib import ExitStack
 from itertools import chain, islice, starmap
 
@@ -290,6 +291,35 @@ class TestGenerate:
         ):
             with pytest.raises(ConfigError):
                 generate(spec, TOPO)
+
+    def test_only_the_pair_sockets_a_kind_reads_are_checked(self):
+        # shared-readonly reads only its first pair's first socket, which
+        # writes the lines: socket 5 of TOPO's two is never read
+        read_only = GeneratorSpec(GeneratorKind.SHARED_READ_ONLY, working_set_lines=2,
+                                  iterations=1, sharing_socket_pairs=((0, 5),))
+        assert [(s, op) for s, _, op, _ in generate(read_only, TOPO)] \
+            == [(0, "W")] * 2 + [(0, "R")] * 2 + [(1, "R")] * 2
+        with pytest.raises(ConfigError, match=r"^socket pair \(5, 0\) out of range$"):
+            generate(read_only._replace(sharing_socket_pairs=((5, 0),)), TOPO)
+        # private and migratory read no pair; producer-consumer every end
+        for kind in (GeneratorKind.PRIVATE_STREAM, GeneratorKind.MIGRATORY):
+            assert list(generate(GeneratorSpec(kind, sharing_socket_pairs=((7, 9),)), TOPO))
+        with pytest.raises(ConfigError, match=r"^socket pair \(0, 5\) out of range$"):
+            generate(GeneratorSpec(GeneratorKind.PRODUCER_CONSUMER,
+                                   sharing_socket_pairs=((1, 0), (0, 5), (7, 0))), TOPO)
+
+    def test_groups_are_made_as_the_loop_reaches_them(self):
+        # a topology may have more sockets than fit in memory: the first
+        # record costs no memory per socket
+        topo = TopologyConfig(num_sockets=1 << 16, llc_sets=1, address_width=64)
+        for kind in GeneratorKind:
+            tracemalloc.start()
+            try:
+                assert next(generate(GeneratorSpec(kind), topo))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, (kind, peak)
 
     def test_overflow_rejected_when_called(self):
         topo = TopologyConfig(num_sockets=2, address_width=16)
