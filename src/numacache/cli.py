@@ -1,26 +1,18 @@
 """Command-line front end: run/compare simulations, generate traces."""
 
 import argparse
-import io
 import json
 import math
 import os
 import sys
-from contextlib import ExitStack, contextmanager, suppress
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from contextlib import ExitStack, suppress
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .address_map import ConfigError, SocketPairs, TopologyConfig, decode
 from .engine import (Decoded, InvariantError, LatencyModel, PolicyConfig, PolicyKind,
                      compare, run)
-from .reader import read_ahead
-from .workload import (
-    GeneratorSpec,
-    TraceError,
-    format_trace,
-    generate,
-    parse_blocks,
-    record_blocks,
-)
+from .workload import (GeneratorSpec, TraceError, format_trace, generate, open_trace,
+                       parse_blocks, read_ahead, record_blocks)
 
 _POLICY_NAMES = {k.value: k for k in PolicyKind}
 
@@ -278,30 +270,6 @@ def _build(cls: type, args, **given):
     return cls(**given)
 
 
-@contextmanager
-def _open_trace(path: str) -> Iterator:
-    """The trace file at `path`, or stdin (left open) for '-', as text.
-
-    A byte that is not UTF-8 decodes to a surrogate, which the parser
-    reports as a non-ASCII character of its line, from a file or stdin
-    alike and in any locale.
-    """
-    if path != "-":
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            yield fh
-    elif sys.stdin is None:  # fd 0 was closed when the interpreter started
-        raise OSError("stdin is closed")
-    elif not hasattr(sys.stdin, "buffer"):  # a text stream over no bytes
-        yield sys.stdin
-    else:
-        fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8",
-                              errors="surrogateescape")
-        try:
-            yield fh
-        finally:
-            fh.detach()
-
-
 def _load_trace(args, topo: TopologyConfig, files: ExitStack) -> Decoded:
     """The run's one trace source, parsed or generated and decoded a block
     at a time as it is consumed (see `read_ahead`); a trace file and the
@@ -309,7 +277,7 @@ def _load_trace(args, topo: TopologyConfig, files: ExitStack) -> Decoded:
     if (args.trace is None) == (args.gen_kind is None):
         raise ConfigError("give exactly one trace source: --trace or --gen-kind")
     if args.trace is not None:
-        blocks = parse_blocks(files.enter_context(_open_trace(args.trace)), topo)
+        blocks = parse_blocks(files.enter_context(open_trace(args.trace)), topo)
     else:
         blocks = record_blocks(generate(_build(GeneratorSpec, args), topo), topo)
     return Decoded(topo, read_ahead(decode(blocks, topo), files))
@@ -369,6 +337,19 @@ def _render_table(named_stats: list) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_out(out: Optional[str]) -> None:
+    """Fail before the simulation if the report file `out` cannot be opened
+    for writing, truncating nothing (it may be the trace) and adding none."""
+    if out is not None:
+        try:
+            open(out, "x").close()
+        except FileExistsError:  # a FIFO's reader would take a close for the end
+            if os.path.isfile(out) or os.path.isdir(out):
+                open(out, "a").close()
+        else:
+            os.remove(out)
+
+
 def _write_output(chunks: Iterable[str], out: Optional[str]) -> None:
     if out is not None:  # an empty path is an io error, not stdout
         with open(out, "w") as fh:
@@ -391,6 +372,7 @@ def _cmd_run(args) -> int:
     with ExitStack() as files:
         trace = _load_trace(args, topo, files)
         policy, lat = _build(PolicyConfig, args), _build(LatencyModel, args)
+        _check_out(args.out)
         stats = run(trace, topo, policy, validate=args.validate)
     stats = stats.to_dict(lat)
     report = {"config": _config_echo(args, topo, [policy]), "stats": stats}
@@ -406,10 +388,12 @@ def _cmd_compare(args) -> int:
         kinds.append(_POLICY_NAMES[name])
     with ExitStack() as files:
         trace = _load_trace(args, topo, files)
-        policy = _build(PolicyConfig, args)  # of the default kind: compare has no --policy
+        # the policy record is of the default kind: compare has no --policy
+        policy, lat = _build(PolicyConfig, args), _build(LatencyModel, args)
         policies = [policy._replace(kind=kind) for kind in kinds]
+        _check_out(args.out)
         # compare lists the trace once and replays it per policy
-        result = compare(trace, topo, policies, _build(LatencyModel, args), args.validate)
+        result = compare(trace, topo, policies, lat, args.validate)
     report = {"config": _config_echo(args, topo, policies), **result}
     named = [(e["policy"], e["stats"]) for e in result["policies"]]
     return _write_report(args, report, named)
@@ -427,7 +411,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_validate_trace(args) -> int:
     topo = _build(TopologyConfig, args)
-    with _open_trace(args.trace) as fh:
+    with open_trace(args.trace) as fh:
         count = sum(len(ops) for _, _, ops, _ in parse_blocks(fh, topo))
     _write_output([f"ok: {count} records\n"], None)
     return 0

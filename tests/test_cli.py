@@ -16,7 +16,7 @@ from contextlib import ExitStack
 import pytest
 
 import numacache
-from numacache import cli, coherence, reader
+from numacache import cli, coherence, workload
 from numacache.address_map import TopologyConfig
 from numacache.cli import main
 from numacache.coherence import CoherenceSystem
@@ -193,6 +193,35 @@ def test_empty_out_is_an_io_error(capsys, tmp_path, command, form):
         1, "", "io error: [Errno 2] No such file or directory: ''\n")
 
 
+def test_out_may_name_the_trace(capsys, tmp_path):
+    # the check that `--out` opens, before the run, truncates nothing
+    trace = tmp_path / "t.txt"
+    trace.write_text("0 0 R 0x40\n1 0 W 0x80\n")
+    assert run_cli(capsys, "run", "--trace", str(trace), "--out", str(trace))[0] == 0
+    assert json.loads(trace.read_text())["stats"]["accesses"] == 2
+
+
+def test_a_fifo_out_gets_the_whole_report(tmp_path):
+    # a FIFO is not opened before the run: its reader would see the end.
+    # Both ends are subprocesses, so a command that never opens it fails
+    # the test at a timeout instead of hanging it
+    fifo = tmp_path / "r.fifo"
+    os.mkfifo(fifo)
+    reader = subprocess.Popen([sys.executable, "-c", "import shutil, sys; "
+                               "shutil.copyfileobj(open(sys.argv[1]), sys.stdout)",
+                               str(fifo)], stdout=subprocess.PIPE)
+    try:
+        done = subprocess.run([sys.executable, "-m", "numacache.cli", "run",
+                               "--gen-kind", "migratory", "--out", str(fifo)],
+                              env=cli_env(), timeout=60)
+        report = reader.communicate(timeout=60)[0]
+    finally:
+        reader.kill()
+        reader.wait()
+    assert done.returncode == 0
+    assert json.loads(report)["stats"]["accesses"] > 0
+
+
 BAD_WATERMARKS = ("--low-water", "0.6", "--high-water", "0.2")
 WATERMARK_ERROR = "config error: need 0 <= low_water <= high_water\n"
 
@@ -210,12 +239,20 @@ WATERMARK_ERROR = "config error: need 0 <= low_water <= high_water\n"
      "config error: unknown policy 'fifo'\n"),
     (("compare", "--policies", "", "--gen-kind", "migratory", *BAD_WATERMARKS),
      WATERMARK_ERROR),
-], ids=["io", "generator", "latency", "thresholds", "policy-name", "no-policy"])
-def test_error_precedence(capsys, argv, err):
+    (("run", "--gen-kind", "migratory", *BAD_WATERMARKS, "--out", "/nonexistent/r.json"),
+     WATERMARK_ERROR),
+    (("run", "--trace", "bad-last.txt", "--out", "/nonexistent/r.json"),
+     "io error: [Errno 2] No such file or directory: '/nonexistent/r.json'\n"),
+], ids=["io", "generator", "latency", "thresholds", "policy-name", "no-policy",
+        "watermarks-then-out", "out-then-records"])
+def test_error_precedence(capsys, monkeypatch, tmp_path, argv, err):
     """Of two errors, the one a command reports: an unknown policy name
     comes first, then the trace source's errors, then the policy record's
-    watermarks, then the latencies, and the thresholds and compare's empty
-    policy list last."""
+    watermarks, then the latencies, then a `--out` that cannot be opened,
+    and the thresholds, compare's empty policy list and the trace's
+    records last."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad-last.txt").write_text("0 0 R 0x40\n1 0 W 0x80\n0 0 Q 0x40\n")
     assert run_cli(capsys, *argv) == (1, "", err)
 
 
@@ -389,7 +426,7 @@ def local_trace(records, lines=128, seed=3):
 
 
 # records the CLI takes in process before it forks a reader
-IN_PROCESS = reader._FORK_AFTER * _BLOCK
+IN_PROCESS = workload._FORK_AFTER * _BLOCK
 
 
 class TestReader:
@@ -465,7 +502,7 @@ class TestReader:
         with ExitStack() as files:
             blocks = record_blocks(generate(spec, topo), topo)
             records = itertools.chain.from_iterable(
-                itertools.starmap(zip, reader.read_ahead(blocks, files)))
+                itertools.starmap(zip, workload.read_ahead(blocks, files)))
             assert list(records) == expected
         assert len(forks) == 1
 
@@ -592,14 +629,14 @@ class TestReader:
 
     def test_a_reader_whose_main_process_is_gone_ends_quietly(
             self, capfd, monkeypatch, tmp_path, forks):
-        main_pid, send = os.getpid(), reader._send
+        main_pid, send = os.getpid(), workload._send
 
         def pipe_breaks_in_the_reader(out, message):
             if os.getpid() != main_pid:
                 raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
             send(out, message)
 
-        monkeypatch.setattr(reader, "_send", pipe_breaks_in_the_reader)
+        monkeypatch.setattr(workload, "_send", pipe_breaks_in_the_reader)
         trace = tmp_path / "t.txt"
         trace.write_text(local_trace(IN_PROCESS + 1600))
         assert main(["run", "--trace", str(trace)]) == 1

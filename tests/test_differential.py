@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from numacache import reader, workload
+from numacache import workload
 from numacache.address_map import ConfigError, TopologyConfig, decode
 from numacache.coherence import CoherenceSystem
 from numacache.engine import Decoded, LatencyModel, PolicyConfig, PolicyKind, run
@@ -131,11 +131,11 @@ def test_decoded_stream_equals_records(scenario, other):
     records = [(socket, 0, op, addr) for socket, op, addr, _ in accesses]
     lines = [line + "\n" for line in format_trace(records)]
     def stream(files):
-        return Decoded(topo, reader.read_ahead(decode(parse_blocks(lines, topo), topo),
-                                               files))
+        blocks = decode(parse_blocks(lines, topo), topo)
+        return Decoded(topo, workload.read_ahead(blocks, files))
 
     with mock.patch.object(workload, "_BLOCK", 16), \
-            mock.patch.object(reader, "_FORK_AFTER", 0):
+            mock.patch.object(workload, "_FORK_AFTER", 0):
         for kind in POLICIES.values():
             config = policy(kind, t_local, t_remote, adaptive)
             with ExitStack() as files:

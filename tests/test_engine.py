@@ -248,15 +248,23 @@ def test_python_calls_per_record_stay_at_the_layer_boundaries():
     assert calls / len(lines) <= 0.97  # 0.92 when measured
 
 
-# bytecodes per record of `test_bytecodes_per_record_stay_bounded`'s run,
-# 1 % above the counts measured on Python 3.11: lru 106.10, biased 150.17,
-# adaptive 147.96
-BYTECODE_BOUNDS = {PolicyKind.LRU_ONLY: 107.1, PolicyKind.BIASED_ALWAYS: 151.6,
-                   PolicyKind.BIASED_ADAPTIVE: 149.4}
+# bytecodes per record of `test_bytecodes_per_record_stay_bounded`'s run, 1 %
+# above the counts measured on each Python version, keyed by
+# `sys.version_info[:2]`: on 3.11.7 lru 106.10, biased 150.17, adaptive
+# 147.96; on 3.12.1 106.12, 149.21, 147.06; on 3.13.0 102.36, 141.89, 139.91
+BYTECODE_BOUNDS = {
+    (3, 11): {PolicyKind.LRU_ONLY: 107.1, PolicyKind.BIASED_ALWAYS: 151.6,
+              PolicyKind.BIASED_ADAPTIVE: 149.4},
+    (3, 12): {PolicyKind.LRU_ONLY: 107.1, PolicyKind.BIASED_ALWAYS: 150.7,
+              PolicyKind.BIASED_ADAPTIVE: 148.5},
+    (3, 13): {PolicyKind.LRU_ONLY: 103.3, PolicyKind.BIASED_ALWAYS: 143.3,
+              PolicyKind.BIASED_ADAPTIVE: 141.3},
+}
 
 
-@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
-                    reason="opcode counts differ between Python versions")
+@pytest.mark.skipif(sys.version_info[:2] not in BYTECODE_BOUNDS,
+                    reason="opcode counts differ between Python versions, and "
+                           "this one has no measured row")
 @pytest.mark.parametrize("kind", list(PolicyKind), ids=lambda kind: kind.value)
 def test_bytecodes_per_record_stay_bounded(kind):
     """The bytecodes that `run` executes per record in `coherence`,
@@ -289,19 +297,27 @@ def test_bytecodes_per_record_stay_bounded(kind):
             frame.f_trace_opcodes = True
             return count
 
-    previous = sys.gettrace()
-    sys.settrace(enter)
-    try:
-        stats = run(records, topo,
-                    PolicyConfig(kind, window_size=64, high_water=0.5, low_water=0.2))
-    finally:
-        sys.settrace(previous)
+    def traced(records):
+        previous = sys.gettrace()
+        sys.settrace(enter)
+        try:
+            return run(records, topo,
+                       PolicyConfig(kind, window_size=64, high_water=0.5, low_water=0.2))
+        finally:
+            sys.settrace(previous)
+
+    # on 3.12 and 3.13 the first traced run of a process misses opcode
+    # events (3.12 turns them on only at a `settrace` call made after some
+    # frame asked for them), so one record is traced first, uncounted
+    traced(records[:1])
+    opcodes = 0
+    stats = traced(records)
     d = stats.to_dict()
     assert d["hits"] and all(d["misses_by_source"].values()) and d["writebacks"]
     assert d["adaptive_toggles"]
     assert bool(d["bias_events"]) == bool(d["counter_resets"]) == (
         kind is not PolicyKind.LRU_ONLY)
-    assert opcodes / len(records) <= BYTECODE_BOUNDS[kind]
+    assert opcodes / len(records) <= BYTECODE_BOUNDS[sys.version_info[:2]][kind]
 
 
 class TestCompare:

@@ -8,7 +8,7 @@ from itertools import chain, islice, starmap
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from numacache import reader, workload
+from numacache import workload
 from numacache.address_map import ConfigError, TopologyConfig
 from numacache.coherence import CoherenceSystem
 from numacache.replacement import MoesiState
@@ -170,13 +170,13 @@ class TestParseBlocks:
         # the CLI's reader of the parser's blocks yields the same tuples
         # and the same error, in process and when made to parse all but
         # the first block in a forked process
-        monkeypatch.setattr(reader, "_FORK_AFTER", 1)
+        monkeypatch.setattr(workload, "_FORK_AFTER", 1)
         for cpus in ({0}, {0, 1}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
                                 raising=False)
             with ExitStack() as files:
                 blocks = parse_blocks(lines, TOPO)
-                records = chain.from_iterable(starmap(zip, reader.read_ahead(blocks, files)))
+                records = chain.from_iterable(starmap(zip, workload.read_ahead(blocks, files)))
                 assert outcome(records) == expected
 
     @pytest.mark.parametrize("mixed", ["socket", "core"])
