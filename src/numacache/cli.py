@@ -80,7 +80,7 @@ class Option(NamedTuple):
     echo: str = ""  # dotted path in the report's `config`; "" = not echoed
     type: Callable = str  # `bool` makes a switch that takes no value
     choices: Optional[Iterable] = None  # a dict maps each to a field value
-    default: object = None  # of an option that sets no field
+    default: object = None  # for a field, filled in by `typed`
     help: Optional[str] = None
     metavar: Optional[str] = None
     required: bool = False
@@ -91,13 +91,18 @@ class Option(NamedTuple):
 
     def typed(self) -> "Option":
         """This option, with the converter, or for an Enum field the
-        choices, of the field it sets, unless it gives its own choices."""
-        if self.owner is None or self.choices is not None:
+        choices, of the field it sets, unless it gives its own choices;
+        and with the field's default, as its flag would give it."""
+        if self.owner is None:
             return self
-        hint = self.owner.__annotations__[self.field]
-        if hint in _PARSERS:
-            return self._replace(type=_PARSERS[hint])
-        return self._replace(choices={member.value: member for member in hint})
+        opt, hint = self, self.owner.__annotations__[self.field]
+        if self.choices is None:
+            opt = (self._replace(type=_PARSERS[hint]) if hint in _PARSERS
+                   else self._replace(choices={member.value: member for member in hint}))
+        default = self.owner._field_defaults.get(self.field)  # None without one
+        if isinstance(opt.choices, dict):
+            default = next((k for k, v in opt.choices.items() if v == default), None)
+        return opt._replace(default=default)
 
 
 _ALL = ("run", "compare", "gen", "validate-trace")
@@ -156,16 +161,6 @@ _OPTIONS = tuple(opt.typed() for opt in (
 ))
 
 
-def _default(opt: Option):
-    """The option's default, as its flag would give it."""
-    if opt.owner is None:
-        return opt.default
-    default = opt.owner._field_defaults.get(opt.field)  # None without one
-    if isinstance(opt.choices, dict):
-        return next((k for k, v in opt.choices.items() if v == default), None)
-    return default
-
-
 def build_parser(config: Optional[dict] = None,
                  command: Optional[str] = None) -> argparse.ArgumentParser:
     """The `numacache` parser; `config` maps option dests to config-file
@@ -185,7 +180,7 @@ def build_parser(config: Optional[dict] = None,
     commands = {name: sub.add_parser(name, help=text)
                 for name, (text, _) in _COMMANDS.items()}
     for opt in _OPTIONS:
-        kwargs = dict(default=config.get(opt.dest, _default(opt)),
+        kwargs = dict(default=config.get(opt.dest, opt.default),
                       help=opt.help, required=opt.required and opt.dest not in config)
         if opt.type is bool:
             kwargs["action"] = "store_true"
@@ -258,16 +253,14 @@ def _read_config(path: str) -> dict:
     return values
 
 
-def _build(cls: type, args, **given):
-    """A `cls` config object with the fields its options set; fields in
-    `given` take precedence."""
+def _build(cls: type, args):
+    """A `cls` config object with the fields its options set."""
+    fields = {}
     for opt in _OPTIONS:
         if opt.owner is cls and args.command in opt.commands:
             value = getattr(args, opt.dest)
-            if isinstance(opt.choices, dict):
-                value = opt.choices[value]
-            given.setdefault(opt.field, value)
-    return cls(**given)
+            fields[opt.field] = opt.choices[value] if isinstance(opt.choices, dict) else value
+    return cls(**fields)
 
 
 def _load_trace(args, topo: TopologyConfig, files: ExitStack) -> Decoded:

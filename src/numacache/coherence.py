@@ -9,13 +9,9 @@ store; only coherence state is tracked, not data.
 from typing import Callable, Iterable
 
 from .address_map import ConfigError, TopologyConfig
-from .replacement import MoesiState, select_victim
+from .replacement import (EXCLUSIVE, LOCAL_DRAM, LOCAL_HIT, MODIFIED, OWNER, REMOTE_C2C,
+                          REMOTE_DRAM, REMOTE_SHARED, SHARED, WRITEBACK, select_victim)
 
-# Enum members bound once: attribute access on an Enum class is slow.
-MODIFIED, OWNER, EXCLUSIVE, SHARED, REMOTE_SHARED = MoesiState
-# Where an access was served from: its slot in a count list
-# (`engine.SimStats.counts`) and its index into `LatencyModel.costs`.
-LOCAL_HIT, REMOTE_C2C, LOCAL_DRAM, REMOTE_DRAM = range(4)
 _DIRTY = (MODIFIED, OWNER)  # the states whose eviction writes back
 _SHARED = (SHARED, REMOTE_SHARED)  # the states that ship no line
 _EXCLUSIVE = (MODIFIED, EXCLUSIVE)  # the states that need no upgrade
@@ -28,7 +24,7 @@ class CoherenceSystem:
     A line can only sit in one set index, so its holders are the sockets
     whose LLC holds its tag in that set: a miss probes the same set of
     every socket, O(sockets) per miss. `columns[set_id][socket]` is that
-    set's lines in one socket's LLC, a dict of tag -> MoesiState, least
+    set's lines in one socket's LLC, a dict of tag -> state letter, least
     recently used first: a hit pops the tag and re-inserts it at the MRU
     end, while assigning a new state to a held tag keeps its position.
     `counters[set_id][socket]` is the same set's [local-home, remote-home]
@@ -60,16 +56,16 @@ class CoherenceSystem:
         "W", picks the hit path and the snoop, and the rest of a miss is
         shared. A tag's top bits are the line's home socket.
 
-        Each access adds into `counts[socket]`, its requestor's 7-slot count
-        list (`engine.SimStats.counts`), all zeros at the start: one at its
+        Each access adds into `counts[socket]`, its requestor's count list
+        (slots named in `replacement`), all zeros at the start: one at its
         source's slot (LOCAL_HIT to REMOTE_DRAM) and, when it evicts a dirty
-        line, one at slot 4 for the write-back. A full set evicts its LRU
-        line unless `bias[socket]` is on and that line is remote-shared;
-        only then does `select_victim` decide, and it counts a bias event at
-        slot 5 or a counter reset at slot 6. `left[socket]` is the misses
-        left in the socket's window of `window`; when a miss ends it,
-        `close_window(socket)` runs and a new window starts. It may change
-        `bias`, which the socket's next access runs with.
+        line, one at WRITEBACK. A full set evicts its LRU line unless
+        `bias[socket]` is on and that line is remote-shared; only then does
+        `select_victim` decide, and it counts a BIAS_EVENT or a
+        COUNTER_RESET. `left[socket]` is the misses left in the socket's
+        window of `window`; when a miss ends it, `close_window(socket)` runs
+        and a new window starts. It may change `bias`, which the socket's
+        next access runs with.
 
         The loop makes no Python call of its own but those two: every
         access is inlined, and what it reads is bound to a local once. It
@@ -139,7 +135,7 @@ class CoherenceSystem:
                     # REMOTE_SHARED copies elsewhere of an evicted Owner line
                     # stay so, stale by design (silent write-back)
                     if lines.pop(victim) in _DIRTY:
-                        count[4] += 1
+                        count[WRITEBACK] += 1
                 lines[tag] = state
 
                 misses_left = left[requestor] - 1
@@ -156,7 +152,7 @@ class CoherenceSystem:
         A line's holders are read from the LLCs themselves, so there is no
         second copy of them to disagree with."""
         violations = []
-        holders: dict[int, list[tuple[int, MoesiState]]] = {}
+        holders: dict[int, list[tuple[int, str]]] = {}
         assoc = self._assoc
         t_local, t_remote = self.thresholds
 

@@ -7,6 +7,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .address_map import ConfigError, TopologyConfig, checked, decode
 from .coherence import CoherenceSystem
+from .replacement import COUNT_SLOTS, REMOTE_C2C, REMOTE_DRAM, WRITEBACK
 from .workload import record_blocks
 
 
@@ -92,8 +93,8 @@ class LatencyModel(NamedTuple):
 class SimStats(NamedTuple):
     """What `run` counted; `to_dict` costs it under a latency model."""
 
-    # per socket: accesses by service source (slots 0-3, named in
-    # `coherence`), then write-backs, bias events and counter resets
+    # per socket: accesses by service source, then write-backs, bias
+    # events and counter resets (the slots named in `replacement`)
     counts: list[list[int]]
     window_fractions: list[list[float]]  # per socket
     # (seq, socket, new flag) for every actual bias flip
@@ -119,7 +120,7 @@ class SimStats(NamedTuple):
 
 
 def _costed(count: list[int], costs: tuple) -> dict:
-    """The report keys of one 7-slot count list (see `SimStats.counts`)."""
+    """The report keys of one count list (see `SimStats.counts`)."""
     hits, remote_c2c, local_dram, remote_dram, writebacks, biased, resets = count
     misses = remote_c2c + local_dram + remote_dram
     return {
@@ -170,7 +171,7 @@ def run(
     elif trace.topo != topo:
         raise ConfigError("the trace was decoded for another topology")
     num_sockets = topo.num_sockets
-    counts = [[0] * 7 for _ in range(num_sockets)]  # see SimStats.counts
+    counts = [[0] * COUNT_SLOTS for _ in range(num_sockets)]  # see SimStats.counts
     # per socket: the misses left in its window, its remote misses before
     # the window began, its window's flag and its closed windows' fractions
     window = policy.window_size
@@ -189,15 +190,17 @@ def run(
         """Apply the watermarks to the socket's window, which the last
         record counted closed."""
         count = counts[socket]
-        remote = count[1] + count[3] if policy.count_remote_dram else count[1]
+        remote = count[REMOTE_C2C] + (count[REMOTE_DRAM] if policy.count_remote_dram else 0)
         fraction = (remote - remote_before[socket]) / window
         remote_before[socket] = remote
         fractions[socket].append(fraction)
         flag = policy.bias_after(fraction, enabled[socket])
         if flag != enabled[socket]:
             enabled[socket] = flag
-            # the closing record's index: each access adds one to slots 0-3
-            toggles.append((sum(sum(each[:4]) for each in counts) - 1, socket, flag))
+            # the closing record's index: each access adds one to the
+            # source slots, the ones before WRITEBACK
+            toggles.append((sum(sum(each[:WRITEBACK]) for each in counts) - 1,
+                            socket, flag))
 
     accesses = chain.from_iterable(starmap(zip, trace.blocks))
     if validate:

@@ -12,7 +12,8 @@ import pytest
 from numacache.address_map import TopologyConfig
 from numacache.cli import main
 from numacache.engine import PolicyConfig, PolicyKind, run
-from numacache.replacement import MoesiState, select_victim
+from numacache.replacement import (BIAS_EVENT, COUNT_SLOTS, COUNTER_RESET, EXCLUSIVE,
+                                   REMOTE_SHARED, select_victim)
 
 from reference_model import RefModel
 
@@ -171,18 +172,17 @@ def test_criterion_6_threshold_defaults_and_counter_bounds(capsys):
         counters = [0, 0]
         for _ in range(100):
             for tag in lines:
-                lines[tag] = (MoesiState.REMOTE_SHARED if rng.random() < 0.5
-                              else MoesiState.EXCLUSIVE)
+                lines[tag] = REMOTE_SHARED if rng.random() < 0.5 else EXCLUSIVE
             # `access` selects only when the LRU line is remote-shared
-            lines[0] = MoesiState.REMOTE_SHARED
+            lines[0] = REMOTE_SHARED
             home_class = rng.randrange(2)
             before = list(counters)
-            count = [0] * 7  # slot 5 counts a bias event, slot 6 a reset
+            count = [0] * COUNT_SLOTS
             victim = select_victim(lines, 0, counters, home_class, thresholds, count)
-            fired, resets = fired + count[5], resets + count[6]
+            fired, resets = fired + count[BIAS_EVENT], resets + count[COUNTER_RESET]
             for held, limit in zip(counters, thresholds):
                 assert 0 <= held <= limit
-            if count[6]:
+            if count[COUNTER_RESET]:
                 # only the LRU line's home-class counter resets, and only
                 # from its threshold
                 assert victim == 0

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from numacache import address_map
 from numacache.address_map import ConfigError, TopologyConfig
 from numacache.coherence import CoherenceSystem
+from numacache.replacement import COUNT_SLOTS
 
 from helpers import access
 
@@ -17,7 +18,7 @@ def decode(addr, topo):
     also range-checks the address; the line address masks off the line
     offset and the top bits name the home."""
     system = CoherenceSystem(topo, (1, 1))
-    access(system, topo, 0, "R", addr, [0] * 7)
+    access(system, topo, 0, "R", addr, [0] * COUNT_SLOTS)
     [(set_id, tag)] = [(set_id, tag) for set_id, column in enumerate(system.columns)
                        for tag in column[0]]
     home = addr >> (topo.address_width - topo.socket_bits)

@@ -4,15 +4,11 @@ import re
 import pytest
 
 from numacache.address_map import ConfigError, TopologyConfig
-from numacache.coherence import (
-    LOCAL_DRAM,
-    LOCAL_HIT,
-    REMOTE_C2C,
-    REMOTE_DRAM,
-    CoherenceSystem,
-)
+from numacache.coherence import CoherenceSystem
 from numacache.engine import PolicyConfig, PolicyKind
-from numacache.replacement import MoesiState
+from numacache.replacement import (BIAS_EVENT, COUNT_SLOTS, EXCLUSIVE, LOCAL_DRAM, LOCAL_HIT,
+                                   MODIFIED, OWNER, REMOTE_C2C, REMOTE_DRAM, REMOTE_SHARED,
+                                   SHARED, WRITEBACK)
 
 import helpers
 
@@ -28,16 +24,16 @@ def system(policy=PolicyConfig()):
 
 
 def state_of(sys_, socket, addr):
-    """The MoesiState of a socket's copy of addr, or None."""
+    """The state letter of a socket's copy of addr, or None."""
     return sys_.columns[(addr >> 6) & 3][socket].get(addr >> 8)
 
 
 def access(sys_, socket, op, addr, bias_enabled=False):
-    """One access; its 7-slot count list, which counts it once at its
-    source's slot and agrees with the returned missed flag."""
-    count = [0] * 7
+    """One access; its count list, which counts it once at its source's
+    slot and agrees with the returned missed flag."""
+    count = [0] * COUNT_SLOTS
     missed = helpers.access(sys_, TOPO, socket, op, addr, count, bias_enabled)
-    assert sum(count[:4]) == 1
+    assert sum(count[:WRITEBACK]) == 1
     assert missed is (count[LOCAL_HIT] == 0)
     return count
 
@@ -60,21 +56,21 @@ class TestRead:
         sys_ = system()
         out = read(sys_, 0, 0x1000)
         assert source(out) == LOCAL_DRAM
-        assert state_of(sys_, 0, 0x1000) is MoesiState.EXCLUSIVE
+        assert state_of(sys_, 0, 0x1000) == EXCLUSIVE
 
     def test_cold_fill_remote_home(self):
         sys_ = system()
         out = read(sys_, 0, HOME1 | 0x1000)
         assert source(out) == REMOTE_DRAM
-        assert state_of(sys_, 0, HOME1 | 0x1000) is MoesiState.EXCLUSIVE
+        assert state_of(sys_, 0, HOME1 | 0x1000) == EXCLUSIVE
 
     def test_modified_supplier_becomes_owner(self):
         sys_ = system()
         write(sys_, 1, 0x1000)
         out = read(sys_, 0, 0x1000)
         assert source(out) == REMOTE_C2C
-        assert state_of(sys_, 0, 0x1000) is MoesiState.REMOTE_SHARED
-        assert state_of(sys_, 1, 0x1000) is MoesiState.OWNER
+        assert state_of(sys_, 0, 0x1000) == REMOTE_SHARED
+        assert state_of(sys_, 1, 0x1000) == OWNER
 
     def test_owner_supplier_stays_owner(self):
         sys_ = system()
@@ -86,16 +82,16 @@ class TestRead:
         assert state_of(sys_, 0, 0x1000) is None
         out = read(sys_, 0, 0x1000)
         assert source(out) == REMOTE_C2C
-        assert state_of(sys_, 0, 0x1000) is MoesiState.REMOTE_SHARED
-        assert state_of(sys_, 1, 0x1000) is MoesiState.OWNER
+        assert state_of(sys_, 0, 0x1000) == REMOTE_SHARED
+        assert state_of(sys_, 1, 0x1000) == OWNER
 
     def test_exclusive_supplier_degrades_to_plain_shared(self):
         sys_ = system()
         read(sys_, 1, 0x1000)  # Exclusive at socket 1
         out = read(sys_, 0, 0x1000)
         assert source(out) == REMOTE_C2C
-        assert state_of(sys_, 0, 0x1000) is MoesiState.SHARED
-        assert state_of(sys_, 1, 0x1000) is MoesiState.SHARED
+        assert state_of(sys_, 0, 0x1000) == SHARED
+        assert state_of(sys_, 1, 0x1000) == SHARED
 
     def test_only_shared_copies_memory_supplies(self):
         sys_ = system()
@@ -106,14 +102,14 @@ class TestRead:
             read(sys_, 0, 0x1000 + i * 0x100)
         out = read(sys_, 0, 0x1000)
         assert source(out) == LOCAL_DRAM
-        assert state_of(sys_, 0, 0x1000) is MoesiState.SHARED
+        assert state_of(sys_, 0, 0x1000) == SHARED
 
     def test_local_hit(self):
         sys_ = system()
         read(sys_, 0, 0x1000)
         out = read(sys_, 0, 0x1000)
         assert source(out) == LOCAL_HIT
-        assert out[4] == 0  # no write-back
+        assert out[WRITEBACK] == 0
 
 
 class TestWrite:
@@ -122,7 +118,7 @@ class TestWrite:
         read(sys_, 0, 0x1000)
         out = write(sys_, 0, 0x1000)
         assert source(out) == LOCAL_HIT
-        assert state_of(sys_, 0, 0x1000) is MoesiState.MODIFIED
+        assert state_of(sys_, 0, 0x1000) == MODIFIED
 
     def test_upgrade_invalidates_remote_owner(self):
         sys_ = system()
@@ -130,14 +126,14 @@ class TestWrite:
         read(sys_, 0, 0x1000)  # 0: Remote-Shared, 1: Owner
         out = write(sys_, 0, 0x1000)
         assert source(out) == LOCAL_HIT
-        assert state_of(sys_, 0, 0x1000) is MoesiState.MODIFIED
+        assert state_of(sys_, 0, 0x1000) == MODIFIED
         assert state_of(sys_, 1, 0x1000) is None
 
     def test_cold_write_remote_home(self):
         sys_ = system()
         out = write(sys_, 0, HOME1 | 0x2000)
         assert source(out) == REMOTE_DRAM
-        assert state_of(sys_, 0, HOME1 | 0x2000) is MoesiState.MODIFIED
+        assert state_of(sys_, 0, HOME1 | 0x2000) == MODIFIED
 
     def test_write_miss_remote_modified_supplies(self):
         sys_ = system()
@@ -171,23 +167,23 @@ class TestEvict:
         sys_ = system()
         addr = HOME1 | 0x1000
         write(sys_, 0, addr)
-        assert evict(sys_, 0, addr)[4] == 1  # dirty: writes back to its home
+        assert evict(sys_, 0, addr)[WRITEBACK] == 1  # dirty: writes back to its home
         assert addr >> (TOPO.address_width - TOPO.socket_bits) == 1
 
     def test_shared_drops_silently(self):
         sys_ = system()
         read(sys_, 1, 0x1000)
         read(sys_, 0, 0x1000)
-        assert evict(sys_, 0, 0x1000)[4] == 0  # no write-back
-        assert state_of(sys_, 1, 0x1000) is MoesiState.SHARED
+        assert evict(sys_, 0, 0x1000)[WRITEBACK] == 0
+        assert state_of(sys_, 1, 0x1000) == SHARED
 
     def test_owner_eviction_leaves_stale_remote_shared(self):
         sys_ = system()
         write(sys_, 1, 0x1000)
         read(sys_, 0, 0x1000)  # 0: Remote-Shared, 1: Owner
-        assert evict(sys_, 1, 0x1000)[4] == 1  # a write-back
+        assert evict(sys_, 1, 0x1000)[WRITEBACK] == 1
         # the Remote-Shared state is stale by design
-        assert state_of(sys_, 0, 0x1000) is MoesiState.REMOTE_SHARED
+        assert state_of(sys_, 0, 0x1000) == REMOTE_SHARED
 
 
 class TestInvariants:
@@ -202,7 +198,7 @@ class TestInvariants:
             socket = rng.randrange(2)
             addr = rng.randrange(64) * 64 | (rng.randrange(2) << 31)
             op = read if rng.random() < 0.5 else write
-            biased += op(sys_, socket, addr, bias_enabled=True)[5]  # bias events
+            biased += op(sys_, socket, addr, bias_enabled=True)[BIAS_EVENT]
         assert sys_.check_global_invariants() == []
         assert biased  # the bias fired
 
@@ -221,22 +217,22 @@ class TestInvariants:
     # then socket 1's copy is set to a state that breaks MOESI, or not
     # name -> (accesses, socket 1's corrupt state, violations)
     CROSS_SOCKET = {
-        "me-with-other-copy": ("W", MoesiState.SHARED, [
+        "me-with-other-copy": ("W", SHARED, [
             "line 0x1000: M/E at socket 0 coexists with other copies"]),
-        "two-me-holders": ("W", MoesiState.EXCLUSIVE, [
+        "two-me-holders": ("W", EXCLUSIVE, [
             "line 0x1000: M/E at socket 0 coexists with other copies",
             "line 0x1000: multiple M/E holders"]),
-        "two-owners": ("WR", MoesiState.OWNER, [
+        "two-owners": ("WR", OWNER, [
             "line 0x1000: multiple Owner holders"]),
-        "owner-beside-non-shared": ("WR", MoesiState.MODIFIED, [
+        "owner-beside-non-shared": ("WR", MODIFIED, [
             "line 0x1000: M/E at socket 1 coexists with other copies",
             "line 0x1000: Owner coexists with a non-Shared copy"]),
         # a Remote-Shared copy counts as Shared: legal beside an Owner,
         # flagged beside a Modified or an Exclusive copy
-        "remote-shared-beside-owner": ("WR", MoesiState.REMOTE_SHARED, []),
-        "remote-shared-beside-modified": ("W", MoesiState.REMOTE_SHARED, [
+        "remote-shared-beside-owner": ("WR", REMOTE_SHARED, []),
+        "remote-shared-beside-modified": ("W", REMOTE_SHARED, [
             "line 0x1000: M/E at socket 0 coexists with other copies"]),
-        "remote-shared-beside-exclusive": ("R", MoesiState.REMOTE_SHARED, [
+        "remote-shared-beside-exclusive": ("R", REMOTE_SHARED, [
             "line 0x1000: M/E at socket 0 coexists with other copies"]),
     }
 
@@ -255,7 +251,7 @@ class TestInvariants:
         for i in range(4):
             read(sys_, 0, i * 0x100)
         # corrupt: a fifth line in a 4-way set
-        sys_.columns[0][0][0x40] = MoesiState.SHARED
+        sys_.columns[0][0][0x40] = SHARED
         assert sys_.check_global_invariants() == [
             "socket 0 set 0: 5 lines exceed associativity 4"
         ]
@@ -293,9 +289,9 @@ class TestInvariants:
 
         before = snapshot()
         for addr in (0x400, 0x100):  # a new line, a held one
-            count = [0] * 7
+            count = [0] * COUNT_SLOTS
             message = f"^record 0: op {re.escape(repr(op))} is not R or W$"
             with pytest.raises(ConfigError, match=message):
                 helpers.access(sys_, TOPO, 0, op, addr, count, True)
-            assert count == [0] * 7
+            assert count == [0] * COUNT_SLOTS
             assert snapshot() == before

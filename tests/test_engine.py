@@ -7,14 +7,9 @@ import pytest
 
 from numacache import coherence, engine, replacement
 from numacache.address_map import ConfigError, TopologyConfig
-from numacache.coherence import (
-    LOCAL_DRAM,
-    LOCAL_HIT,
-    REMOTE_C2C,
-    REMOTE_DRAM,
-    CoherenceSystem,
-)
+from numacache.coherence import CoherenceSystem
 from numacache.engine import LatencyModel, PolicyConfig, PolicyKind, compare, run
+from numacache.replacement import LOCAL_DRAM, LOCAL_HIT, REMOTE_C2C, REMOTE_DRAM
 from numacache.workload import (
     GeneratorKind,
     GeneratorSpec,

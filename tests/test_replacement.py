@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 from numacache.address_map import ConfigError, TopologyConfig
 from numacache.coherence import CoherenceSystem
 from numacache.engine import PolicyConfig, PolicyKind, run
-from numacache.replacement import MoesiState, select_victim
+from numacache.replacement import (BIAS_EVENT, COUNT_SLOTS, COUNTER_RESET, EXCLUSIVE, MODIFIED,
+                                   REMOTE_SHARED, select_victim)
 
 from helpers import access
 
@@ -20,8 +21,7 @@ THRESHOLDS = PolicyConfig().thresholds(4)  # the defaults at associativity 4: (1
 def full_set(assoc, shared_tags=()):
     """Lines of a set holding tags 0..A-1 with tag 0 at MRU and tag A-1 at
     LRU; the tags in `shared_tags` are Remote-Shared, the others Exclusive."""
-    return {tag: (MoesiState.REMOTE_SHARED if tag in shared_tags
-                  else MoesiState.EXCLUSIVE)
+    return {tag: REMOTE_SHARED if tag in shared_tags else EXCLUSIVE
             for tag in reversed(range(assoc))}
 
 
@@ -31,19 +31,19 @@ def filled_system(lines, assoc=4):
                           line_size_bytes=64, address_width=32)
     sys_ = CoherenceSystem(topo, PolicyConfig().thresholds(assoc))
     for i in range(lines):
-        access(sys_, topo, 0, "R", i * 64, [0] * 7)
+        access(sys_, topo, 0, "R", i * 64, [0] * COUNT_SLOTS)
     return sys_
 
 
 def select(lines, counters, home_class, thresholds):
     """`select_victim` on a full set whose LRU line is Remote-Shared, as
     `access` calls it: (victim, biased, counter reset), the last two
-    read from slots 5 and 6 of the count list it adds into."""
-    count = [0] * 7
+    read from the count list it adds into."""
+    count = [0] * COUNT_SLOTS
     victim = select_victim(lines, next(iter(lines)), counters, home_class,
                            thresholds, count)
-    assert count[:5] == [0] * 5 and count[5] + count[6] <= 1
-    return victim, count[5], count[6]
+    assert not any(count[:BIAS_EVENT]) and count[BIAS_EVENT] + count[COUNTER_RESET] <= 1
+    return victim, count[BIAS_EVENT], count[COUNTER_RESET]
 
 
 def order(sys_, socket=0):
@@ -54,14 +54,14 @@ def order(sys_, socket=0):
 class TestTouch:
     def test_lru_to_mru(self):
         sys_ = filled_system(4)
-        count = [0] * 7
+        count = [0] * COUNT_SLOTS
         assert access(sys_, ONE_SET, 0, "R", 0, count) is False
         assert count == [1, 0, 0, 0, 0, 0, 0]  # one LOCAL_HIT
         assert order(sys_) == [1, 2, 3, 0]
 
     def test_touch_mru_is_noop(self):
         sys_ = filled_system(4)
-        access(sys_, ONE_SET, 0, "R", 3 * 64, [0] * 7)
+        access(sys_, ONE_SET, 0, "R", 3 * 64, [0] * COUNT_SLOTS)
         assert order(sys_) == [0, 1, 2, 3]
 
     def test_random_touches_keep_permutation(self):
@@ -69,7 +69,8 @@ class TestTouch:
         rng = random.Random(1)
         for _ in range(1000):
             tag = rng.randrange(8)
-            access(sys_, ONE_SET, 0, "R" if rng.random() < 0.5 else "W", tag * 64, [0] * 7)
+            access(sys_, ONE_SET, 0, "R" if rng.random() < 0.5 else "W", tag * 64,
+                   [0] * COUNT_SLOTS)
             assert sorted(order(sys_)) == list(range(8))
             assert order(sys_)[-1] == tag
 
@@ -77,22 +78,22 @@ class TestTouch:
 class TestFill:
     def test_fill_remote_shared(self):
         sys_ = CoherenceSystem(ONE_SET, THRESHOLDS)
-        access(sys_, ONE_SET, 1, "W", 0x1C0, [0] * 7)
-        access(sys_, ONE_SET, 0, "R", 0x1C0, [0] * 7)  # Modified at socket 1 supplies
+        access(sys_, ONE_SET, 1, "W", 0x1C0, [0] * COUNT_SLOTS)
+        access(sys_, ONE_SET, 0, "R", 0x1C0, [0] * COUNT_SLOTS)  # Modified at socket 1 supplies
         lines = sys_.columns[0][0]
-        assert lines[7] is MoesiState.REMOTE_SHARED
+        assert lines[7] == REMOTE_SHARED
         assert list(lines)[-1] == 7
 
     def test_cold_fill_exclusive(self):
         sys_ = CoherenceSystem(ONE_SET, THRESHOLDS)
-        access(sys_, ONE_SET, 1, "R", 0x1C0, [0] * 7)
-        assert sys_.columns[0][1][7] is MoesiState.EXCLUSIVE
+        access(sys_, ONE_SET, 1, "R", 0x1C0, [0] * COUNT_SLOTS)
+        assert sys_.columns[0][1][7] == EXCLUSIVE
 
     def test_filled_line_ages_to_lru(self):
         sys_ = filled_system(4)
         # lines 1..3 filled after line 0; touch them again
         for tag in (1, 2, 3):
-            access(sys_, ONE_SET, 0, "R", tag * 64, [0] * 7)
+            access(sys_, ONE_SET, 0, "R", tag * 64, [0] * COUNT_SLOTS)
         assert order(sys_)[0] == 0
 
 
@@ -106,8 +107,8 @@ class TestSelectVictim:
         assert d == (15, False, True)
         assert counters == [0, 0]
 
-    @pytest.mark.parametrize("op, state", [("R", MoesiState.EXCLUSIVE),
-                                           ("W", MoesiState.MODIFIED)])
+    @pytest.mark.parametrize("op, state", [("R", EXCLUSIVE),
+                                           ("W", MODIFIED)])
     @pytest.mark.parametrize("bias", [True, False])
     def test_full_set_with_shared_lru_line(self, op, state, bias):
         # socket 0 holds tag 0 Remote-Shared at LRU when a fifth line comes
@@ -115,11 +116,11 @@ class TestSelectVictim:
         # the local-home counter counts the bias event. Bias off: the LRU
         # line goes, unbiased, and the bias counters stay as they were
         sys_ = CoherenceSystem(ONE_SET, THRESHOLDS)
-        access(sys_, ONE_SET, 1, "W", 0, [0] * 7)
+        access(sys_, ONE_SET, 1, "W", 0, [0] * COUNT_SLOTS)
         for tag in range(4):
-            access(sys_, ONE_SET, 0, "R", tag * 64, [0] * 7)
-        assert sys_.columns[0][0][0] is MoesiState.REMOTE_SHARED
-        count = [0] * 7
+            access(sys_, ONE_SET, 0, "R", tag * 64, [0] * COUNT_SLOTS)
+        assert sys_.columns[0][0][0] == REMOTE_SHARED
+        count = [0] * COUNT_SLOTS
         assert access(sys_, ONE_SET, 0, op, 4 * 64, count, bias) is True
         assert sys_.columns[0][0][4] is state
         if bias:
@@ -192,10 +193,9 @@ def test_counter_bounds_fuzz(seed):
     fired = resets = 0
     for _ in range(200):
         for tag in lines:
-            lines[tag] = (MoesiState.REMOTE_SHARED if rng.random() < 0.5
-                          else MoesiState.EXCLUSIVE)
+            lines[tag] = REMOTE_SHARED if rng.random() < 0.5 else EXCLUSIVE
         lru = next(iter(lines))
-        lines[lru] = MoesiState.REMOTE_SHARED
+        lines[lru] = REMOTE_SHARED
         home_class = rng.randrange(2)
         before = list(counters)
         victim, biased, reset = select(lines, counters, home_class, thresholds)
@@ -207,5 +207,5 @@ def test_counter_bounds_fuzz(seed):
             assert before[home_class] == thresholds[home_class]
             assert counters[home_class] == 0
         if biased:
-            assert lines[victim] is not MoesiState.REMOTE_SHARED
+            assert lines[victim] != REMOTE_SHARED
     assert fired and resets  # the bias and the resets were exercised

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from numacache import workload
 from numacache.address_map import ConfigError, TopologyConfig
 from numacache.coherence import CoherenceSystem
-from numacache.replacement import MoesiState
+from numacache.replacement import COUNT_SLOTS, REMOTE_SHARED
 from numacache.workload import (
     GeneratorKind,
     GeneratorSpec,
@@ -262,7 +262,7 @@ class TestGenerate:
         recs = generate(spec, TOPO)
         system = CoherenceSystem(TOPO, (1, 2))
         for socket, _, op, addr in recs:
-            access(system, TOPO, socket, op, addr, [0] * 7)
+            access(system, TOPO, socket, op, addr, [0] * COUNT_SLOTS)
         # no (set, tag) is held by two sockets
         held = [(set_id, tag) for set_id, column in enumerate(system.columns)
                 for lines in column for tag in lines]
@@ -275,10 +275,10 @@ class TestGenerate:
         system = CoherenceSystem(TOPO, (1, 2))
         saw_remote_shared = False
         for socket, _, op, addr in recs:
-            access(system, TOPO, socket, op, addr, [0] * 7)
+            access(system, TOPO, socket, op, addr, [0] * COUNT_SLOTS)
             set_id, tag = (addr >> 6) & 3, addr >> 8  # TOPO's layout
             state = system.columns[set_id][socket][tag]
-            saw_remote_shared = saw_remote_shared or state is MoesiState.REMOTE_SHARED
+            saw_remote_shared = saw_remote_shared or state == REMOTE_SHARED
         assert saw_remote_shared
 
     def test_negative_sockets_rejected(self):
