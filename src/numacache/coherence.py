@@ -49,7 +49,7 @@ class CoherenceSystem:
 
     def simulate(
         self, accesses: Iterable[tuple], counts: list[list[int]], bias: list[bool],
-        left: list[int], window: int, close_window: Callable[[int], None],
+        left: list[int], close_window: Callable[[int], None],
     ) -> None:
         """Run every access of `accesses`, (socket, op, set, tag) tuples as
         `address_map.decode` makes them of checked records. An op, "R" or
@@ -63,9 +63,9 @@ class CoherenceSystem:
         `bias[socket]` is on and that line is remote-shared; only then does
         `select_victim` decide, and it counts a BIAS_EVENT or a
         COUNTER_RESET. `left[socket]` is the misses left in the socket's
-        window of `window`; when a miss ends it, `close_window(socket)` runs
-        and a new window starts. It may change `bias`, which the socket's
-        next access runs with.
+        window; the miss that ends it calls `close_window(socket)`, which
+        starts the next window by refilling `left[socket]` and may change
+        `bias`, which the socket's next access runs with.
 
         The loop makes no Python call of its own but those two: every
         access is inlined, and what it reads is bound to a local once. It
@@ -142,7 +142,6 @@ class CoherenceSystem:
                 if misses_left:
                     left[requestor] = misses_left
                 else:
-                    left[requestor] = window
                     close_window(requestor)
 
     # -- invariant checking -----------------------------------------------

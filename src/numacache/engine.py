@@ -188,7 +188,8 @@ def run(
 
     def close_window(socket: int) -> None:
         """Apply the watermarks to the socket's window, which the last
-        record counted closed."""
+        record counted closed, and start its next window."""
+        left[socket] = window
         count = counts[socket]
         remote = count[REMOTE_C2C] + (count[REMOTE_DRAM] if policy.count_remote_dram else 0)
         fraction = (remote - remote_before[socket]) / window
@@ -205,12 +206,12 @@ def run(
     accesses = chain.from_iterable(starmap(zip, trace.blocks))
     if validate:
         for seq, access in enumerate(accesses):
-            system.simulate((access,), counts, bias, left, window, close_window)
+            system.simulate((access,), counts, bias, left, close_window)
             violations = system.check_global_invariants()
             if violations:
                 raise InvariantError(f"after record {seq}: " + "; ".join(violations))
     else:
-        system.simulate(accesses, counts, bias, left, window, close_window)
+        system.simulate(accesses, counts, bias, left, close_window)
     return SimStats(counts, fractions, toggles)
 
 
@@ -225,6 +226,8 @@ def compare(
     relative to the first policy."""
     if not policies:
         raise ConfigError("compare needs at least one policy")
+    for p in policies:  # bad thresholds fail before any record is read, as in `run`
+        p.thresholds(topo.llc_assoc)
     trace = (trace._replace(blocks=list(trace.blocks))
              if isinstance(trace, Decoded) else list(trace))
     results = [

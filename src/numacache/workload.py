@@ -226,17 +226,17 @@ _HEADER = 4  # the size in bytes of a message's length, before its marshal bytes
 def read_ahead(blocks: Iterator, files: ExitStack) -> Iterator:
     """The column blocks of `blocks`, then the TraceError or OSError that
     stopped it, read ahead of the caller. This process takes the first
-    _FORK_AFTER * _BLOCK records; past them, if `_can_fork()`, one reader
-    process, which `files` kills and reaps, iterates `blocks` on and sends
-    each block down a pipe as it is, in one message: a _HEADER-byte length,
-    then the `marshal` bytes of (kind, payload). The last message is the
-    end or the error that stopped it. The fork is safe, as the caller runs
-    no other thread."""
-    taken = 0
+    _FORK_AFTER * _BLOCK records; past them, if `_can_fork()` at the start,
+    one reader process, which `files` kills and reaps, iterates `blocks` on
+    and sends each block down a pipe as it is, in one message: a
+    _HEADER-byte length, then the `marshal` bytes of (kind, payload). The
+    last message is the end or the error that stopped it. The fork is
+    safe, as the caller runs no other thread."""
+    taken, fork = 0, _can_fork()
     for block in blocks:
         yield block
         taken += len(block[0])
-        if taken >= _FORK_AFTER * _BLOCK and _can_fork():
+        if fork and taken >= _FORK_AFTER * _BLOCK:
             break
     else:  # the source has ended in process
         return

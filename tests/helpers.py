@@ -23,5 +23,5 @@ def access(system, topo, socket, op, addr, count, bias_enabled=False):
     sockets = topo.num_sockets
     misses = []
     system.simulate(accesses, [count] * sockets, [bias_enabled] * sockets,
-                    [1] * sockets, 1, misses.append)
+                    [1] * sockets, misses.append)
     return bool(misses)

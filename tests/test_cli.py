@@ -243,13 +243,19 @@ WATERMARK_ERROR = "config error: need 0 <= low_water <= high_water\n"
      WATERMARK_ERROR),
     (("run", "--trace", "bad-last.txt", "--out", "/nonexistent/r.json"),
      "io error: [Errno 2] No such file or directory: '/nonexistent/r.json'\n"),
+    (("compare", "--trace", "bad-last.txt", "--t-local", "99"),
+     "config error: thresholds must be in [1, 4]\n"),
+    (("compare", "--policies", "", "--trace", "bad-last.txt"),
+     "config error: compare needs at least one policy\n"),
 ], ids=["io", "generator", "latency", "thresholds", "policy-name", "no-policy",
-        "watermarks-then-out", "out-then-records"])
+        "watermarks-then-out", "out-then-records", "compare-thresholds-then-records",
+        "no-policy-then-records"])
 def test_error_precedence(capsys, monkeypatch, tmp_path, argv, err):
     """Of two errors, the one a command reports: an unknown policy name
     comes first, then the trace source's errors, then the policy record's
     watermarks, then the latencies, then a `--out` that cannot be opened,
-    and the thresholds, compare's empty policy list and the trace's
+    then compare's empty policy list, then the thresholds (which compare
+    checks for every policy before it reads the trace), and the trace's
     records last."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad-last.txt").write_text("0 0 R 0x40\n1 0 W 0x80\n0 0 Q 0x40\n")
@@ -339,13 +345,12 @@ class TestRun:
 
     def test_bad_threshold_and_late_malformed_record(self, capsys, tmp_path):
         # streamed records reach the parser only after the thresholds are
-        # checked, so the threshold error comes first; a trace parsed up
-        # front reports the record instead. Either way: exit 1, no report.
+        # checked, so the threshold error comes first, and no report
         trace = tmp_path / "t.txt"
         trace.write_text("0 0 R 0x40\n" * 100 + "0 0 Q 0x40\n")
         code, out, err = run_cli(capsys, "run", "--trace", str(trace),
                                  "--policy", "biased", "--t-local", "99")
-        assert code == 1 and out == "" and "error" in err
+        assert (code, out, err) == (1, "", "config error: thresholds must be in [1, 4]\n")
 
     def test_memory_constant_in_trace_length(self, capsys, tmp_path):
         """Records stream from the trace file into the simulation, so the
@@ -524,6 +529,16 @@ class TestReader:
         assert run_cli(capsys, *argv) == forked
         assert len(forks) == 1
 
+    def test_one_cpu_is_asked_for_once_per_read(self, capsys, monkeypatch, tmp_path,
+                                                forks):
+        trace = tmp_path / "t.txt"
+        trace.write_text(local_trace(IN_PROCESS + 1600))
+        argv = ["run", *self.TOPO, "--policy", "adaptive", "--trace", str(trace)]
+        forked, asked = run_cli(capsys, *argv), []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: asked.append(pid) or {0})
+        assert run_cli(capsys, *argv) == forked
+        assert len(asked) == 1 and len(forks) == 1
+
     def bad_last_line(self, monkeypatch, trace):
         with open(trace, "a") as fh:
             fh.write("0 0 Q 0x40\n")
@@ -580,7 +595,8 @@ class TestReader:
                 main(argv)
         else:
             assert main(argv) == expected
-        assert len(forks) == 1
+        # bad thresholds fail before the trace is read, so no reader starts
+        assert len(forks) == (path != "bad threshold")
 
     def fail_in_the_reader(self, monkeypatch, failure):
         """Make the reader process fail at the block of record IN_PROCESS + 500."""

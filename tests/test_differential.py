@@ -15,7 +15,8 @@ from numacache.address_map import ConfigError, TopologyConfig, decode
 from numacache.coherence import CoherenceSystem
 from numacache.engine import Decoded, LatencyModel, PolicyConfig, PolicyKind, run
 from numacache.replacement import (BIAS_EVENT, COUNT_SLOTS, COUNTER_RESET, EXCLUSIVE,
-                                   MODIFIED, OWNER, REMOTE_SHARED, SHARED, WRITEBACK,
+                                   LOCAL_DRAM, LOCAL_HIT, MODIFIED, OWNER, REMOTE_C2C,
+                                   REMOTE_DRAM, REMOTE_SHARED, SHARED, WRITEBACK,
                                    select_victim)
 from numacache.workload import format_trace, parse_blocks, record_blocks
 
@@ -188,8 +189,7 @@ def test_bias_scenarios_reach_every_bias_path():
                 for socket, op, set_id, tag in stream:
                     before = [dict(lines) for lines in system.columns[set_id]]
                     writebacks = counts[socket][WRITEBACK]
-                    system.simulate([(socket, op, set_id, tag)], counts, bias, left,
-                                    len(records) + 1, None)
+                    system.simulate([(socket, op, set_id, tag)], counts, bias, left, None)
                     after, held = system.columns[set_id], before[socket].get(tag)
                     if op == "W" and held in (SHARED, REMOTE_SHARED, OWNER):
                         seen.add("upgrade on a hit")
@@ -236,6 +236,7 @@ def test_stepped_run_counts_what_one_call_counts(scenario):
             left = [window] * sockets
 
             def close_window(socket):
+                left[socket] = window
                 closes.append((sum(map(sum, counts)), socket))
                 if kind is PolicyKind.BIASED_ADAPTIVE:  # a flip per window
                     bias[socket] = not bias[socket]
@@ -243,7 +244,7 @@ def test_stepped_run_counts_what_one_call_counts(scenario):
             stream = chain.from_iterable(starmap(
                 zip, decode(record_blocks(records, topo), topo)))
             for part in ([(access,) for access in stream] if stepped else [stream]):
-                system.simulate(part, counts, bias, left, window, close_window)
+                system.simulate(part, counts, bias, left, close_window)
             results.append((counts, closes, bias, left, system.columns,
                             system.counters))
         assert results[0] == results[1], name
@@ -316,3 +317,51 @@ def test_set_decomposition_sums_to_the_whole_run(scenario):
                      topo, config).counts for set_id in range(topo.llc_sets)]
         assert run(records, topo, config).counts == [
             [sum(slot) for slot in zip(*per_set)] for per_set in zip(*parts)], kind
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(scenarios(), bias_scenarios()))
+def test_lru_hits_are_each_sockets_own_lru(scenario):
+    """Under `lru` coherence changes a copy's state but never its place, so
+    a socket's set holds the lines of its own latest accesses to it, least
+    recently used first, but for those another socket has since written.
+    Replaying each socket's accesses through one LRU dict per set, from
+    which another socket's write takes the line, gives its hits and misses."""
+    topo, (t_local, t_remote), adaptive, _, accesses = scenario
+    llcs = [[{} for _ in range(topo.llc_sets)] for _ in range(topo.num_sockets)]
+    expected = [[0, 0] for _ in llcs]  # per socket: hits, misses
+    for socket, op, addr, _ in accesses:
+        line = addr >> topo.offset_bits
+        set_id = line & topo.llc_sets - 1
+        lines = llcs[socket][set_id]
+        hit = line in lines
+        if hit:
+            del lines[line]
+        elif len(lines) == topo.llc_assoc:
+            del lines[next(iter(lines))]
+        lines[line] = None
+        expected[socket][not hit] += 1
+        if op == "W":
+            for llc in llcs:
+                if llc[set_id] is not lines:
+                    llc[set_id].pop(line, None)
+    records = [(socket, 0, op, addr) for socket, op, addr, _ in accesses]
+    counts = run(records, topo, policy(PolicyKind.LRU_ONLY, t_local, t_remote,
+                                       adaptive)).counts
+    assert [[count[LOCAL_HIT], count[REMOTE_C2C] + count[LOCAL_DRAM] + count[REMOTE_DRAM]]
+            for count in counts] == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(scenarios(), bias_scenarios()), st.integers(0, 7))
+def test_xoring_the_set_bits_keeps_the_stats(scenario, constant):
+    """Set indices are labels too: XOR-ing one constant below `llc_sets`
+    into every address's set bits permutes the sets, and leaves every
+    count, window fraction and toggle as it was, under every policy."""
+    topo, (t_local, t_remote), adaptive, _, accesses = scenario
+    flip = constant % topo.llc_sets << topo.offset_bits
+    records = [(socket, 0, op, addr) for socket, op, addr, _ in accesses]
+    flipped = [(socket, 0, op, addr ^ flip) for socket, _, op, addr in records]
+    for name, kind in POLICIES.items():
+        config = policy(kind, t_local, t_remote, adaptive)
+        assert run(flipped, topo, config) == run(records, topo, config), name
