@@ -385,7 +385,6 @@ def _cmd_compare(args) -> int:
         policy, lat = _build(PolicyConfig, args), _build(LatencyModel, args)
         policies = [policy._replace(kind=kind) for kind in kinds]
         _check_out(args.out)
-        # compare lists the trace once and replays it per policy
         result = compare(trace, topo, policies, lat, args.validate)
     report = {"config": _config_echo(args, topo, policies), **result}
     named = [(e["policy"], e["stats"]) for e in result["policies"]]

@@ -146,30 +146,13 @@ class Decoded(NamedTuple):
     blocks: Iterable[tuple]
 
 
-def run(
-    trace: Iterable[tuple],
-    topo: TopologyConfig,
-    policy: PolicyConfig,
-    *,
-    validate: bool = False,
-) -> SimStats:
-    """Drive a trace through a fresh system and count its accesses.
-
-    The trace is `Decoded` for `topo`, or any iterable of (socket, core,
-    op, addr) tuples, op "R" or "W", which `record_blocks` checks as they
-    are consumed; record N is its N-th, from 0. With `validate`, the run
-    steps the simulation one access at a time and checks the invariants
-    after each; the first violation raises InvariantError.
+def _policy_run(topo: TopologyConfig, policy: PolicyConfig) -> tuple:
+    """One policy's fresh system, the state its `simulate` calls share (see
+    `CoherenceSystem.simulate`) and the `SimStats` that state fills in place.
     Each socket's windows of `window_size` misses are counted for every
     policy kind (it is pure bookkeeping); only BIASED_ADAPTIVE lets their
-    watermarks steer the bias, and only the biased kinds enable it.
-    """
-    # bad thresholds fail before any record is read
+    watermarks steer the bias, and only the biased kinds enable it."""
     system = CoherenceSystem(topo, policy.thresholds(topo.llc_assoc))
-    if not isinstance(trace, Decoded):
-        trace = Decoded(topo, decode(record_blocks(trace, topo), topo))
-    elif trace.topo != topo:
-        raise ConfigError("the trace was decoded for another topology")
     num_sockets = topo.num_sockets
     counts = [[0] * COUNT_SLOTS for _ in range(num_sockets)]  # see SimStats.counts
     # per socket: the misses left in its window, its remote misses before
@@ -203,16 +186,50 @@ def run(
             toggles.append((sum(sum(each[:WRITEBACK]) for each in counts) - 1,
                             socket, flag))
 
-    accesses = chain.from_iterable(starmap(zip, trace.blocks))
+    return system, (counts, bias, left, close_window), SimStats(counts, fractions, toggles)
+
+
+def _drive(trace: Iterable[tuple], topo: TopologyConfig, policies: list[PolicyConfig],
+           validate: bool) -> list[SimStats]:
+    """Drive one pass of a trace through a fresh system per policy, handing
+    each block to every policy in turn; with `validate`, each access, so the
+    first violation raised is the first in record order, then policy order."""
+    # bad thresholds, then too many sets, fail before any record is read
+    runs = [_policy_run(topo, policy) for policy in policies]
+    if not isinstance(trace, Decoded):
+        trace = Decoded(topo, decode(record_blocks(trace, topo), topo))
+    elif trace.topo != topo:
+        raise ConfigError("the trace was decoded for another topology")
     if validate:
-        for seq, access in enumerate(accesses):
-            system.simulate((access,), counts, bias, left, close_window)
-            violations = system.check_global_invariants()
-            if violations:
-                raise InvariantError(f"after record {seq}: " + "; ".join(violations))
+        for seq, access in enumerate(chain.from_iterable(starmap(zip, trace.blocks))):
+            for system, state, _ in runs:
+                system.simulate((access,), *state)
+                violations = system.check_global_invariants()
+                if violations:
+                    raise InvariantError(f"after record {seq}: " + "; ".join(violations))
     else:
-        system.simulate(accesses, counts, bias, left, close_window)
-    return SimStats(counts, fractions, toggles)
+        for block in trace.blocks:
+            for system, state, _ in runs:
+                system.simulate(zip(*block), *state)
+    return [stats for _, _, stats in runs]
+
+
+def run(
+    trace: Iterable[tuple],
+    topo: TopologyConfig,
+    policy: PolicyConfig,
+    *,
+    validate: bool = False,
+) -> SimStats:
+    """Drive a trace through a fresh system and count its accesses.
+
+    The trace is `Decoded` for `topo`, or any iterable of (socket, core,
+    op, addr) tuples, op "R" or "W", which `record_blocks` checks as they
+    are consumed; record N is its N-th, from 0. With `validate`, the run
+    steps the simulation one access at a time and checks the invariants
+    after each; the first violation raises InvariantError.
+    """
+    return _drive(trace, topo, [policy], validate)[0]
 
 
 def compare(
@@ -222,18 +239,12 @@ def compare(
     lat: Optional[LatencyModel] = None,
     validate: bool = False,
 ) -> dict:
-    """Run each policy over the same trace on a fresh system; deltas are
-    relative to the first policy."""
+    """Run each policy over the same trace, in one pass, on a fresh system
+    of its own; deltas are relative to the first policy."""
     if not policies:
         raise ConfigError("compare needs at least one policy")
-    for p in policies:  # bad thresholds fail before any record is read, as in `run`
-        p.thresholds(topo.llc_assoc)
-    trace = (trace._replace(blocks=list(trace.blocks))
-             if isinstance(trace, Decoded) else list(trace))
-    results = [
-        (p.kind.value, run(trace, topo, p, validate=validate).to_dict(lat))
-        for p in policies
-    ]
+    results = [(p.kind.value, stats.to_dict(lat))
+               for p, stats in zip(policies, _drive(trace, topo, policies, validate))]
     base = results[0][1]
     return {
         "policies": [{"policy": name, "stats": stats} for name, stats in results],

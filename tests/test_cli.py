@@ -247,16 +247,17 @@ WATERMARK_ERROR = "config error: need 0 <= low_water <= high_water\n"
      "config error: thresholds must be in [1, 4]\n"),
     (("compare", "--policies", "", "--trace", "bad-last.txt"),
      "config error: compare needs at least one policy\n"),
+    (("compare", "--sockets", "2", "--sets", "1048576", "--trace", "bad-last.txt"),
+     "config error: num_sockets * llc_sets must be <= 1048576, got 2097152\n"),
 ], ids=["io", "generator", "latency", "thresholds", "policy-name", "no-policy",
         "watermarks-then-out", "out-then-records", "compare-thresholds-then-records",
-        "no-policy-then-records"])
+        "no-policy-then-records", "compare-sets-then-records"])
 def test_error_precedence(capsys, monkeypatch, tmp_path, argv, err):
     """Of two errors, the one a command reports: an unknown policy name
     comes first, then the trace source's errors, then the policy record's
     watermarks, then the latencies, then a `--out` that cannot be opened,
-    then compare's empty policy list, then the thresholds (which compare
-    checks for every policy before it reads the trace), and the trace's
-    records last."""
+    then compare's empty policy list, then the thresholds, then a topology
+    of too many sets, and the trace's records last."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad-last.txt").write_text("0 0 R 0x40\n1 0 W 0x80\n0 0 Q 0x40\n")
     assert run_cli(capsys, *argv) == (1, "", err)
@@ -353,9 +354,10 @@ class TestRun:
         assert (code, out, err) == (1, "", "config error: thresholds must be in [1, 4]\n")
 
     def test_memory_constant_in_trace_length(self, capsys, tmp_path):
-        """Records stream from the trace file into the simulation, so the
-        peak of traced allocations does not grow with the trace length."""
-        def peak_mib(records):
+        """Records stream from the trace file into the simulation, of one
+        policy or several, so the peak of traced allocations does not grow
+        with the trace length."""
+        def peak_mib(records, *argv):
             trace = tmp_path / f"t{records}.txt"
             # 1024 distinct lines, so the directory stays bounded too
             trace.write_text("".join(
@@ -363,7 +365,7 @@ class TestRun:
                 for i in range(records)))
             tracemalloc.start()
             try:
-                code = main(["run", "--trace", str(trace),
+                code = main([*argv, "--trace", str(trace),
                              "--out", str(tmp_path / "r.json")])
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
@@ -371,8 +373,12 @@ class TestRun:
             assert code == 0
             return peak / 2**20
 
-        small, large = peak_mib(4000), peak_mib(16000)
-        assert large <= small + 0.5, (small, large)
+        # compare's 256 sets hold the 1024 lines, so that its long trace,
+        # mostly hits, runs in well under 2 s under tracemalloc
+        several = ["compare", "--policies", "lru,biased,adaptive", "--sets", "256"]
+        for argv, records in ((["run"], 16000), (several, 64000)):
+            small, large = peak_mib(4000, *argv), peak_mib(records, *argv)
+            assert large <= small + 0.5, (argv, small, large)
 
     def test_negative_pair_rejected(self, capsys):
         code, _, err = run_cli(capsys, "run", "--gen-kind", "producer-consumer",
@@ -550,12 +556,13 @@ class TestReader:
             lambda self: ["broken"] if next(calls) == IN_PROCESS + 500 else [])
 
     def interrupted_past_the_fork(self, monkeypatch, trace):
-        simulate = CoherenceSystem.simulate
+        simulate, seqs = CoherenceSystem.simulate, itertools.count()
 
         def interrupted(self, accesses, *state):
-            # ctrl-c at the record 500 records past the fork
-            for seq, access in enumerate(accesses):
-                if seq == IN_PROCESS + 500:
+            # ctrl-c at the record 500 records past the fork, numbered
+            # across the run's calls (one per block)
+            for access in accesses:
+                if next(seqs) == IN_PROCESS + 500:
                     raise KeyboardInterrupt
                 simulate(self, (access,), *state)
 

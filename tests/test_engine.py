@@ -1,7 +1,7 @@
 import json
 import random
 import sys
-from itertools import chain, islice
+from itertools import chain, count, islice
 
 import pytest
 
@@ -339,6 +339,28 @@ class TestCompare:
     def test_needs_a_policy(self):
         with pytest.raises(ConfigError):
             compare([], TOPO, [])
+
+    def test_each_policy_counts_what_its_own_run_counts(self):
+        # one pass of a trace that can be read only once feeds every policy
+        trace = random_trace(3000, 6)
+        policies = [PolicyConfig(kind, window_size=64) for kind in PolicyKind]
+        for validate in (False, True):
+            report = compare(iter(trace), TOPO, policies, validate=validate)
+            assert [entry["stats"] for entry in report["policies"]] == [
+                run(trace, TOPO, policy).to_dict() for policy in policies]
+
+    def test_validate_reports_the_first_violation_in_record_order(self, monkeypatch):
+        """Under `validate` every policy steps a record, in list order,
+        before any steps the next, so the 8th sweep of two policies is the
+        second policy's at record 3."""
+        sweeps = count()
+        monkeypatch.setattr(
+            CoherenceSystem, "check_global_invariants",
+            lambda self: [f"t_local {self.thresholds[0]}"] if next(sweeps) == 7 else [])
+        policies = [PolicyConfig(PolicyKind.LRU_ONLY, t_local=1),
+                    PolicyConfig(PolicyKind.BIASED_ALWAYS, t_local=2)]
+        with pytest.raises(engine.InvariantError, match="^after record 3: t_local 2$"):
+            compare(random_trace(20, 4), TOPO, policies, validate=True)
 
 
 class TestStatsShape:
