@@ -1,11 +1,13 @@
 """Command-line front end: run/compare simulations, generate traces."""
 
 import argparse
+import gc
 import json
 import math
 import os
 import sys
 from contextlib import ExitStack, suppress
+from itertools import chain
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .address_map import ConfigError, SocketPairs, TopologyConfig, decode
@@ -354,9 +356,11 @@ def _write_output(chunks: Iterable[str], out: Optional[str]) -> None:
 
 
 def _write_report(args, report: dict, named_stats: list) -> int:
-    text = (json.dumps(report, indent=2) + "\n" if args.report == "json"
-            else _render_table(named_stats))
-    _write_output([text], args.out)
+    # the encoder's chunks are written as it makes them: the report's text
+    # is never held whole
+    chunks = (chain(json.JSONEncoder(indent=2).iterencode(report), ["\n"])
+              if args.report == "json" else [_render_table(named_stats)])
+    _write_output(chunks, args.out)
     return 0
 
 
@@ -457,5 +461,15 @@ def main(argv: Optional[list] = None) -> int:
         return 1
 
 
+def entry() -> int:
+    """The program: `python -m numacache.cli` and the `numacache` script.
+    It freezes the collector before `main`, so that the collections at
+    exit skip every object that start-up made, on every way out of
+    `main`, `SystemExit` included; `main` itself leaves the collector to
+    its caller."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -193,7 +193,8 @@ def _drive(trace: Iterable[tuple], topo: TopologyConfig, policies: list[PolicyCo
            validate: bool) -> list[SimStats]:
     """Drive one pass of a trace through a fresh system per policy, handing
     each block to every policy in turn; with `validate`, each access, so the
-    first violation raised is the first in record order, then policy order."""
+    first violation raised is the first in record order, then policy order.
+    With more than one policy, its message names the policy that broke."""
     # bad thresholds, then too many sets, fail before any record is read
     runs = [_policy_run(topo, policy) for policy in policies]
     if not isinstance(trace, Decoded):
@@ -202,11 +203,15 @@ def _drive(trace: Iterable[tuple], topo: TopologyConfig, policies: list[PolicyCo
         raise ConfigError("the trace was decoded for another topology")
     if validate:
         for seq, access in enumerate(chain.from_iterable(starmap(zip, trace.blocks))):
-            for system, state, _ in runs:
+            for position, (system, state, _) in enumerate(runs):
                 system.simulate((access,), *state)
                 violations = system.check_global_invariants()
                 if violations:
-                    raise InvariantError(f"after record {seq}: " + "; ".join(violations))
+                    where = f"after record {seq}"
+                    if len(runs) > 1:  # the policy's place in the list, from 0, and kind
+                        kind = policies[position].kind.value
+                        where += f" under policy {position} ({kind})"
+                    raise InvariantError(f"{where}: " + "; ".join(violations))
     else:
         for block in trace.blocks:
             for system, state, _ in runs:

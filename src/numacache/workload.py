@@ -214,34 +214,47 @@ def open_trace(path: str) -> Iterator:
 
 
 # records taken in process, in _FORK_AFTER blocks of _BLOCK, before a reader
-# is forked. On a 2-vCPU VM (Python 3.11), `os.fork()` took about 0.5 ms
-# and its copy-on-write faults added 3-4 ms to the main process's loop
-# (share-adaptive seed 1: 55.5 -> 59.3 ms, medians of 15), while parsing
-# and decoding these 4096 records took about 2.5 ms: a trace that ends soon
-# after them loses a few ms, one three times as long gains.
+# is forked for the rest; it is forked before they are yielded, so it
+# parses on while this process simulates them. On a 2-vCPU VM (Python
+# 3.11), in process on prefixes of the share-adaptive seed-3 trace (40
+# alternations each, medians), forking after them against never forking
+# cost about 2 ms at 4096 and 6144 records, broke even near 10 000 and
+# saved about 3 ms at 16 384 and 30 ms (27 %) at 73 728.
 _FORK_AFTER = 8
 _HEADER = 4  # the size in bytes of a message's length, before its marshal bytes
 
 
 def read_ahead(blocks: Iterator, files: ExitStack) -> Iterator:
     """The column blocks of `blocks`, then the TraceError or OSError that
-    stopped it, read ahead of the caller. This process takes the first
-    _FORK_AFTER * _BLOCK records; past them, if `_can_fork()` at the start,
-    one reader process, which `files` kills and reaps, iterates `blocks` on
-    and sends each block down a pipe as it is, in one message: a
-    _HEADER-byte length, then the `marshal` bytes of (kind, payload). The
-    last message is the end or the error that stopped it. The fork is
-    safe, as the caller runs no other thread."""
-    taken, fork = 0, _can_fork()
-    for block in blocks:
-        yield block
-        taken += len(block[0])
-        if fork and taken >= _FORK_AFTER * _BLOCK:
-            break
-    else:  # the source has ended in process
+    stopped it, read ahead of the caller. Unless `_can_fork()`, this
+    process reads them all. Else it first takes the blocks of
+    _FORK_AFTER * _BLOCK records; a source that ends or fails within them
+    forks nothing and gives its blocks, then its error. Past them, one
+    reader process, forked before the blocks taken are yielded and killed
+    and reaped by `files`, iterates `blocks` on and sends each block down a
+    pipe as it is, in one message: a _HEADER-byte length, then the
+    `marshal` bytes of (kind, payload). The last message is the end or the
+    error that stopped it. The fork is safe, as the caller runs no other
+    thread."""
+    if not _can_fork():
+        yield from blocks
+        return
+    head, taken = [], 0
+    try:
+        for block in blocks:
+            head.append(block)
+            taken += len(block[0])
+            if taken >= _FORK_AFTER * _BLOCK:
+                break
+    except Exception:  # the source failed in process: its blocks come first
+        yield from head
+        raise
+    if taken < _FORK_AFTER * _BLOCK:  # the source has ended in process
+        yield from head
         return
     r, w = os.pipe()
-    pipe = files.enter_context(os.fdopen(r, "rb"))
+    # a 64 KiB buffer takes several messages per read call
+    pipe = files.enter_context(os.fdopen(r, "rb", 1 << 16))
     with os.fdopen(w, "wb") as out:
         pid = os.fork()
         if pid == 0:  # the reader process: it never returns into the caller
@@ -259,6 +272,8 @@ def read_ahead(blocks: Iterator, files: ExitStack) -> Iterator:
             finally:
                 os._exit(status)
     files.callback(_stop, pid)
+    yield from head
+    del head  # the taken blocks are not held for the rest of the run
     while True:
         kind, payload = _receive(pipe)
         if kind == "block":

@@ -1,4 +1,5 @@
 import errno
+import gc
 import importlib
 import io
 import itertools
@@ -6,12 +7,15 @@ import json
 import os
 import random
 import resource
+import runpy
 import signal
 import subprocess
 import sys
 import tracemalloc
 import types
+import warnings
 from contextlib import ExitStack
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +29,7 @@ from numacache.workload import (
     _BLOCK,
     GeneratorKind,
     GeneratorSpec,
+    TraceError,
     generate,
     parse_blocks,
     record_blocks,
@@ -296,6 +301,44 @@ class TestClosedStandardStream:
         assert json.loads(out.read_text())["stats"]["accesses"] > 0
 
 
+class TestEntry:
+    """`python -m numacache.cli` and the `numacache` script run `cli.entry`,
+    which freezes the collector and then runs `main`; `main` alone, as
+    in-process callers run it, leaves the collector as it is."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The calls made, in order: "freeze" for each `gc.freeze()`."""
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        return calls
+
+    def test_entry_freezes_then_returns_mains_code(self, monkeypatch, calls):
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 7)
+        assert cli.entry() == 7
+        assert calls == ["freeze", "main"]
+
+    def test_main_alone_never_freezes(self, capsys, calls):
+        assert run_cli(capsys, "gen", "--gen-kind", "migratory")[0] == 0
+        for argv in (["run", "--help"], ["run", "--no-such-flag"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+        assert calls == []
+
+    def test_the_script_and_python_m_run_the_entry(self, capsys, monkeypatch, calls):
+        text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        scripts = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        assert scripts.split() == ["numacache", "=", '"numacache.cli:entry"']
+        # `-m` runs the module afresh as __main__; its usage error leaves
+        # through SystemExit, after the freeze
+        monkeypatch.setattr(sys, "argv", ["numacache", "run", "--no-such-flag"])
+        with warnings.catch_warnings(), pytest.raises(SystemExit) as exit:
+            warnings.simplefilter("ignore", RuntimeWarning)  # cli is imported already
+            runpy.run_module("numacache.cli", run_name="__main__")
+        assert exit.value.code == 2 and calls == ["freeze"]
+        assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+
+
 class TestRun:
     def test_empty_trace_ok(self, capsys, tmp_path):
         trace = tmp_path / "t.txt"
@@ -426,6 +469,22 @@ class TestCompare:
                                "--gen-kind", "private")
         assert code != 0 and "fifo" in err
 
+    # the 11th sweep: of three policies, the second's at record 3
+    @pytest.mark.parametrize("argv, where", [
+        (["compare", "--policies", "lru,biased,adaptive"],
+         "after record 3 under policy 1 (biased)"),
+        (["compare", "--policies", "biased"], "after record 10"),
+        (["run", "--policy", "biased"], "after record 10"),
+    ])
+    def test_validate_names_the_broken_policy(self, capsys, monkeypatch, argv, where):
+        """With more than one policy, an invariant violation names the
+        policy by its place in --policies, from 0, and its kind."""
+        sweeps = itertools.count()
+        monkeypatch.setattr(CoherenceSystem, "check_global_invariants",
+                            lambda self: ["broken"] if next(sweeps) == 10 else [])
+        assert run_cli(capsys, *argv, "--validate", "--gen-kind", "migratory") == (
+            3, "", f"invariant violation: {where}: broken\n")
+
 
 def local_trace(records, lines=128, seed=3):
     """Random accesses of 2 sockets to `lines` lines of both homes."""
@@ -495,6 +554,38 @@ class TestReader:
                                  [PolicyConfig(k, window_size=64) for k in kinds])
                 del report["config"]
                 assert report == result
+
+    def test_the_reader_is_forked_before_the_first_block(self, forks):
+        topo = TopologyConfig(num_sockets=2)
+        records = [(n % 2, 0, "RW"[n % 3 == 0], n << 6) for n in range(IN_PROCESS + 700)]
+        with ExitStack() as files:
+            blocks = workload.read_ahead(record_blocks(iter(records), topo), files)
+            first = next(blocks)
+            assert len(forks) == 1
+            read = list(itertools.chain(zip(*first), *itertools.starmap(zip, blocks)))
+        assert read == records
+
+    def test_a_trace_error_in_the_first_blocks_forks_nothing(self, capsys, monkeypatch,
+                                                             tmp_path, forks):
+        """It comes after every block before it, so --validate still reports
+        a violation at an earlier record first."""
+        trace = tmp_path / "t.txt"
+        lines = local_trace(IN_PROCESS + 1600).splitlines(keepends=True)
+        lines[IN_PROCESS - 100] = "0 0 Q 0x40\n"
+        trace.write_text("".join(lines))
+        topo = TopologyConfig(num_sockets=2)
+        read = []
+        with open(trace) as fh, ExitStack() as files, pytest.raises(TraceError):
+            for socket, *_ in workload.read_ahead(parse_blocks(fh, topo), files):
+                read += socket
+        assert len(read) == IN_PROCESS - 100 and forks == []
+        sweeps = itertools.count()
+        monkeypatch.setattr(
+            CoherenceSystem, "check_global_invariants",
+            lambda self: ["broken"] if next(sweeps) == IN_PROCESS - 101 else [])
+        assert run_cli(capsys, "run", "--validate", "--trace", str(trace)) == (
+            3, "", f"invariant violation: after record {IN_PROCESS - 101}: broken\n")
+        assert forks == []
 
     def test_only_a_trace_past_the_first_blocks_forks(self, capsys, tmp_path, forks):
         trace = tmp_path / "t.txt"

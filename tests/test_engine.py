@@ -359,7 +359,8 @@ class TestCompare:
             lambda self: [f"t_local {self.thresholds[0]}"] if next(sweeps) == 7 else [])
         policies = [PolicyConfig(PolicyKind.LRU_ONLY, t_local=1),
                     PolicyConfig(PolicyKind.BIASED_ALWAYS, t_local=2)]
-        with pytest.raises(engine.InvariantError, match="^after record 3: t_local 2$"):
+        with pytest.raises(engine.InvariantError,
+                           match=r"^after record 3 under policy 1 \(biased\): t_local 2$"):
             compare(random_trace(20, 4), TOPO, policies, validate=True)
 
 
